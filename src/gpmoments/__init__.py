@@ -4,7 +4,8 @@ identities and bounds that govern them."""
 from .circularity import (CircularityVerdict, diagonal_counts_check,
                           half_inverse_check, is_circular, scan_noncircular)
 from .errors import (CompositeInput, ConfigInvalid, DimensionMismatch,
-                     DivisorMismatch, GpmError, IoFailure, NonIntegralResult,
+                     DivisorMismatch, GpmError, InconsistentCounts, IoFailure,
+                     NonIntegralResult,
                      NotCircular, PreconditionViolated, UnknownFigure)
 from .fermat_curves import (CurveCount, PowerTable, count_projective,
                             dictionary_check, predicted_count)

@@ -1,16 +1,21 @@
 """Circularity of (p, k) pairs and the diagonal-count facts that follow.
 
 (p, k) is circular when every two distinct translated dilates of the order-k
-subgroup of F_p^x meet in at most 2 points.  Affine maps reduce the general
-pair to comparing the subgroup against (subgroup * g^m + t), so only d * p
-configurations need checking.
+subgroup Gamma of F_p^x meet in at most 2 points.  Affine maps reduce the
+general pair to comparing Gamma against Gamma g^m + t.  For t = g^n != 0,
+|Gamma ^ (Gamma g^m + t)| is the structure constant c_{0, m+alpha, n}, a
+cyclotomic number of order d = (p-1)/k; for t = 0 and m != 0 it is 0.  So
+the largest intersection is the largest cyclotomic number, read off the
+structure tensor.
 """
 
 from dataclasses import dataclass
 
-from .errors import DivisorMismatch, PreconditionViolated
-from .field_core import FieldContext, find_primitive_root, is_prime, primes_in_range
-from .superchar import CheckResult, StructureTensor
+import numpy as np
+
+from .errors import DimensionMismatch, DivisorMismatch, PreconditionViolated
+from .field_core import FieldContext, build_context, is_prime, primes_in_range
+from .superchar import CheckResult, StructureTensor, build_tensor
 
 
 @dataclass(frozen=True)
@@ -19,86 +24,53 @@ class CircularityVerdict:
     k: int
     circular: bool
     max_intersection: int
-    witness: tuple[int, int] | None  # reduced (m, t) with intersection >= 3
+    # (m, t) with |Gamma ^ (Gamma g^m + t)| = max_intersection, when that is >= 3
+    witness: tuple[int, int] | None
 
 
-def _subgroup(p: int, k: int) -> tuple[int, list[int]]:
-    g = find_primitive_root(p)
-    d = (p - 1) // k
-    gd = pow(g, d, p)
-    elems = []
-    x = 1
-    for _ in range(k):
-        elems.append(x)
-        x = x * gd % p
-    return g, elems
+def is_circular(p: int, k: int,
+                tensor: StructureTensor | None = None) -> CircularityVerdict:
+    """Decide circularity from the cyclotomic numbers of order d = (p-1)/k.
 
-
-def is_circular(p: int, k: int) -> CircularityVerdict:
-    """Decide circularity by checking all reduced configurations (m, t).
-
-    |Gamma ^ (Gamma g^m + t)| equals the number of pairs (a, b) in Gamma^2
-    with a - g^m b = t, so each m is handled by one pass over the k^2
-    differences.  (m, t) = (0, 0) is the same-circle case and is excluded.
+    tensor, when given, is the structure tensor of p at any multiple of d
+    (the classes of order d are its coset indices mod d); otherwise one is
+    built.  The witness comes from the first largest number (i, j)_d:
+    n = alpha - i, m = j - i (mod d) and t = g^n.
     """
     if not is_prime(p) or p == 2:
         raise DivisorMismatch(f"{p} is not an odd prime")
-    if (p - 1) % k != 0:
+    if k < 1 or (p - 1) % k != 0:
         raise DivisorMismatch(f"k={k} does not divide p-1={p - 1}")
-    g, gamma = _subgroup(p, k)
     d = (p - 1) // k
+    if tensor is None:
+        tensor = build_tensor(build_context(p, d))
+    ctx = tensor.ctx
+    if ctx.p != p:
+        raise DimensionMismatch(f"tensor of p={ctx.p} cannot decide p={p}")
+    keys, counts = tensor.numbers_of_order(d)
 
-    max_int = 0
+    best = int(np.argmax(counts))
+    max_int = int(counts[best])
     witness = None
-    for m in range(d):
-        gm = pow(g, m, p)
-        coset = [x * gm % p for x in gamma]
-        counts: dict[int, int] = {}
-        for a in gamma:
-            for c in coset:
-                t = (a - c) % p
-                counts[t] = counts.get(t, 0) + 1
-        if m == 0:
-            counts.pop(0, None)
-        for t, n in counts.items():
-            if n > max_int:
-                max_int = n
-                if n >= 3 and witness is None:
-                    witness = (m, t)
+    if max_int >= 3:
+        i, j = divmod(int(keys[best]), d)
+        n = (ctx.alpha - i) % d  # alpha mod d: the class of -1 at order d
+        witness = ((j - i) % d, pow(ctx.g, n, p))
     return CircularityVerdict(p=p, k=k, circular=max_int <= 2,
                               max_intersection=max_int, witness=witness)
-
-
-def replay_witness(verdict: CircularityVerdict) -> int:
-    """Recompute the intersection size at the recorded witness directly."""
-    if verdict.witness is None:
-        raise PreconditionViolated("verdict has no witness")
-    m, t = verdict.witness
-    p = verdict.p
-    g, gamma = _subgroup(p, verdict.k)
-    gm = pow(g, m, p)
-    translated = {(x * gm + t) % p for x in gamma}
-    return len(set(gamma) & translated)
-
-
-def intersection_size(p: int, k: int, a: int, b: int, c: int, e: int) -> int:
-    """|(Gamma a + b) ^ (Gamma c + e)| computed directly, no reduction."""
-    _, gamma = _subgroup(p, k)
-    s1 = {(x * a + b) % p for x in gamma}
-    s2 = {(x * c + e) % p for x in gamma}
-    return len(s1 & s2)
 
 
 def diagonal_counts_check(ctx: FieldContext, tensor: StructureTensor) -> list[CheckResult]:
     """For circular (p, k): each diagonal count is at most 2 and equals the
     coset self-intersection |X_m ^ (X_m + 1)|."""
-    verdict = is_circular(ctx.p, ctx.k)
+    verdict = is_circular(ctx.p, ctx.k, tensor)
     if not verdict.circular:
         return [CheckResult("diagonal_counts", False, True,
                             f"({ctx.p},{ctx.k}) not circular; skipped")]
+    diagonal = tensor.entries(np.arange(ctx.d), np.arange(ctx.d))
     out = []
     for m in range(ctx.d):
-        c = int(tensor.c0[m, m])
+        c = int(diagonal[m])
         shifted = {(int(x) + 1) % ctx.p for x in ctx.cosets[m]}
         direct = len(set(int(x) for x in ctx.cosets[m]) & shifted)
         out.append(CheckResult(f"diagonal_m{m}", True,
@@ -112,9 +84,10 @@ def half_inverse_check(ctx: FieldContext, tensor: StructureTensor) -> list[Check
     if ctx.k % 2 != 0:
         raise PreconditionViolated("k must be even")
     m_star = int(ctx.coset_index[pow(2, ctx.p - 2, ctx.p)])
+    diagonal = tensor.entries(np.arange(ctx.d), np.arange(ctx.d))
     out = []
     for m in range(ctx.d):
-        c = int(tensor.c0[m, m])
+        c = int(diagonal[m])
         ok = (c == 1) if m == m_star else (c in (0, 2))
         out.append(CheckResult(f"half_inverse_m{m}", True, ok,
                                f"c={c} class_of_half={m_star}"))

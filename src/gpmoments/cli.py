@@ -22,7 +22,8 @@ from .fermat_curves import PowerTable, count_projective
 from .field_core import build_context, primes_in_range
 from .moments import MomentReport, build_report
 from .periods import compute_periods, power_sum_direct
-from .superchar import build_matrices, build_tensor, verify_identities
+from .superchar import (build_matrices, build_tensor, check_dense_budget,
+                        verify_identities)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -98,28 +99,35 @@ def _pick_bounds(rpt: MomentReport) -> tuple[str, str]:
     return "", ""
 
 
-def _report_for_prime(p: int, mode: SweepMode, value: int) -> MomentReport:
+def _run_prime(p: int, mode: SweepMode, value: int):
+    """Build context, tensor and periods once and report on them.
+
+    Returns (ctx, tensor, pv, report, verdict); verdict is the (p, k)
+    circularity verdict in fixed-k mode and None in fixed-d mode.
+    """
     if mode is SweepMode.FIXED_D:
         ctx = build_context(p, value)
-        fixed_k = None
+        tensor = build_tensor(ctx)
+        vk = fixed_k = None
     else:
         k = value
         ctx = build_context(p, (p - 1) // k)
-        vk = is_circular(p, k)
+        tensor = build_tensor(ctx)
+        vk = is_circular(p, k, tensor)
         v2k = None
         if k % 2 == 1 and vk.circular and (p - 1) % (2 * k) == 0:
-            v2k = is_circular(p, 2 * k)
+            v2k = is_circular(p, 2 * k, tensor)
         fixed_k = (vk, v2k)
-    tensor = build_tensor(ctx)
     pv = compute_periods(ctx)
-    return build_report(ctx, tensor, pv, fixed_k_verdicts=fixed_k)
+    rpt = build_report(ctx, tensor, pv, fixed_k_verdicts=fixed_k)
+    return ctx, tensor, pv, rpt, vk
 
 
 def _sweep_row(task: tuple[int, str, int]) -> tuple[int, str, str, bool]:
     """Worker: one prime -> (p, csv_row, json_blob, passed)."""
     p, mode_name, value = task
     mode = SweepMode(mode_name)
-    rpt = _report_for_prime(p, mode, value)
+    _, _, _, rpt, vk = _run_prime(p, mode, value)
     passed = rpt.all_passed()
     if mode is SweepMode.FIXED_D:
         fname, fval = _pick_formula(rpt)
@@ -131,7 +139,6 @@ def _sweep_row(task: tuple[int, str, int]) -> tuple[int, str, str, bool]:
             "1" if passed else "0",
         ])
     else:
-        vk = is_circular(p, value)
         fname, fval = _pick_formula(rpt, prefer_fixed_k=True)
         row = ",".join([
             str(rpt.p), str(rpt.d), str(rpt.k),
@@ -205,11 +212,11 @@ def verify_single(p: int, value: int, mode: SweepMode, out=sys.stdout) -> int:
         d = (p - 1) // value
     if (p - 1) % d != 0:
         raise DivisorMismatch(f"d={d} does not divide p-1")
+    # build_matrices needs dense complex (d+1) x (d+1) matrices; refuse before
+    # any table is built
+    check_dense_budget(d, complex)
 
-    rpt = _report_for_prime(p, mode, value)
-    ctx = build_context(p, d)
-    tensor = build_tensor(ctx)
-    pv = compute_periods(ctx)
+    ctx, tensor, pv, rpt, vk = _run_prime(p, mode, value)
 
     print(f"p={p} d={d} k={ctx.k} g={ctx.g} alpha={ctx.alpha} (p mod 8 = {p % 8})",
           file=out)
@@ -227,7 +234,6 @@ def verify_single(p: int, value: int, mode: SweepMode, out=sys.stdout) -> int:
     for name, b in rpt.bounds.items():
         print(f"bounds {name}: [{float(b.lower):.6f}, {float(b.upper):.6f}]", file=out)
     if mode is SweepMode.FIXED_K:
-        vk = is_circular(p, value)
         state = "circular" if vk.circular else "non-circular"
         print(f"pair (p,k)=({p},{value}) is {state} "
               f"(max intersection {vk.max_intersection})", file=out)
@@ -294,7 +300,7 @@ def emit_figure_data(figure_id: str, output: str, p_hi: int | None = None,
 
 def _figure_row(task: tuple[int, str, int]) -> tuple[int, str]:
     p, _, d = task
-    rpt = _report_for_prime(p, SweepMode.FIXED_D, d)
+    rpt = _run_prime(p, SweepMode.FIXED_D, d)[3]
     lo, hi = _pick_bounds(rpt)
     cols = [str(p), _fmt_value(rpt.v4_exact), lo, hi]
     if d == 4:

@@ -25,6 +25,10 @@ class NotCircular(GpmError):
     """A fixed-k formula was requested for a non-circular pair."""
 
 
+class InconsistentCounts(GpmError):
+    """Two exact computations of the same count disagree."""
+
+
 class NonIntegralResult(GpmError):
     """A solution-count formula evaluated too far from an integer."""
 

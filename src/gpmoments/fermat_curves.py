@@ -31,12 +31,8 @@ class PowerTable:
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
-        p, d = ctx.p, ctx.d
-        powd = np.empty(p, dtype=np.int64)
-        for x in range(p):
-            powd[x] = pow(x, d, p)
-        self.powd = powd
-        self.root_count = np.bincount(powd, minlength=p)
+        self.powd = ctx.dth_powers()
+        self.root_count = np.bincount(self.powd, minlength=ctx.p)
 
 
 def count_projective(ctx: FieldContext, i: int, j: int, k: int,
@@ -70,7 +66,7 @@ def predicted_count(ctx: FieldContext, tensor: StructureTensor,
                     i: int, j: int, k: int) -> int:
     """Point count predicted from the structure constants."""
     d = ctx.d
-    c = int(tensor.c0[(j - i) % d, (k - i) % d])
+    c = int(tensor.entries((j - i) % d, (k - i) % d))
     deltas = (1 if j == k else 0) + (1 if i == k else 0) + delta_star(ctx, i, j)
     return d * d * c + d * deltas
 

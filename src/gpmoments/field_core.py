@@ -82,6 +82,13 @@ class FieldContext:
     def class_representative(self, i: int) -> int:
         return pow(self.g, i, self.p) if i < self.d else 0
 
+    def dth_powers(self) -> np.ndarray:
+        """x^d mod p for x = 0..p-1, read off the tables: for x = g^e,
+        x^d = g^(d (e mod k)) = cosets[0][e mod k]."""
+        powd = self.cosets[0][self.dlog % self.k]
+        powd[0] = 0
+        return powd
+
 
 def build_context(p: int, d: int) -> FieldContext:
     """Build the full discrete-log and class-index tables for (p, d)."""

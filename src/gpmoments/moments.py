@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from .circularity import CircularityVerdict, is_circular
-from .errors import NonIntegralResult, NotCircular, PreconditionViolated
+from .errors import (InconsistentCounts, NonIntegralResult, NotCircular,
+                     PreconditionViolated)
 from .field_core import FieldContext
 from .periods import PeriodVector, PowerSumMethod, PowerSumValue, power_sum_direct
 from .superchar import StructureTensor
@@ -61,18 +62,22 @@ def vn_d2_closed_form(p: int, n: int) -> float:
 
 
 def v4_exact_from_counts(ctx: FieldContext, tensor: StructureTensor) -> Fraction:
-    """Exact V_4 from integer counts, computed both ways and cross-asserted.
+    """Exact V_4 from integer counts, computed both ways and cross-checked.
 
     Variant (a) uses the first column of the counting slice; variant (b) uses
-    the first row plus an indicator for 2d | (p-1).
+    the first row plus an indicator for 2d | (p-1).  InconsistentCounts is
+    raised if they differ.
     """
     p, d, k = ctx.p, ctx.d, ctx.k
-    col = tensor.c0[:d, 0].astype(object)
-    row = tensor.c0[0, :d].astype(object)
-    va = Fraction(p * k + p * int(sum(c * c for c in col)) - k ** 3)
+    classes = np.arange(d)
+    col = tensor.entries(classes, 0).tolist()
+    row = tensor.entries(0, classes).tolist()
+    va = Fraction(p * k + p * sum(c * c for c in col) - k ** 3)
     delta_alpha = 1 if (p - 1) % (2 * d) == 0 else 0
-    vb = Fraction(p * k * delta_alpha + p * int(sum(c * c for c in row)) - k ** 3)
-    assert va == vb, f"count variants disagree at (p,d)=({p},{d}): {va} vs {vb}"
+    vb = Fraction(p * k * delta_alpha + p * sum(c * c for c in row) - k ** 3)
+    if va != vb:
+        raise InconsistentCounts(
+            f"count variants disagree at (p,d)=({p},{d}): {va} vs {vb}")
     return va
 
 
@@ -87,7 +92,7 @@ def v4_d3(ctx: FieldContext, tensor: StructureTensor) -> tuple[Fraction, BoundIn
     p = ctx.p
     if ctx.d != 3:
         raise PreconditionViolated("v4_d3 requires d = 3")
-    t0 = int(tensor.c0[0, 0])
+    t0 = int(tensor.entries(0, 0))
     value = Fraction(10 * p * p - 20 * p + 1, 27) - Fraction(4, 3) * p * t0
     ph = p ** 1.5
     bounds = BoundInterval("v4_d3",
@@ -103,14 +108,14 @@ def v4_d4(ctx: FieldContext, tensor: StructureTensor) -> tuple[Fraction, BoundIn
         raise PreconditionViolated("v4_d4 requires d = 4")
     ph = p ** 1.5
     if p % 8 == 1:
-        t0 = int(tensor.c0[0, 0])
+        t0 = int(tensor.entries(0, 0))
         value = Fraction(256 * p * t0 * t0 - (32 * p * p + 224 * p) * t0
                          + p ** 3 + 167 * p * p - 113 * p + 9, 576)
         bounds = BoundInterval("v4_d4_mod8_1",
                                Fraction(17 * p * p - 18 * p + 1, 64),
                                (21 * p * p + 24 * ph + 18 * p + 1) / 64)
         return value, bounds, "mod8_1"
-    t2 = int(tensor.c0[0, 2])
+    t2 = int(tensor.entries(0, 2))
     value = Fraction(p ** 3 + 71 * p * p + 256 * p * t2 * t2
                      - 32 * (p - 5) * p * t2 + 79 * p + 9, 576)
     bounds = BoundInterval("v4_d4_mod8_5",

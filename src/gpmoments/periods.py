@@ -67,9 +67,7 @@ def gauss_sum_aggregate(ctx: FieldContext) -> complex:
     this equals 1 + d*eta[0]; callers check that identity.  The exponent here
     is d, not k: summing n^k instead does not reproduce 1 + d*eta[0].
     """
-    n = np.arange(ctx.p, dtype=np.int64)
-    powers = np.array([pow(int(x), ctx.d, ctx.p) for x in n], dtype=np.int64)
-    return complex(_unit_roots(ctx, powers).sum())
+    return complex(_unit_roots(ctx, ctx.dth_powers()).sum())
 
 
 def e_p(ctx: FieldContext, x: int) -> complex:

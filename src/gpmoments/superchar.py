@@ -1,24 +1,103 @@
 """Structure constants c_{i,j,k}, the matrices T, U, D, and their identities.
 
-All counting is exact integer arithmetic on the class-index table; floats only
-enter when the counts are assembled into T/U/D for the analytic identities.
+Every structure constant is a re-indexing of the cyclotomic numbers
+(i, j)_d = #{v in X_i : v + 1 in X_j}, which one O(p) pass over the
+class-index table counts exactly.  They are stored sparsely: at most p - 2 of
+the d^2 numbers are nonzero.  The dense (d+1) x (d+1) slice `c0` is only a
+derived view, and every dense (d+1) x (d+1) array is refused with
+ConfigInvalid when it would exceed DENSE_BUDGET_BYTES.  Floats only enter
+when the counts are assembled into T/U/D for the analytic identities.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigInvalid, DimensionMismatch, InconsistentCounts
 from .field_core import FieldContext
 from .periods import PeriodVector
+
+# Largest dense (d+1) x (d+1) array (the c0 view, U, T, D and the products in
+# verify_identities) that may be allocated, checked from the shape first.
+# 4 MiB admits complex128 matrices up to d = 511.
+DENSE_BUDGET_BYTES = 1 << 22
+
+
+def check_dense_budget(d: int, dtype) -> None:
+    """Raise ConfigInvalid if a dense (d+1) x (d+1) array of dtype would
+    exceed DENSE_BUDGET_BYTES."""
+    nbytes = (d + 1) ** 2 * np.dtype(dtype).itemsize
+    if nbytes > DENSE_BUDGET_BYTES:
+        raise ConfigInvalid(
+            f"a dense {d + 1}x{d + 1} array needs {nbytes} bytes, above the "
+            f"budget of {DENSE_BUDGET_BYTES} bytes")
+
+
+def _cyclotomic_numbers(ctx: FieldContext, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse cyclotomic numbers of order e (a divisor of ctx.d) in one pass.
+
+    Returns (keys, counts): keys ascending, key i*e + j standing for
+    (i, j)_e = #{v : v in class i, v + 1 in class j}, counts its positive
+    value.  The classes of order e are the coset indices mod e.
+    """
+    ci = ctx.coset_index[1:]  # classes of 1..p-1; 0 never occurs as v or v+1
+    if e != ctx.d:
+        ci = ci % e
+    key = ci[:-1] * e  # v = 1..p-2; built in place to hold one O(p) temporary
+    key += ci[1:]
+    if e * e <= ctx.p:
+        dense = np.bincount(key, minlength=e * e)
+        keys = np.flatnonzero(dense)
+        return keys, dense[keys]
+    return np.unique(key, return_counts=True)
 
 
 @dataclass(frozen=True)
 class StructureTensor:
-    """The slice c_{0, j, n} for 0 <= j, n <= d (class d is {0})."""
+    """The structure constants of (p, d), held as sparse cyclotomic numbers.
+
+    keys (ascending) and counts list the nonzero (i, j)_d, key i*d + j.  For
+    j, n < d, c_{0,j,n} = (alpha - n, j - n)_d; the border class d = {0} adds
+    c_{0,d,0} = 1 and c_{0,alpha,d} = k, every other border entry being 0.
+    """
 
     ctx: FieldContext
-    c0: np.ndarray  # (d+1) x (d+1) nonnegative integers
+    keys: np.ndarray
+    counts: np.ndarray
+
+    def numbers_of_order(self, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, counts) of the cyclotomic numbers of order e, a divisor of
+        d: the stored ones for e = d, else recounted from this context."""
+        if self.ctx.d % e != 0:
+            raise DimensionMismatch(f"order {e} does not divide d={self.ctx.d}")
+        if e == self.ctx.d:
+            return self.keys, self.counts
+        return _cyclotomic_numbers(self.ctx, e)
+
+    def entries(self, j, n) -> np.ndarray:
+        """c_{0,j,n} = (alpha - n, j - n)_d for class indices j, n < d
+        (integers or broadcastable index arrays)."""
+        d = self.ctx.d
+        j, n = np.asarray(j), np.asarray(n)
+        want = (self.ctx.alpha - n) % d * d + (j - n) % d
+        pos = np.minimum(np.searchsorted(self.keys, want), len(self.keys) - 1)
+        return np.where(self.keys[pos] == want, self.counts[pos], 0)
+
+    @cached_property
+    def c0(self) -> np.ndarray:
+        """Dense read-only (d+1) x (d+1) slice c_{0,j,n}, 0 <= j, n <= d."""
+        ctx = self.ctx
+        d, a = ctx.d, ctx.alpha
+        check_dense_budget(d, np.int64)
+        c0 = np.zeros((d + 1, d + 1), dtype=np.int64)
+        i, j = np.divmod(self.keys, d)
+        n = (a - i) % d
+        c0[(j + n) % d, n] = self.counts
+        c0[d, 0] = 1
+        c0[a, d] = ctx.k
+        c0.flags.writeable = False
+        return c0
 
 
 @dataclass(frozen=True)
@@ -34,7 +113,7 @@ def structure_constant(ctx: FieldContext, i: int, j: int, k: int,
 
     The count is independent of the representative; with
     check_representative=True it is recounted at a second representative of
-    X_k (when one exists) and the two counts are asserted equal.
+    X_k (when one exists), and InconsistentCounts is raised if they differ.
     """
     p = ctx.p
 
@@ -45,20 +124,18 @@ def structure_constant(ctx: FieldContext, i: int, j: int, k: int,
     reps = ctx.cosets[k]
     n = count_at(int(reps[0]))
     if check_representative and len(reps) > 1:
-        assert n == count_at(int(reps[1])), "representative dependence detected"
+        n2 = count_at(int(reps[1]))
+        if n != n2:
+            raise InconsistentCounts(
+                f"c_({i},{j},{k}) at (p,d)=({p},{ctx.d}) depends on the "
+                f"representative: {n} vs {n2}")
     return n
 
 
 def build_tensor(ctx: FieldContext) -> StructureTensor:
-    """Materialize the full c_{0,.,.} slice in one pass per target class."""
-    d, p = ctx.d, ctx.p
-    c0 = np.zeros((d + 1, d + 1), dtype=np.int64)
-    x0 = ctx.cosets[0]
-    for n in range(d + 1):
-        z = ctx.class_representative(n)
-        classes = ctx.coset_index[(z - x0) % p]
-        c0[:, n] = np.bincount(classes, minlength=d + 1)
-    return StructureTensor(ctx=ctx, c0=c0)
+    """Count the cyclotomic numbers of order d in one vectorized O(p) pass."""
+    keys, counts = _cyclotomic_numbers(ctx, ctx.d)
+    return StructureTensor(ctx=ctx, keys=keys, counts=counts)
 
 
 def general_constant(tensor: StructureTensor, i: int, j: int, k: int) -> int:
@@ -78,7 +155,7 @@ def general_constant(tensor: StructureTensor, i: int, j: int, k: int) -> int:
         return 1 if k == i else 0
     if k == d:  # z = 0 forces y = -x, a whole class iff j = i + alpha
         return ctx.k if j == (i + a) % d else 0
-    return int(tensor.c0[(j - i) % d, (k - i) % d])
+    return int(tensor.entries((j - i) % d, (k - i) % d))
 
 
 def constant_matrix(tensor: StructureTensor, i: int) -> np.ndarray:
@@ -101,6 +178,7 @@ def build_matrices(ctx: FieldContext, tensor: StructureTensor,
     if tensor.ctx.d != ctx.d or pv.ctx.d != ctx.d:
         raise DimensionMismatch("context, tensor and periods disagree on d")
     d, p, k = ctx.d, ctx.p, ctx.k
+    check_dense_budget(d, complex)
 
     U = np.empty((d + 1, d + 1), dtype=np.complex128)
     for i in range(d):

@@ -1,19 +1,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpmoments import (DivisorMismatch, PreconditionViolated, build_context,
-                       build_tensor, diagonal_counts_check, half_inverse_check,
-                       is_circular, primes_in_range, scan_noncircular)
-from gpmoments.circularity import (_subgroup, intersection_size,
-                                   replay_witness)
-from gpmoments.field_core import find_primitive_root
+from brute_force import (circularity_by_pairs, intersection_size,
+                         replay_witness, subgroup)
+from gpmoments import (DimensionMismatch, DivisorMismatch,
+                       PreconditionViolated, build_context, build_tensor,
+                       diagonal_counts_check, half_inverse_check, is_circular,
+                       primes_in_range, scan_noncircular)
 
 
 def test_5_4_not_circular_with_replayable_witness():
     verdict = is_circular(5, 4)
     assert not verdict.circular
     assert verdict.max_intersection >= 3
-    assert replay_witness(verdict) >= 3
+    assert verdict.witness == (0, 1)  # Gamma + 1 = {0, 2, 3, 4}
+    assert replay_witness(5, 4, verdict.witness) == verdict.max_intersection
 
 
 def test_paper_5_4_witness_configuration():
@@ -33,6 +34,37 @@ def test_divisor_mismatch():
         is_circular(13, 5)
     with pytest.raises(DivisorMismatch):
         is_circular(15, 2)
+    with pytest.raises(DimensionMismatch):  # a tensor of another prime
+        is_circular(13, 2, build_tensor(build_context(7, 3)))
+    with pytest.raises(DimensionMismatch):  # order 6 does not divide d = 4
+        is_circular(13, 2, build_tensor(build_context(13, 4)))
+
+
+def test_tensor_verdict_matches_brute_force():
+    # every (p, k) with 2 <= k <= 12, k | p - 1, p < 2000; the odd-k pairs are
+    # also decided at 2k from the order-d tensor, as the fixed-k sweep does
+    pairs = 0
+    for p in primes_in_range(3, 2000):
+        oracle = {}
+        for k in range(2, 13):
+            if (p - 1) % k:
+                continue
+            tensor = build_tensor(build_context(p, (p - 1) // k))
+            checks = [(k, is_circular(p, k)), (k, is_circular(p, k, tensor))]
+            if (p - 1) % (2 * k) == 0:
+                checks.append((2 * k, is_circular(p, 2 * k, tensor)))
+            for kk, verdict in checks:
+                if kk not in oracle:
+                    oracle[kk] = circularity_by_pairs(p, kk)
+                circular, max_int, _ = oracle[kk]
+                assert (verdict.circular, verdict.max_intersection) == \
+                    (circular, max_int), (p, kk)
+                if circular:
+                    assert verdict.witness is None
+                else:
+                    assert replay_witness(p, kk, verdict.witness) == max_int, (p, kk)
+            pairs += 1
+    assert pairs > 1000
 
 
 def test_diagonal_counts_13_6():
@@ -121,10 +153,10 @@ def affine_configs(draw):
 @settings(max_examples=80, deadline=None)
 @given(affine_configs())
 def test_affine_reduction_soundness(cfg):
-    # the reduced pair-count used by is_circular agrees with the direct
+    # the reduced pair count of the brute-force oracle agrees with the direct
     # intersection for arbitrary dilate/translate configurations
     p, k, a, b, c, e = cfg
-    g, gamma = _subgroup(p, k)
+    g, gamma = subgroup(p, k)
     direct = intersection_size(p, k, a, b, c, e)
 
     a_inv = pow(a, p - 2, p)

@@ -89,6 +89,8 @@ def test_context_invariants(params):
     for a in range(1, p):
         assert ctx.coset_index[a] == ctx.dlog[a] % d
     assert ctx.coset_index[0] == d
+    # the d-th powers read off the tables equal the pow loop they replace
+    assert ctx.dth_powers().tolist() == [pow(x, d, p) for x in range(p)]
     for a in range(1, p):
         for b in range(1, p, max(1, p // 7)):
             assert ctx.coset_index[a * b % p] == \

@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpmoments import (DimensionMismatch, build_context, build_matrices,
-                       build_tensor, compute_periods, primes_in_range,
-                       structure_constant, verify_identities)
-from gpmoments.superchar import all_passed, constant_matrix, general_constant
+import gpmoments
+from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
+                       build_matrices, build_tensor, compute_periods,
+                       primes_in_range, structure_constant, verify_identities)
+from gpmoments.superchar import (DENSE_BUDGET_BYTES, all_passed,
+                                 check_dense_budget, constant_matrix,
+                                 general_constant)
 
 
 def brute_constant(ctx, i, j, k, rep_index=0):
@@ -36,12 +44,19 @@ def test_column_sums_13_4():
 
 
 def test_tensor_matches_brute_force():
-    for p, d in [(7, 3), (13, 4), (13, 6), (29, 7), (11, 2)]:
+    # d^2 > p counts with np.unique, d^2 <= p with np.bincount; (101, 10) and
+    # (37, 6) sit on the boundary d^2 = p - 1
+    for p, d in [(7, 3), (13, 4), (13, 6), (29, 7), (11, 2), (31, 5),
+                 (101, 10), (37, 6), (97, 12), (3, 1), (3, 2), (41, 40)]:
         ctx = build_context(p, d)
         tensor = build_tensor(ctx)
+        assert len(tensor.keys) <= p - 2
+        assert np.all(np.diff(tensor.keys) > 0) and np.all(tensor.counts > 0)
         for j in range(d + 1):
             for n in range(d + 1):
                 assert tensor.c0[j, n] == brute_constant(ctx, 0, j, n), (p, d, j, n)
+                if j < d and n < d:
+                    assert tensor.entries(j, n) == tensor.c0[j, n]
 
 
 def test_tensor_d1_count():
@@ -167,3 +182,67 @@ def test_tensor_invariants_property(ctx):
             assert c0[m, n] == c0[(-m) % d, (n - m) % d]
     if (ctx.p - 1) % (2 * d) == 0:
         assert np.array_equal(c0[:d, :d], c0[:d, :d].T)
+
+
+def test_dense_budget_refuses_before_allocating():
+    # largest d whose complex (d+1)^2 matrices fit, and the first that does not
+    d_max = int((DENSE_BUDGET_BYTES // 16) ** 0.5) - 1
+    check_dense_budget(d_max, complex)
+    with pytest.raises(ConfigInvalid):
+        check_dense_budget(d_max + 1, complex)
+    # p = 1000033, k = 4: d = 250008 would need about 1e12 bytes
+    with pytest.raises(ConfigInvalid):
+        check_dense_budget(250_008, np.int64)
+    # the sparse tensor itself stays O(p) at any d; only the dense view refuses
+    p = 4001  # d = p - 1 = 4000: 128 MB as a dense int64 c0
+    tensor = build_tensor(build_context(p, p - 1))
+    assert tensor.keys.nbytes + tensor.counts.nbytes <= 16 * p
+    with pytest.raises(ConfigInvalid):
+        tensor.c0
+
+
+def test_cross_checks_survive_python_O():
+    # under -O a bare assert vanishes; the variant cross-check in
+    # v4_exact_from_counts and the representative check in structure_constant
+    # must still reject a perturbed tensor and a perturbed class table
+    script = textwrap.dedent("""
+        import dataclasses
+        import numpy as np
+        from gpmoments import (InconsistentCounts, build_context, build_tensor,
+                               structure_constant, v4_exact_from_counts)
+
+        assert False, "asserts must be stripped in this run"
+        ctx = build_context(13, 3)
+        tensor = build_tensor(ctx)
+        v4_exact_from_counts(ctx, tensor)
+        # raise c_{0,1,0} = (alpha, 1)_d, in column 0 but not in row 0
+        key = ctx.alpha * ctx.d + 1
+        keys, counts = tensor.keys.copy(), tensor.counts.copy()
+        if key in keys:
+            counts[np.searchsorted(keys, key)] += 1
+        else:
+            pos = np.searchsorted(keys, key)
+            keys, counts = np.insert(keys, pos, key), np.insert(counts, pos, 1)
+        bad = dataclasses.replace(tensor, keys=keys, counts=counts)
+        try:
+            v4_exact_from_counts(ctx, bad)
+        except InconsistentCounts:
+            print("variant check raised")
+        # move one element of X_1 into X_2 in the class table
+        table = ctx.coset_index.copy()
+        table[int(ctx.cosets[1][0])] = 2
+        bad_ctx = dataclasses.replace(ctx, coset_index=table)
+        try:
+            for j in range(4):
+                for k in range(4):
+                    structure_constant(bad_ctx, 0, j, k, check_representative=True)
+        except InconsistentCounts:
+            print("representative check raised")
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gpmoments.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["variant check raised",
+                                           "representative check raised"]
