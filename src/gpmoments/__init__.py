@@ -18,6 +18,6 @@ from .moments import (BoundInterval, MomentReport, build_report,
 from .periods import (PeriodVector, PowerSumValue, compute_periods,
                       gauss_sum_aggregate, power_sum_direct)
 from .superchar import (StructureTensor, SupercharMatrices, build_matrices,
-                        build_tensor, structure_constant, verify_identities)
+                        build_tensor, verify_identities)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,15 +13,16 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .circularity import is_circular, scan_noncircular
-from .errors import ConfigInvalid, DivisorMismatch, GpmError, IoFailure, UnknownFigure
+from .errors import (CompositeInput, ConfigInvalid, DivisorMismatch, GpmError,
+                     IoFailure, UnknownFigure)
 from .fermat_curves import PowerTable, count_projective
 from .field_core import build_context, primes_in_range
 from .moments import MomentReport, build_report
-from .periods import compute_periods, power_sum_direct
+from .periods import compute_periods
 from .superchar import (build_matrices, build_tensor, check_dense_budget,
                         verify_identities)
 
@@ -59,7 +60,6 @@ class SweepConfig:
     output: str
     out_format: OutputFormat = OutputFormat.CSV
     workers: int = 1
-    tolerances: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.p_lo > self.p_hi:
@@ -152,14 +152,21 @@ def _sweep_row(task: tuple[int, str, int]) -> tuple[int, str, str, bool]:
 
 
 def _sweep_primes(cfg: SweepConfig) -> list[int]:
-    if cfg.mode is SweepMode.FIXED_D:
-        lo = max(cfg.p_lo, 3)
-        ps = primes_in_range(lo, cfg.p_hi, (cfg.value, 1)) if cfg.value > 1 \
-            else primes_in_range(lo, cfg.p_hi)
-        return [p for p in ps if p > 2]
-    ps = primes_in_range(max(cfg.p_lo, 3), cfg.p_hi,
-                         (cfg.value, 1) if cfg.value > 1 else None)
-    return [p for p in ps if p > 2]
+    # the fixed d or k divides p - 1 in either mode
+    return primes_in_range(max(cfg.p_lo, 3), cfg.p_hi,
+                           (cfg.value, 1) if cfg.value > 1 else None)
+
+
+def _map_by_p(fn, tasks: list, workers: int) -> list[tuple]:
+    """fn over tasks, on `workers` processes when there are several, as
+    results sorted by their first field p."""
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, tasks, chunksize=16))
+    else:
+        results = [fn(t) for t in tasks]
+    results.sort(key=lambda r: r[0])
+    return results
 
 
 def _atomic_write(path: str, lines: list[str]) -> None:
@@ -183,14 +190,8 @@ def _atomic_write(path: str, lines: list[str]) -> None:
 def run_sweep(cfg: SweepConfig) -> int:
     """Run the sweep and write the output file; returns the process exit code."""
     cfg.validate()
-    primes = _sweep_primes(cfg)
-    tasks = [(p, cfg.mode.value, cfg.value) for p in primes]
-    if cfg.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_sweep_row, tasks, chunksize=16))
-    else:
-        results = [_sweep_row(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+    tasks = [(p, cfg.mode.value, cfg.value) for p in _sweep_primes(cfg)]
+    results = _map_by_p(_sweep_row, tasks, cfg.workers)
 
     if cfg.out_format is OutputFormat.CSV:
         header = FIXED_D_HEADER if cfg.mode is SweepMode.FIXED_D else FIXED_K_HEADER
@@ -201,17 +202,15 @@ def run_sweep(cfg: SweepConfig) -> int:
     return EXIT_OK if all(r[3] for r in results) else EXIT_CHECK_FAILED
 
 
-def verify_single(p: int, value: int, mode: SweepMode, out=sys.stdout) -> int:
+def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
     """Full per-prime report: periods, power sums, formulas, identities,
-    curve counts."""
-    if mode is SweepMode.FIXED_D:
-        d = value
-    else:
-        if (p - 1) % value != 0:
-            raise DivisorMismatch(f"k={value} does not divide p-1")
-        d = (p - 1) // value
-    if (p - 1) % d != 0:
-        raise DivisorMismatch(f"d={d} does not divide p-1")
+    curve counts.  It is written to out, by default the current sys.stdout."""
+    if out is None:
+        out = sys.stdout
+    fixed = "d" if mode is SweepMode.FIXED_D else "k"
+    if value < 1 or (p - 1) % value != 0:
+        raise DivisorMismatch(f"{fixed}={value} is not a positive divisor of p-1")
+    d = value if mode is SweepMode.FIXED_D else (p - 1) // value
     # build_matrices needs dense complex (d+1) x (d+1) matrices; refuse before
     # any table is built
     check_dense_budget(d, complex)
@@ -225,8 +224,8 @@ def verify_single(p: int, value: int, mode: SweepMode, out=sys.stdout) -> int:
         print(f"  eta[{a}] = {pv.eta[a]:.6f}", file=out)
     if d > 12:
         print(f"  ... ({d - 12} more)", file=out)
-    for n in (1, 2, 3, 4):
-        print(f"V_{n} = {power_sum_direct(pv, n).value:.6f}", file=out)
+    for n, v in rpt.v_direct.items():
+        print(f"V_{n} = {v.value:.6f}", file=out)
     print(f"V_4 exact = {rpt.v4_exact}", file=out)
 
     for name, val in rpt.formula_values.items():
@@ -251,13 +250,10 @@ def verify_single(p: int, value: int, mode: SweepMode, out=sys.stdout) -> int:
 
     if d <= 12:
         table = PowerTable(ctx)
-        worst = None
-        for j in range(d):
-            for kk in range(d):
-                cc = count_projective(ctx, 0, j, kk, table)
-                if worst is None or cc.hw_margin < worst.hw_margin:
-                    worst = cc
-        print(f"curve counts: M(0,0,0)={count_projective(ctx, 0, 0, 0, table).M}, "
+        curves = [count_projective(ctx, 0, j, kk, table)
+                  for j in range(d) for kk in range(d)]
+        worst = min(curves, key=lambda cc: cc.hw_margin)  # first of the smallest
+        print(f"curve counts: M(0,0,0)={curves[0].M}, "
               f"min HW margin {worst.hw_margin:.4f} at (0,{worst.j},{worst.k})",
               file=out)
 
@@ -282,14 +278,9 @@ def emit_figure_data(figure_id: str, output: str, p_hi: int | None = None,
 
     d = int(figure_id[1:])
     p_hi = p_hi or 100_000
-    primes = primes_in_range(d * d + 1, p_hi, (d, 1))
-    tasks = [(p, SweepMode.FIXED_D.value, d) for p in primes]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_figure_row, tasks, chunksize=16))
-    else:
-        results = [_figure_row(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+    tasks = [(p, SweepMode.FIXED_D.value, d)
+             for p in primes_in_range(d * d + 1, p_hi, (d, 1))]
+    results = _map_by_p(_figure_row, tasks, workers)
     header = "p,v4_exact,lower_bound,upper_bound"
     if d == 4:
         header += ",branch"
@@ -422,7 +413,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "circular":
             return run_circular_scan(args.k, args.p_hi, args.out)
         raise ConfigInvalid(f"unknown command {args.command}")
-    except (ConfigInvalid, UnknownFigure, IoFailure, DivisorMismatch) as exc:
+    except (ConfigInvalid, UnknownFigure, IoFailure, DivisorMismatch,
+            CompositeInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except GpmError as exc:

@@ -66,7 +66,7 @@ def predicted_count(ctx: FieldContext, tensor: StructureTensor,
                     i: int, j: int, k: int) -> int:
     """Point count predicted from the structure constants."""
     d = ctx.d
-    c = int(tensor.entries((j - i) % d, (k - i) % d))
+    c = int(tensor.constant(i, j, k))
     deltas = (1 if j == k else 0) + (1 if i == k else 0) + delta_star(ctx, i, j)
     return d * d * c + d * deltas
 

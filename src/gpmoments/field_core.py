@@ -76,12 +76,6 @@ class FieldContext:
     coset_index: np.ndarray = field(repr=False)
     cosets: tuple = field(repr=False)
 
-    def class_size(self, i: int) -> int:
-        return self.k if i < self.d else 1
-
-    def class_representative(self, i: int) -> int:
-        return pow(self.g, i, self.p) if i < self.d else 0
-
     def dth_powers(self) -> np.ndarray:
         """x^d mod p for x = 0..p-1, read off the tables: for x = g^e,
         x^d = g^(d (e mod k)) = cosets[0][e mod k]."""

@@ -2,7 +2,7 @@
 
 Everything that can be rational is kept rational (fractions.Fraction); bound
 endpoints involving p^(3/2) are the only floats, and containment checks give
-them a 1e-9 relative slack.
+them a HALF_POWER_SLACK relative slack.
 """
 
 import math
@@ -15,10 +15,13 @@ from .circularity import CircularityVerdict, is_circular
 from .errors import (InconsistentCounts, NonIntegralResult, NotCircular,
                      PreconditionViolated)
 from .field_core import FieldContext
-from .periods import PeriodVector, PowerSumMethod, PowerSumValue, power_sum_direct
+from .periods import PeriodVector, PowerSumValue, power_sum_direct
 from .superchar import StructureTensor
 
+# Float tolerances (exact values are compared exactly; verify_identities has
+# its own, superchar.UNITARY_TOL and superchar.SCALED_TOL):
 HALF_POWER_SLACK = 1e-9  # relative slack on bound endpoints containing p^(3/2)
+FLOAT_REL_TOL = 1e-6  # relative tolerance of direct float power sums
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,8 @@ def v4_exact_from_counts(ctx: FieldContext, tensor: StructureTensor) -> Fraction
     """
     p, d, k = ctx.p, ctx.d, ctx.k
     classes = np.arange(d)
-    col = tensor.entries(classes, 0).tolist()
-    row = tensor.entries(0, classes).tolist()
+    col = tensor.constant(0, classes, 0).tolist()
+    row = tensor.constant(0, 0, classes).tolist()
     va = Fraction(p * k + p * sum(c * c for c in col) - k ** 3)
     delta_alpha = 1 if (p - 1) % (2 * d) == 0 else 0
     vb = Fraction(p * k * delta_alpha + p * sum(c * c for c in row) - k ** 3)
@@ -81,18 +84,12 @@ def v4_exact_from_counts(ctx: FieldContext, tensor: StructureTensor) -> Fraction
     return va
 
 
-def power_sum_exact(ctx: FieldContext, tensor: StructureTensor) -> PowerSumValue:
-    """V_4 as a PowerSumValue on the exact-integer path."""
-    return PowerSumValue(n=4, value=float(v4_exact_from_counts(ctx, tensor)),
-                         method=PowerSumMethod.EXACT_INTEGER)
-
-
 def v4_d3(ctx: FieldContext, tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
     """d = 3: exact value from t_0 = c_{0,0,0} plus the tight p^(3/2) band."""
     p = ctx.p
     if ctx.d != 3:
         raise PreconditionViolated("v4_d3 requires d = 3")
-    t0 = int(tensor.entries(0, 0))
+    t0 = int(tensor.constant(0, 0, 0))
     value = Fraction(10 * p * p - 20 * p + 1, 27) - Fraction(4, 3) * p * t0
     ph = p ** 1.5
     bounds = BoundInterval("v4_d3",
@@ -108,14 +105,14 @@ def v4_d4(ctx: FieldContext, tensor: StructureTensor) -> tuple[Fraction, BoundIn
         raise PreconditionViolated("v4_d4 requires d = 4")
     ph = p ** 1.5
     if p % 8 == 1:
-        t0 = int(tensor.entries(0, 0))
+        t0 = int(tensor.constant(0, 0, 0))
         value = Fraction(256 * p * t0 * t0 - (32 * p * p + 224 * p) * t0
                          + p ** 3 + 167 * p * p - 113 * p + 9, 576)
         bounds = BoundInterval("v4_d4_mod8_1",
                                Fraction(17 * p * p - 18 * p + 1, 64),
                                (21 * p * p + 24 * ph + 18 * p + 1) / 64)
         return value, bounds, "mod8_1"
-    t2 = int(tensor.entries(0, 2))
+    t2 = int(tensor.constant(0, 0, 2))
     value = Fraction(p ** 3 + 71 * p * p + 256 * p * t2 * t2
                      - 32 * (p - 5) * p * t2 + 79 * p + 9, 576)
     bounds = BoundInterval("v4_d4_mod8_5",
@@ -222,9 +219,10 @@ class MomentReport:
         }
 
 
-def build_report(ctx: FieldContext, tensor: StructureTensor, pv: PeriodVector,
-                 fixed_k_verdicts: tuple[CircularityVerdict, CircularityVerdict | None] | None = None,
-                 float_rel_tol: float = 1e-6) -> MomentReport:
+def build_report(
+        ctx: FieldContext, tensor: StructureTensor, pv: PeriodVector,
+        fixed_k_verdicts: tuple[CircularityVerdict, CircularityVerdict | None] | None = None,
+) -> MomentReport:
     """Evaluate every applicable formula and bound for one context.
 
     fixed_k_verdicts, when given, carries the circularity verdicts for (p,k)
@@ -238,7 +236,7 @@ def build_report(ctx: FieldContext, tensor: StructureTensor, pv: PeriodVector,
     v4f = rpt.v_direct[4].value
 
     def close(a: float, b: float) -> bool:
-        return math.isclose(a, b, rel_tol=float_rel_tol, abs_tol=1e-9)
+        return math.isclose(a, b, rel_tol=FLOAT_REL_TOL, abs_tol=1e-9)
 
     rpt.verdicts["v4_float_vs_exact"] = close(v4f, float(rpt.v4_exact))
 

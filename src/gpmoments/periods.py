@@ -5,8 +5,6 @@ numbers whose absolute n-th powers are summed into the power sums checked
 against the exact formulas in `moments`.
 """
 
-import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,22 +12,10 @@ import numpy as np
 from .field_core import FieldContext
 
 
-def identity_tolerance(ctx: FieldContext) -> float:
-    """Absolute tolerance for float identity checks: roundoff accumulated
-    over k-term sums across d classes."""
-    return 1e-12 * ctx.p * max(ctx.k, 1)
-
-
-class PowerSumMethod(enum.Enum):
-    DIRECT_FLOAT = "direct_float"
-    EXACT_INTEGER = "exact_integer"
-
-
 @dataclass(frozen=True)
 class PowerSumValue:
     n: int
     value: float
-    method: PowerSumMethod
 
 
 @dataclass(frozen=True)
@@ -57,7 +43,7 @@ def power_sum_direct(pv: PeriodVector, n: int) -> PowerSumValue:
     if n < 1:
         raise ValueError("n must be >= 1")
     value = float(np.sum(np.abs(pv.eta) ** n))
-    return PowerSumValue(n=n, value=value, method=PowerSumMethod.DIRECT_FLOAT)
+    return PowerSumValue(n=n, value=value)
 
 
 def gauss_sum_aggregate(ctx: FieldContext) -> complex:
@@ -68,10 +54,3 @@ def gauss_sum_aggregate(ctx: FieldContext) -> complex:
     is d, not k: summing n^k instead does not reproduce 1 + d*eta[0].
     """
     return complex(_unit_roots(ctx, ctx.dth_powers()).sum())
-
-
-def e_p(ctx: FieldContext, x: int) -> complex:
-    """e^(2 pi i x / p) with x reduced first to avoid large-argument loss."""
-    x %= ctx.p
-    return complex(math.cos(2 * math.pi * x / ctx.p),
-                   math.sin(2 * math.pi * x / ctx.p))

@@ -3,10 +3,11 @@
 Every structure constant is a re-indexing of the cyclotomic numbers
 (i, j)_d = #{v in X_i : v + 1 in X_j}, which one O(p) pass over the
 class-index table counts exactly.  They are stored sparsely: at most p - 2 of
-the d^2 numbers are nonzero.  The dense (d+1) x (d+1) slice `c0` is only a
-derived view, and every dense (d+1) x (d+1) array is refused with
-ConfigInvalid when it would exceed DENSE_BUDGET_BYTES.  Floats only enter
-when the counts are assembled into T/U/D for the analytic identities.
+the d^2 numbers are nonzero.  `StructureTensor.constant` is the one map from
+c_{i,j,k} to them; the dense (d+1) x (d+1) slice `c0` is read through it, and
+every dense (d+1) x (d+1) array is refused with ConfigInvalid when it would
+exceed DENSE_BUDGET_BYTES.  Floats only enter when the counts are assembled
+into T/U/D for the analytic identities.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, InconsistentCounts
+from .errors import ConfigInvalid, DimensionMismatch
 from .field_core import FieldContext
 from .periods import PeriodVector
 
@@ -22,6 +23,10 @@ from .periods import PeriodVector
 # verify_identities) that may be allocated, checked from the shape first.
 # 4 MiB admits complex128 matrices up to d = 511.
 DENSE_BUDGET_BYTES = 1 << 22
+
+# Float tolerances of verify_identities (the counts themselves are exact):
+UNITARY_TOL = 1e-9  # bounds ||U*U - I||_max and ||U - U^T||_max
+SCALED_TOL = 1e-8  # times p, bounds the residuals that grow with the entries
 
 
 def check_dense_budget(d: int, dtype) -> None:
@@ -57,9 +62,8 @@ def _cyclotomic_numbers(ctx: FieldContext, e: int) -> tuple[np.ndarray, np.ndarr
 class StructureTensor:
     """The structure constants of (p, d), held as sparse cyclotomic numbers.
 
-    keys (ascending) and counts list the nonzero (i, j)_d, key i*d + j.  For
-    j, n < d, c_{0,j,n} = (alpha - n, j - n)_d; the border class d = {0} adds
-    c_{0,d,0} = 1 and c_{0,alpha,d} = k, every other border entry being 0.
+    keys (ascending) and counts list the nonzero (i, j)_d, key i*d + j;
+    `constant` reads any c_{i,j,n} off them.
     """
 
     ctx: FieldContext
@@ -75,27 +79,52 @@ class StructureTensor:
             return self.keys, self.counts
         return _cyclotomic_numbers(self.ctx, e)
 
-    def entries(self, j, n) -> np.ndarray:
-        """c_{0,j,n} = (alpha - n, j - n)_d for class indices j, n < d
-        (integers or broadcastable index arrays)."""
+    @cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero c_{0,u,w} as ascending keys u*(d+1) + w and counts: the
+        stored (u, w)_d for u, w < d, c_{0,d,0} = 1 (y = 0 forces x = z) and
+        c_{0,alpha,d} = k (z = 0 forces y = -x, a whole class)."""
+        ctx = self.ctx
+        d, e = ctx.d, ctx.d + 1
+        keys = self.keys + self.keys // d
+        border = np.array([ctx.alpha * e + d, d * e])
+        pos = np.searchsorted(keys, border)
+        return np.insert(keys, pos, border), np.insert(self.counts, pos, [ctx.k, 1])
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """Every c_{0,u,w} at u*(d+1) + w; built only for a request at least
+        as large, so it costs no more memory than the answer."""
+        keys, counts = self._entries
+        table = np.zeros((self.ctx.d + 1) ** 2, dtype=counts.dtype)
+        table[keys] = counts
+        return table
+
+    def constant(self, i, j, n) -> np.ndarray:
+        """c_{i,j,n} = #{(x, y) in X_i x X_j : x + y = z} for a z in X_n, for
+        classes 0..d (integers or broadcastable index arrays).
+
+        x = 0 (i = d) forces y = z.  Otherwise v = y/x and v + 1 = z/x lie in
+        the classes u, w of j, n shifted by -i, the border class d = {0}
+        staying put, so c_{i,j,n} = c_{0,u,w}, read off `_entries`.
+        """
         d = self.ctx.d
-        j, n = np.asarray(j), np.asarray(n)
-        want = (self.ctx.alpha - n) % d * d + (j - n) % d
-        pos = np.minimum(np.searchsorted(self.keys, want), len(self.keys) - 1)
-        return np.where(self.keys[pos] == want, self.counts[pos], 0)
+        i, j, n = np.asarray(i), np.asarray(j), np.asarray(n)
+        want = np.where(j < d, (j - i) % d, d) * (d + 1) + np.where(n < d, (n - i) % d, d)
+        if want.size >= (d + 1) ** 2:
+            found = self._table.take(want)
+        else:
+            keys, counts = self._entries
+            pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            found = np.where(keys[pos] == want, counts[pos], 0)
+        return np.where(i == d, j == n, found)
 
     @cached_property
     def c0(self) -> np.ndarray:
         """Dense read-only (d+1) x (d+1) slice c_{0,j,n}, 0 <= j, n <= d."""
-        ctx = self.ctx
-        d, a = ctx.d, ctx.alpha
+        d = self.ctx.d
         check_dense_budget(d, np.int64)
-        c0 = np.zeros((d + 1, d + 1), dtype=np.int64)
-        i, j = np.divmod(self.keys, d)
-        n = (a - i) % d
-        c0[(j + n) % d, n] = self.counts
-        c0[d, 0] = 1
-        c0[a, d] = ctx.k
+        c0 = self.constant(0, *np.indices((d + 1, d + 1), sparse=True))
         c0.flags.writeable = False
         return c0
 
@@ -107,69 +136,10 @@ class SupercharMatrices:
     D: np.ndarray  # (d+1) x (d+1) complex diagonal
 
 
-def structure_constant(ctx: FieldContext, i: int, j: int, k: int,
-                       check_representative: bool = False) -> int:
-    """Count pairs (x, y) in X_i x X_j with x + y = z for a fixed z in X_k.
-
-    The count is independent of the representative; with
-    check_representative=True it is recounted at a second representative of
-    X_k (when one exists), and InconsistentCounts is raised if they differ.
-    """
-    p = ctx.p
-
-    def count_at(z: int) -> int:
-        return int(np.count_nonzero(
-            ctx.coset_index[(z - ctx.cosets[i]) % p] == j))
-
-    reps = ctx.cosets[k]
-    n = count_at(int(reps[0]))
-    if check_representative and len(reps) > 1:
-        n2 = count_at(int(reps[1]))
-        if n != n2:
-            raise InconsistentCounts(
-                f"c_({i},{j},{k}) at (p,d)=({p},{ctx.d}) depends on the "
-                f"representative: {n} vs {n2}")
-    return n
-
-
 def build_tensor(ctx: FieldContext) -> StructureTensor:
     """Count the cyclotomic numbers of order d in one vectorized O(p) pass."""
     keys, counts = _cyclotomic_numbers(ctx, ctx.d)
     return StructureTensor(ctx=ctx, keys=keys, counts=counts)
-
-
-def general_constant(tensor: StructureTensor, i: int, j: int, k: int) -> int:
-    """c_{i,j,k} for arbitrary class indices 0..d, derived from the c0 slice.
-
-    For i < d divide the defining equation by g^i; the border classes (index d)
-    reduce to membership statements about -1 and 0.
-    """
-    ctx = tensor.ctx
-    d, a = ctx.d, ctx.alpha
-    if i == d:
-        # x = 0 forces y = z
-        return 1 if j == k else 0
-    if j == d and k == d:
-        return 0
-    if j == d:  # y = 0 forces x = z, one solution iff z's class is i
-        return 1 if k == i else 0
-    if k == d:  # z = 0 forces y = -x, a whole class iff j = i + alpha
-        return ctx.k if j == (i + a) % d else 0
-    return int(tensor.entries((j - i) % d, (k - i) % d))
-
-
-def constant_matrix(tensor: StructureTensor, i: int) -> np.ndarray:
-    """The (d+1)x(d+1) matrix of c_{i,j,k} over (j, k), vectorized."""
-    ctx = tensor.ctx
-    d = ctx.d
-    ci = np.zeros((d + 1, d + 1), dtype=np.int64)
-    if i == d:
-        np.fill_diagonal(ci, 1)
-        return ci
-    ci[:d, :d] = np.roll(tensor.c0[:d, :d], (i, i), axis=(0, 1))
-    ci[(i + ctx.alpha) % d, d] = ctx.k
-    ci[d, i] = 1
-    return ci
 
 
 def build_matrices(ctx: FieldContext, tensor: StructureTensor,
@@ -181,9 +151,7 @@ def build_matrices(ctx: FieldContext, tensor: StructureTensor,
     check_dense_budget(d, complex)
 
     U = np.empty((d + 1, d + 1), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            U[i, j] = pv.eta[(i + j) % d]
+    U[:d, :d] = pv.eta[np.add.outer(np.arange(d), np.arange(d)) % d]
     U[:d, d] = U[d, :d] = np.sqrt(k)
     U[d, d] = 1.0
     U /= np.sqrt(p)
@@ -196,16 +164,6 @@ def build_matrices(ctx: FieldContext, tensor: StructureTensor,
     return SupercharMatrices(U=U, T=T, D=D)
 
 
-def superchar_value(ctx: FieldContext, pv: PeriodVector, i: int, ell: int) -> complex:
-    """Value of the i-th supercharacter on class ell (constant on classes)."""
-    d = ctx.d
-    if i == d:
-        return 1.0 + 0j
-    if ell == d:
-        return complex(ctx.k)
-    return complex(pv.eta[(i + ell) % d])
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -215,25 +173,23 @@ class CheckResult:
 
 
 def verify_identities(m: SupercharMatrices, tensor: StructureTensor,
-                      pv: PeriodVector,
-                      unitary_tol: float = 1e-9,
-                      scaled_tol: float = 1e-8) -> list[CheckResult]:
+                      pv: PeriodVector) -> list[CheckResult]:
     """Run every algebraic check on the assembled matrices.
 
-    Failures are reported, never raised.  Tolerances: unitary_tol bounds
-    ||U*U - I||_max; scaled_tol * p bounds the residuals that grow with the
-    matrix entries (TU = UD, the product identity, traces).
+    Failures are reported, never raised.  UNITARY_TOL bounds the residuals of
+    U; SCALED_TOL * p bounds those that grow with the matrix entries (TU = UD,
+    the product identity, traces).
     """
     ctx = tensor.ctx
     d, p, k = ctx.d, ctx.p, ctx.k
-    tol_p = scaled_tol * p
+    tol_p = SCALED_TOL * p
     out = []
 
     err = np.abs(m.U.conj().T @ m.U - np.eye(d + 1)).max()
-    out.append(CheckResult("U_unitary", True, err < unitary_tol, f"max_err={err:.3g}"))
+    out.append(CheckResult("U_unitary", True, err < UNITARY_TOL, f"max_err={err:.3g}"))
 
     err = np.abs(m.U - m.U.T).max()
-    out.append(CheckResult("U_symmetric", True, err < unitary_tol, f"max_err={err:.3g}"))
+    out.append(CheckResult("U_symmetric", True, err < UNITARY_TOL, f"max_err={err:.3g}"))
 
     err = np.abs(m.T @ m.U - m.U @ m.D).max()
     out.append(CheckResult("TU_eq_UD", True, err < tol_p, f"max_err={err:.3g}"))
@@ -242,31 +198,34 @@ def verify_identities(m: SupercharMatrices, tensor: StructureTensor,
     err = np.abs(m.T @ m.T.T - m.T.T @ m.T).max()
     out.append(CheckResult("T_normal", True, err < tol_p, f"max_err={err:.3g}"))
 
-    # product identity: sigma_i(X_l) sigma_j(X_l) = sum_k c_{i,j,k} sigma_k(X_l)
-    sigma = np.array([[superchar_value(ctx, pv, i, ell) for ell in range(d + 1)]
-                      for i in range(d + 1)])
+    # product identity: sigma_i(X_l) sigma_j(X_l) = sum_n c_{i,j,n} sigma_n(X_l),
+    # sigma_i(X_l) = eta_{i+l} off the border, k on X_d = {0}, 1 for i = d
+    classes = np.arange(d + 1)
+    sigma = np.ones((d + 1, d + 1), dtype=np.complex128)
+    sigma[:d, :d] = pv.eta[np.add.outer(classes[:d], classes[:d]) % d]
+    sigma[:d, d] = k
     max_err = 0.0
-    for i in range(d + 1):
-        ci = constant_matrix(tensor, i).astype(np.float64)
-        lhs = sigma[i][None, :] * sigma
-        rhs = ci @ sigma
-        max_err = max(max_err, float(np.abs(lhs - rhs).max()))
+    for i in classes:
+        err = tensor.constant(i, classes[:, None], classes).astype(np.complex128) @ sigma
+        err -= sigma[i] * sigma
+        max_err = max(max_err, float(np.abs(err).max()))
     out.append(CheckResult("product_identity", True, max_err < tol_p,
                            f"max_err={max_err:.3g}"))
 
     # column sums of the counting slice
-    colsums_ok = all(int(tensor.c0[:, n].sum()) == k for n in range(d))
+    colsums_ok = bool(np.all(tensor.c0[:, :d].sum(axis=0) == k))
     out.append(CheckResult("column_sums", True, colsums_ok, f"expected {k}"))
 
     # rotation symmetry c_{0,m,n} = c_{0,-m,n-m}
-    rot_ok = all(tensor.c0[mm, nn] == tensor.c0[(-mm) % d, (nn - mm) % d]
-                 for mm in range(d) for nn in range(d))
+    block = tensor.c0[:d, :d]
+    mm, nn = np.indices((d, d), sparse=True)
+    rot_ok = bool(np.array_equal(block, block[-mm % d, (nn - mm) % d]))
     out.append(CheckResult("rotation_symmetry", True, rot_ok))
 
     # T symmetric iff 2d | (p-1)
     sym_applicable = d > 1 and (p - 1) % (2 * d) == 0
     if sym_applicable:
-        sym_ok = bool(np.array_equal(tensor.c0[:d, :d], tensor.c0[:d, :d].T))
+        sym_ok = bool(np.array_equal(block, block.T))
         out.append(CheckResult("T_symmetric", True, sym_ok))
     else:
         out.append(CheckResult("T_symmetric", False, True, "2d does not divide p-1"))
@@ -275,8 +234,7 @@ def verify_identities(m: SupercharMatrices, tensor: StructureTensor,
     # for even d with 2d not dividing p-1 this is the half-turn a = d/2
     if d > 1:
         a = ctx.alpha
-        half_ok = all(tensor.c0[mm, nn] == tensor.c0[(nn + a) % d, (mm + a) % d]
-                      for mm in range(d) for nn in range(d))
+        half_ok = bool(np.array_equal(block, block[(nn + a) % d, (mm + a) % d]))
         out.append(CheckResult("half_turn_symmetry", d % 2 == 0 and a == d // 2,
                                half_ok, f"shift={a}"))
     else:
@@ -291,7 +249,7 @@ def verify_identities(m: SupercharMatrices, tensor: StructureTensor,
 
     # exact closed form for the sum of squared counts (d > 2 only)
     if d > 2:
-        lhs_sq = int((tensor.c0[:d, :d].astype(object) ** 2).sum())
+        lhs_sq = int((block.astype(object) ** 2).sum())
         num = p * p + (d * d - 3 * d - 2) * p + 3 * d + 1
         exact_ok = lhs_sq * d * d == num
         out.append(CheckResult("count_square_sum", True, exact_ok,

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -117,6 +118,19 @@ def test_verify_13_d4_branch():
 
 def test_verify_divisor_mismatch_exit_code():
     assert main(["verify", "--p", "13", "--d", "5"]) == EXIT_CONFIG_ERROR
+    assert main(["verify", "--p", "13", "--d", "0"]) == EXIT_CONFIG_ERROR
+    assert main(["verify", "--p", "13", "--k", "0"]) == EXIT_CONFIG_ERROR
+    assert main(["verify", "--p", "9", "--d", "2"]) == EXIT_CONFIG_ERROR
+
+
+def test_verify_writes_to_redirected_stdout():
+    # the default stream is the sys.stdout of the call, not of the import
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = verify_single(7, 3, SweepMode.FIXED_D)
+    assert rc == EXIT_OK
+    assert "V_4 exact = 13" in buf.getvalue()
+    assert buf.getvalue().endswith("RESULT: pass\n")
 
 
 def test_figure_d3(tmp_path):

@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from gpmoments import (build_context, compute_periods, gauss_sum_aggregate,
                        power_sum_direct, primes_in_range)
-from gpmoments.periods import identity_tolerance
+
+
+def identity_tolerance(ctx):
+    # absolute tolerance for float identity checks: roundoff accumulated over
+    # k-term sums across d classes
+    return 1e-12 * ctx.p * max(ctx.k, 1)
 
 
 def brute_period(p, g, d, a):

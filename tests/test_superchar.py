@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,10 +11,14 @@ from hypothesis import given, settings, strategies as st
 import gpmoments
 from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
                        build_matrices, build_tensor, compute_periods,
-                       primes_in_range, structure_constant, verify_identities)
+                       primes_in_range, verify_identities)
 from gpmoments.superchar import (DENSE_BUDGET_BYTES, all_passed,
-                                 check_dense_budget, constant_matrix,
-                                 general_constant)
+                                 check_dense_budget)
+
+# d^2 > p counts with np.unique, d^2 <= p with np.bincount; (101, 10) and
+# (37, 6) sit on the boundary d^2 = p - 1, (41, 40) has d = p - 1
+TENSOR_CASES = [(7, 3), (13, 4), (13, 6), (29, 7), (11, 2), (31, 5),
+                (101, 10), (37, 6), (97, 12), (3, 1), (3, 2), (41, 40)]
 
 
 def brute_constant(ctx, i, j, k, rep_index=0):
@@ -23,17 +28,21 @@ def brute_constant(ctx, i, j, k, rep_index=0):
                if (int(x) + int(y)) % ctx.p == z)
 
 
-def test_structure_constant_examples():
+def test_brute_constant_examples():
     ctx = build_context(7, 3)
-    assert structure_constant(ctx, 0, 0, 0) == 0
-    assert structure_constant(ctx, 0, 3, 0) == 1
+    assert brute_constant(ctx, 0, 0, 0) == brute_constant(ctx, 0, 0, 0, 1) == 0
+    assert brute_constant(ctx, 0, 3, 0) == brute_constant(ctx, 0, 3, 0, 1) == 1
 
 
-def test_structure_constant_representative_check():
-    ctx = build_context(13, 4)
-    for j in range(5):
-        for k in range(5):
-            structure_constant(ctx, 0, j, k, check_representative=True)
+def test_brute_constant_representative_independence():
+    # the oracle counts at one representative of X_k; any other gives the same
+    for p, d in [(13, 4), (13, 3), (29, 7), (31, 6)]:
+        ctx = build_context(p, d)
+        for i in range(d + 1):
+            for j in range(d + 1):
+                for k in range(d):
+                    assert brute_constant(ctx, i, j, k) == \
+                        brute_constant(ctx, i, j, k, 1), (p, d, i, j, k)
 
 
 def test_column_sums_13_4():
@@ -44,10 +53,7 @@ def test_column_sums_13_4():
 
 
 def test_tensor_matches_brute_force():
-    # d^2 > p counts with np.unique, d^2 <= p with np.bincount; (101, 10) and
-    # (37, 6) sit on the boundary d^2 = p - 1
-    for p, d in [(7, 3), (13, 4), (13, 6), (29, 7), (11, 2), (31, 5),
-                 (101, 10), (37, 6), (97, 12), (3, 1), (3, 2), (41, 40)]:
+    for p, d in TENSOR_CASES:
         ctx = build_context(p, d)
         tensor = build_tensor(ctx)
         assert len(tensor.keys) <= p - 2
@@ -55,8 +61,6 @@ def test_tensor_matches_brute_force():
         for j in range(d + 1):
             for n in range(d + 1):
                 assert tensor.c0[j, n] == brute_constant(ctx, 0, j, n), (p, d, j, n)
-                if j < d and n < d:
-                    assert tensor.entries(j, n) == tensor.c0[j, n]
 
 
 def test_tensor_d1_count():
@@ -88,16 +92,24 @@ def test_d2_matrix_displays():
 
 
 def test_general_constant_matches_brute():
-    for p, d in [(7, 3), (13, 4), (13, 6)]:
+    # every c_{i,j,n}, the border class d included, read one at a time and as
+    # whole arrays (a single class, one row per class, and the full cube)
+    for p, d in TENSOR_CASES:
         ctx = build_context(p, d)
         tensor = build_tensor(ctx)
+        expected = np.array([[[brute_constant(ctx, i, j, n) for n in range(d + 1)]
+                              for j in range(d + 1)] for i in range(d + 1)])
+        classes = np.arange(d + 1)
         for i in range(d + 1):
-            cm = constant_matrix(tensor, i)
             for j in range(d + 1):
-                for k in range(d + 1):
-                    expected = brute_constant(ctx, i, j, k)
-                    assert general_constant(tensor, i, j, k) == expected
-                    assert cm[j, k] == expected
+                for n in range(d + 1):
+                    assert tensor.constant(i, j, n) == expected[i, j, n], (p, d, i, j, n)
+            assert np.array_equal(tensor.constant(i, classes[:, None], classes),
+                                  expected[i])
+            assert np.array_equal(tensor.constant(i, i, classes), expected[i, i])
+        cube = tensor.constant(classes[:, None, None], classes[:, None], classes)
+        assert np.array_equal(cube, expected)
+        assert np.array_equal(tensor.c0, expected[0])
 
 
 def _pipeline(p, d):
@@ -121,6 +133,15 @@ def test_t_structure_sqrt_row_at_alpha():
 def test_identities_7_3_all_pass():
     _, tensor, pv, m = _pipeline(7, 3)
     assert all_passed(verify_identities(m, tensor, pv))
+
+
+def test_product_identity_rejects_perturbed_constants():
+    _, tensor, pv, m = _pipeline(13, 4)
+    counts = tensor.counts.copy()
+    counts[0] += 1
+    bad = dataclasses.replace(tensor, counts=counts)
+    results = {r.name: r for r in verify_identities(m, bad, pv)}
+    assert not results["product_identity"].passed
 
 
 def test_identities_13_4_symmetry_not_applicable():
@@ -203,20 +224,19 @@ def test_dense_budget_refuses_before_allocating():
 
 def test_cross_checks_survive_python_O():
     # under -O a bare assert vanishes; the variant cross-check in
-    # v4_exact_from_counts and the representative check in structure_constant
-    # must still reject a perturbed tensor and a perturbed class table
+    # v4_exact_from_counts must still reject a perturbed tensor
     script = textwrap.dedent("""
         import dataclasses
         import numpy as np
         from gpmoments import (InconsistentCounts, build_context, build_tensor,
-                               structure_constant, v4_exact_from_counts)
+                               v4_exact_from_counts)
 
         assert False, "asserts must be stripped in this run"
         ctx = build_context(13, 3)
         tensor = build_tensor(ctx)
         v4_exact_from_counts(ctx, tensor)
-        # raise c_{0,1,0} = (alpha, 1)_d, in column 0 but not in row 0
-        key = ctx.alpha * ctx.d + 1
+        # raise c_{0,1,0} = (1, 0)_d, in column 0 but not in row 0
+        key = 1 * ctx.d + 0
         keys, counts = tensor.keys.copy(), tensor.counts.copy()
         if key in keys:
             counts[np.searchsorted(keys, key)] += 1
@@ -228,21 +248,10 @@ def test_cross_checks_survive_python_O():
             v4_exact_from_counts(ctx, bad)
         except InconsistentCounts:
             print("variant check raised")
-        # move one element of X_1 into X_2 in the class table
-        table = ctx.coset_index.copy()
-        table[int(ctx.cosets[1][0])] = 2
-        bad_ctx = dataclasses.replace(ctx, coset_index=table)
-        try:
-            for j in range(4):
-                for k in range(4):
-                    structure_constant(bad_ctx, 0, j, k, check_representative=True)
-        except InconsistentCounts:
-            print("representative check raised")
     """)
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(gpmoments.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["variant check raised",
-                                           "representative check raised"]
+    assert proc.stdout.split("\n")[:1] == ["variant check raised"]
