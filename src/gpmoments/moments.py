@@ -22,6 +22,10 @@ from .superchar import StructureTensor
 # its own, superchar.UNITARY_TOL and superchar.SCALED_TOL):
 HALF_POWER_SLACK = 1e-9  # relative slack on bound endpoints containing p^(3/2)
 FLOAT_REL_TOL = 1e-6  # relative tolerance of direct float power sums
+# Solution counts rounded from a complex float are refused from this magnitude
+# on: from 2^52 the float spacing is 1, so every float is an integer, the
+# "within 1e-3 of an integer" test cannot fail and a wrong count would pass.
+FLOAT_INT_LIMIT = 2 ** 52
 
 
 @dataclass(frozen=True)
@@ -164,17 +168,16 @@ def fermat_solution_count(ctx: FieldContext, pv: PeriodVector, n: int) -> int:
     """Number of solutions in F_p^n to x_1^d + ... + x_n^d = 0 (all tuples,
     the zero tuple included), from the period power sum.
 
-    Evaluated in complex arithmetic; the imaginary part must vanish and the
-    real part must land within 1e-3 of an integer.
+    Evaluated in complex arithmetic; the imaginary part must vanish, the
+    real part must land within 1e-3 of an integer, and the value must lie
+    below FLOAT_INT_LIMIT, or NonIntegralResult is raised.
     """
     if n < 2:
         raise PreconditionViolated("n must be >= 2")
     p, d = ctx.p, ctx.d
     total = complex(np.sum((1 + d * pv.eta) ** n))
     value = p ** (n - 1) + (p - 1) / (p * d) * total
-    if abs(value.imag) > 1e-3 or abs(value.real - round(value.real)) > 1e-3:
-        raise NonIntegralResult(f"formula gave {value} for (p,d,n)=({p},{d},{n})")
-    return round(value.real)
+    return _rounded_count(value, f"(p,d,n)=({p},{d},{n})")
 
 
 def hurwitz_count(ctx: FieldContext, pv: PeriodVector) -> int:
@@ -183,8 +186,18 @@ def hurwitz_count(ctx: FieldContext, pv: PeriodVector) -> int:
     p, d = ctx.p, ctx.d
     s3 = complex(np.sum(pv.eta ** 3))
     value = ((p - 1) ** 3 + (p - 1) * d * d * s3) / p
+    return _rounded_count(value, f"(p,d)=({p},{d})")
+
+
+def _rounded_count(value: complex, case: str) -> int:
+    """The integer a float count formula gave, refused when its imaginary part
+    or its distance to an integer exceeds 1e-3, or when it is too large for
+    that test to mean anything (FLOAT_INT_LIMIT)."""
+    if abs(value) >= FLOAT_INT_LIMIT:
+        raise NonIntegralResult(f"formula gave {value} for {case}, at or "
+                                f"above FLOAT_INT_LIMIT")
     if abs(value.imag) > 1e-3 or abs(value.real - round(value.real)) > 1e-3:
-        raise NonIntegralResult(f"formula gave {value} for (p,d)=({p},{d})")
+        raise NonIntegralResult(f"formula gave {value} for {case}")
     return round(value.real)
 
 

@@ -1,8 +1,9 @@
-"""Brute-force circularity oracles, independent of the structure tensor.
+"""Brute-force oracles, independent of the structure tensor.
 
-These enumerate the subgroup Gamma of order k in F_p^x and its translated
-dilates directly; the package decides circularity from cyclotomic numbers,
-and the tests compare the two.
+The circularity oracles enumerate the subgroup Gamma of order k in F_p^x and
+its translated dilates directly; the package decides circularity from
+cyclotomic numbers, and the tests compare the two.  brute_projective counts
+the points of a twisted diagonal curve by trying every point of P^2(F_p).
 """
 
 from gpmoments.field_core import find_primitive_root
@@ -66,3 +67,18 @@ def intersection_size(p: int, k: int, a: int, b: int, c: int, e: int) -> int:
     s1 = {(x * a + b) % p for x in gamma}
     s2 = {(x * c + e) % p for x in gamma}
     return len(s1 & s2)
+
+
+def brute_projective(ctx, i: int, j: int, k: int) -> int:
+    """Points of g^i x^d + g^j y^d = g^k z^d on P^2(F_p), by canonical
+    representatives [x:y:1], [x:1:0] and [1:0:0]."""
+    p, d, g = ctx.p, ctx.d, ctx.g
+    gi, gj, gk = pow(g, i, p), pow(g, j, p), pow(g, k, p)
+
+    def on_curve(x, y, z):
+        return (gi * pow(x, d, p) + gj * pow(y, d, p) - gk * pow(z, d, p)) % p == 0
+
+    count = sum(1 for x in range(p) for y in range(p) if on_curve(x, y, 1))
+    count += sum(1 for x in range(p) if on_curve(x, 1, 0))
+    count += 1 if on_curve(1, 0, 0) else 0
+    return count

@@ -1,10 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import os
+import re
 
 import pytest
 
+from brute_force import brute_projective
+from gpmoments import build_context
 from gpmoments.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK,
                            FIXED_D_HEADER, SweepConfig, SweepMode,
                            OutputFormat, main, run_sweep, verify_single)
@@ -131,6 +135,29 @@ def test_verify_writes_to_redirected_stdout():
     assert rc == EXIT_OK
     assert "V_4 exact = 13" in buf.getvalue()
     assert buf.getvalue().endswith("RESULT: pass\n")
+
+
+@pytest.mark.parametrize("p,d", [(37, 4), (37, 12)])
+def test_verify_curve_line_matches_brute_force(p, d):
+    buf = io.StringIO()
+    verify_single(p, d, SweepMode.FIXED_D, out=buf)
+    line = re.search(r"curve counts: M\(0,0,0\)=(\d+), min HW margin (\S+) "
+                     r"at \(0,(\d+),(\d+)\)", buf.getvalue())
+    assert line is not None
+    # brute force over the d^2 grid, j outer and k inner; the first minimum
+    ctx = build_context(p, d)
+    genus = (d - 1) * (d - 2) // 2
+    margins = {}
+    for j in range(d):
+        for k in range(d):
+            m = brute_projective(ctx, 0, j, k)
+            margins[j, k] = 2 * genus * math.sqrt(p) - abs(m - (p + 1))
+            if (j, k) == (0, 0):
+                m000 = m
+    worst = min(margins, key=margins.get)
+    assert int(line[1]) == m000
+    assert (int(line[3]), int(line[4])) == worst
+    assert line[2] == f"{margins[worst]:.4f}"
 
 
 def test_figure_d3(tmp_path):

@@ -2,24 +2,11 @@ import math
 
 import pytest
 
+from brute_force import brute_projective
 from gpmoments import (PowerTable, build_context, build_tensor,
                        count_projective, dictionary_check, predicted_count,
                        primes_in_range)
 from gpmoments.fermat_curves import delta_star
-
-
-def brute_projective(ctx, i, j, k):
-    # oracle: enumerate canonical representatives directly
-    p, d, g = ctx.p, ctx.d, ctx.g
-    gi, gj, gk = pow(g, i, p), pow(g, j, p), pow(g, k, p)
-
-    def on_curve(x, y, z):
-        return (gi * pow(x, d, p) + gj * pow(y, d, p) - gk * pow(z, d, p)) % p == 0
-
-    count = sum(1 for x in range(p) for y in range(p) if on_curve(x, y, 1))
-    count += sum(1 for x in range(p) if on_curve(x, 1, 0))
-    count += 1 if on_curve(1, 0, 0) else 0
-    return count
 
 
 def test_count_7_3_origin():
@@ -46,15 +33,34 @@ def test_count_13_3_hasse_window_and_divisibility():
     assert cc.M % 3 == 0
 
 
-@pytest.mark.parametrize("p,d", [(7, 3), (13, 4), (13, 3), (11, 5), (13, 6)])
+# d = 1; d = 2 with p = 1 and p = 3 (mod 4); d = p - 1; even d with alpha = 0
+@pytest.mark.parametrize("p,d", [(7, 3), (13, 4), (13, 3), (11, 5), (13, 6),
+                                 (7, 1), (13, 2), (11, 2), (13, 12), (11, 10),
+                                 (17, 8)])
 def test_counts_match_brute_force_full_grid(p, d):
     ctx = build_context(p, d)
     table = PowerTable(ctx)
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                assert count_projective(ctx, i, j, k, table).M == \
-                    brute_projective(ctx, i, j, k), (i, j, k)
+                m = count_projective(ctx, i, j, k, table).M
+                assert m == brute_projective(ctx, i, j, k), (i, j, k)
+                assert m == count_projective(ctx, i, j, k).M, (i, j, k)
+    # the d^3 counts share one row per class r
+    assert sorted(table.rows) == list(range(d))
+    assert all(len(row) == d + 1 for row in table.rows.values())
+
+
+def test_single_count_builds_one_row():
+    # d = p - 1: one count must touch one row of d + 1 entries, nothing of
+    # size d^2 or p
+    ctx = build_context(10007, 10006)
+    assert count_projective(ctx, 0, 0, 0).M == \
+        predicted_count(ctx, build_tensor(ctx), 0, 0, 0)
+    table = PowerTable(ctx)
+    count_projective(ctx, 0, 0, 0, table)
+    assert list(table.rows) == [0]
+    assert len(table.rows[0]) == ctx.d + 1
 
 
 def test_dictionary_7_3_origin():

@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from gpmoments import (NotCircular, PreconditionViolated, build_context,
-                       build_report, build_tensor, compute_periods,
-                       fermat_solution_count, hurwitz_count, power_sum_direct,
-                       primes_in_range, v1_bounds, v2_exact, v4_d3, v4_d4,
+from gpmoments import (NonIntegralResult, NotCircular, PeriodVector,
+                       PreconditionViolated, build_context, build_report,
+                       build_tensor, compute_periods, fermat_solution_count,
+                       hurwitz_count, power_sum_direct, primes_in_range,
+                       v1_bounds, v2_exact, v4_d3, v4_d4,
                        v4_d5_bounds, v4_exact_from_counts, v4_fixed_k,
                        v4_general_bounds, vn_d2_closed_form)
 from gpmoments.circularity import is_circular
@@ -244,6 +246,29 @@ def test_hurwitz_positivity_link():
         v3 = power_sum_direct(pv, 3).value
         if v3 < ctx.k ** 2:
             assert hurwitz_count(ctx, pv) > 0
+
+
+@pytest.mark.parametrize("p", [300007, 180001])
+def test_solution_count_refuses_counts_beyond_float_spacing(p):
+    # n = 4 gives about p^3: 2.7e16 > 2^54 at p = 300007, where the float
+    # path returned 27002430067500596 for the exact ...595; 5.8e15 in
+    # [2^52, 2^53) at p = 180001, where every float is an integer
+    ctx = build_context(p, 3)
+    with pytest.raises(NonIntegralResult):
+        fermat_solution_count(ctx, compute_periods(ctx), 4)
+
+
+def test_solution_count_keeps_n3_at_large_p():
+    # about p^2 = 1e12, well inside the range the float test can judge
+    ctx = build_context(1000003, 3)
+    assert fermat_solution_count(ctx, compute_periods(ctx), 3) == 1001009002015
+
+
+def test_hurwitz_count_refuses_counts_beyond_float_spacing():
+    ctx = build_context(7, 3)
+    huge = PeriodVector(ctx, np.array([1e6, 0, 0], dtype=complex), 2.0)
+    with pytest.raises(NonIntegralResult):
+        hurwitz_count(ctx, huge)
 
 
 def test_solution_count_rejects_n1():
