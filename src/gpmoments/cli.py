@@ -135,7 +135,7 @@ def _sweep_row(task: tuple[int, str, int]) -> tuple[int, str, str, bool]:
         row = ",".join([
             str(rpt.p), str(rpt.d), str(rpt.k), str(rpt.p_mod_8),
             str(rpt.v4_exact.numerator), str(rpt.v4_exact.denominator),
-            _fmt_float(rpt.v_direct[4].value), fname, fval, lo, hi,
+            _fmt_float(rpt.v_direct[4]), fname, fval, lo, hi,
             "1" if passed else "0",
         ])
     else:
@@ -225,7 +225,7 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
     if d > 12:
         print(f"  ... ({d - 12} more)", file=out)
     for n, v in rpt.v_direct.items():
-        print(f"V_{n} = {v.value:.6f}", file=out)
+        print(f"V_{n} = {v:.6f}", file=out)
     print(f"V_4 exact = {rpt.v4_exact}", file=out)
 
     for name, val in rpt.formula_values.items():

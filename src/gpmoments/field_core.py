@@ -1,4 +1,4 @@
-"""Exact arithmetic in F_p: primitive roots, discrete logs, and the coset partition.
+"""Exact arithmetic in F_p: primitive roots, the coset partition, prime sieves.
 
 The multiplicative group F_p^x is split by the subgroup generated by g^d into d
 cosets of size k = (p-1)/d; together with {0} these form the d+1 classes that
@@ -9,11 +9,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CompositeInput, DivisorMismatch
+from .errors import CompositeInput, ConfigInvalid, DivisorMismatch
+
+# Largest p, and largest sieve bound, whose O(p) tables are built; larger
+# ones are refused before any allocation.  is_prime is sized for this range.
+MAX_P = 10**7
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; intended for desk-scale n (< 10^7)."""
+    """Deterministic trial division; intended for desk-scale n (<= MAX_P)."""
     if n < 2:
         return False
     if n < 4:
@@ -62,9 +66,10 @@ class FieldContext:
     """Immutable description of the coset partition of F_p under <g^d>.
 
     coset_index[x] is the class of x: the exponent of x's coset for x != 0,
-    and d for x = 0.  cosets[i] lists X_i in ascending power order
-    g^i, g^{i+d}, g^{i+2d}, ..., which fixes the summation order used by the
-    period computation.
+    and d for x = 0.  cosets is a (d, k) array whose row i lists X_i in
+    ascending power order g^i, g^{i+d}, g^{i+2d}, ..., which fixes the
+    summation order used by the period computation.  These two tables are
+    the whole context; the class d = {0} has no row.
     """
 
     p: int
@@ -72,20 +77,14 @@ class FieldContext:
     d: int
     k: int
     alpha: int
-    dlog: np.ndarray = field(repr=False)
     coset_index: np.ndarray = field(repr=False)
-    cosets: tuple = field(repr=False)
-
-    def dth_powers(self) -> np.ndarray:
-        """x^d mod p for x = 0..p-1, read off the tables: for x = g^e,
-        x^d = g^(d (e mod k)) = cosets[0][e mod k]."""
-        powd = self.cosets[0][self.dlog % self.k]
-        powd[0] = 0
-        return powd
+    cosets: np.ndarray = field(repr=False)
 
 
 def build_context(p: int, d: int) -> FieldContext:
-    """Build the full discrete-log and class-index tables for (p, d)."""
+    """Build the class-index and coset tables for (p, d)."""
+    if p > MAX_P:
+        raise ConfigInvalid(f"p={p} is above the table limit {MAX_P}")
     if not is_prime(p) or p == 2:
         raise CompositeInput(f"{p} is not an odd prime")
     if d < 1 or (p - 1) % d != 0:
@@ -109,19 +108,17 @@ def build_context(p: int, d: int) -> FieldContext:
         x = x * gm % p
     g_pows = (giant[:, None] * baby[None, :] % p).reshape(-1)[:p - 1]
 
-    dlog = np.full(p, -1, dtype=np.int64)
-    dlog[g_pows] = np.arange(p - 1)
+    # X_i in ascending power order g^i, g^{i+d}, ...; always a copy (for
+    # d = 1 or k = 1 the transpose is already contiguous), so that no view
+    # keeps the oversized baby-step/giant-step product alive
+    cosets = g_pows.reshape(k, d).T.copy()
     coset_index = np.empty(p, dtype=np.int64)
-    coset_index[1:] = dlog[1:] % d
+    coset_index[cosets] = np.arange(d)[:, None]
     coset_index[0] = d
 
-    # X_i in ascending power order g^i, g^{i+d}, ...
-    cosets = [g_pows[i::d].copy() for i in range(d)]
-    cosets.append(np.array([0], dtype=np.int64))
-
     alpha = ((p - 1) // 2) % d
-    return FieldContext(p=p, g=g, d=d, k=k, alpha=alpha, dlog=dlog,
-                        coset_index=coset_index, cosets=tuple(cosets))
+    return FieldContext(p=p, g=g, d=d, k=k, alpha=alpha,
+                        coset_index=coset_index, cosets=cosets)
 
 
 def primes_in_range(lo: int, hi: int,
@@ -129,6 +126,8 @@ def primes_in_range(lo: int, hi: int,
     """Ascending primes in [lo, hi], optionally only p = residue (mod modulus)."""
     if hi < lo or hi < 2:
         return []
+    if hi > MAX_P:
+        raise ConfigInvalid(f"sieve bound {hi} is above the table limit {MAX_P}")
     sieve = np.ones(hi + 1, dtype=bool)
     sieve[:2] = False
     for q in range(2, int(hi ** 0.5) + 1):

@@ -15,7 +15,7 @@ from .circularity import CircularityVerdict, is_circular
 from .errors import (InconsistentCounts, NonIntegralResult, NotCircular,
                      PreconditionViolated)
 from .field_core import FieldContext
-from .periods import PeriodVector, PowerSumValue, power_sum_direct
+from .periods import PeriodVector, power_sum_direct
 from .superchar import StructureTensor
 
 # Float tolerances (exact values are compared exactly; verify_identities has
@@ -210,7 +210,7 @@ class MomentReport:
     d: int
     k: int
     p_mod_8: int
-    v_direct: dict[int, PowerSumValue]
+    v_direct: dict[int, float]
     v4_exact: Fraction | None = None
     formula_values: dict[str, Fraction | float] = field(default_factory=dict)
     bounds: dict[str, BoundInterval] = field(default_factory=dict)
@@ -222,7 +222,7 @@ class MomentReport:
     def to_json_dict(self) -> dict:
         return {
             "p": self.p, "d": self.d, "k": self.k, "p_mod_8": self.p_mod_8,
-            "v_direct": {n: v.value for n, v in self.v_direct.items()},
+            "v_direct": dict(self.v_direct),
             "v4_exact": [self.v4_exact.numerator, self.v4_exact.denominator]
             if self.v4_exact is not None else None,
             "formula_values": {k_: float(v) for k_, v in self.formula_values.items()},
@@ -246,7 +246,7 @@ def build_report(
     rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8,
                        v_direct={n: power_sum_direct(pv, n) for n in (1, 2, 3, 4)})
     rpt.v4_exact = v4_exact_from_counts(ctx, tensor)
-    v4f = rpt.v_direct[4].value
+    v4f = rpt.v_direct[4]
 
     def close(a: float, b: float) -> bool:
         return math.isclose(a, b, rel_tol=FLOAT_REL_TOL, abs_tol=1e-9)
@@ -255,10 +255,10 @@ def build_report(
 
     if d > 1:
         rpt.formula_values["v2"] = v2_exact(p, d)
-        rpt.verdicts["v2"] = close(rpt.v_direct[2].value, float(v2_exact(p, d)))
+        rpt.verdicts["v2"] = close(rpt.v_direct[2], float(v2_exact(p, d)))
         b1 = v1_bounds(p, d)
         rpt.bounds["v1"] = b1
-        rpt.verdicts["v1_bounds"] = b1.contains(rpt.v_direct[1].value)
+        rpt.verdicts["v1_bounds"] = b1.contains(rpt.v_direct[1])
 
     if d == 2:
         val = vn_d2_closed_form(p, 4)

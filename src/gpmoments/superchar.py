@@ -4,8 +4,8 @@ Every structure constant is a re-indexing of the cyclotomic numbers
 (i, j)_d = #{v in X_i : v + 1 in X_j}, which one O(p) pass over the
 class-index table counts exactly.  They are stored sparsely: at most p - 2 of
 the d^2 numbers are nonzero.  `StructureTensor.constant` is the one map from
-c_{i,j,k} to them; the dense (d+1) x (d+1) slice `c0` is read through it, and
-every dense (d+1) x (d+1) array is refused with ConfigInvalid when it would
+c_{i,j,k} to them; the dense (d+1) x (d+1) slice `c0` is the same numbers
+scattered into a zeroed array, and every dense (d+1) x (d+1) array is refused with ConfigInvalid when it would
 exceed DENSE_BUDGET_BYTES.  Floats only enter when the counts are assembled
 into T/U/D for the analytic identities.
 """
@@ -19,7 +19,7 @@ from .errors import ConfigInvalid, DimensionMismatch
 from .field_core import FieldContext
 from .periods import PeriodVector
 
-# Largest dense (d+1) x (d+1) array (the c0 view, U, T, D and the products in
+# Largest dense (d+1) x (d+1) array (the c0 slice, U, T, D and the products in
 # verify_identities) that may be allocated, checked from the shape first.
 # 4 MiB admits complex128 matrices up to d = 511.
 DENSE_BUDGET_BYTES = 1 << 22
@@ -91,28 +91,20 @@ class StructureTensor:
         pos = np.searchsorted(keys, border)
         return np.insert(keys, pos, border), np.insert(self.counts, pos, [ctx.k, 1])
 
-    @cached_property
-    def _table(self) -> np.ndarray:
-        """Every c_{0,u,w} at u*(d+1) + w; built only for a request at least
-        as large, so it costs no more memory than the answer."""
-        keys, counts = self._entries
-        table = np.zeros((self.ctx.d + 1) ** 2, dtype=counts.dtype)
-        table[keys] = counts
-        return table
-
     def constant(self, i, j, n) -> np.ndarray:
         """c_{i,j,n} = #{(x, y) in X_i x X_j : x + y = z} for a z in X_n, for
         classes 0..d (integers or broadcastable index arrays).
 
         x = 0 (i = d) forces y = z.  Otherwise v = y/x and v + 1 = z/x lie in
         the classes u, w of j, n shifted by -i, the border class d = {0}
-        staying put, so c_{i,j,n} = c_{0,u,w}, read off `_entries`.
+        staying put, so c_{i,j,n} = c_{0,u,w}, read off `_entries`, or off
+        their dense scatter `c0` for a request of (d+1)^2 or more.
         """
         d = self.ctx.d
         i, j, n = np.asarray(i), np.asarray(j), np.asarray(n)
         want = np.where(j < d, (j - i) % d, d) * (d + 1) + np.where(n < d, (n - i) % d, d)
         if want.size >= (d + 1) ** 2:
-            found = self._table.take(want)
+            found = self.c0.take(want)  # flat indices
         else:
             keys, counts = self._entries
             pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
@@ -121,10 +113,13 @@ class StructureTensor:
 
     @cached_property
     def c0(self) -> np.ndarray:
-        """Dense read-only (d+1) x (d+1) slice c_{0,j,n}, 0 <= j, n <= d."""
+        """Dense read-only (d+1) x (d+1) slice c_{0,j,n}, 0 <= j, n <= d,
+        scattered from `_entries`."""
         d = self.ctx.d
         check_dense_budget(d, np.int64)
-        c0 = self.constant(0, *np.indices((d + 1, d + 1), sparse=True))
+        keys, counts = self._entries
+        c0 = np.zeros((d + 1, d + 1), dtype=counts.dtype)
+        np.put(c0, keys, counts)
         c0.flags.writeable = False
         return c0
 
@@ -160,7 +155,7 @@ def build_matrices(ctx: FieldContext, tensor: StructureTensor,
     scale = np.sqrt(sizes[None, :] / sizes[:, None])
     T = tensor.c0.astype(np.float64) * scale
 
-    D = np.diag(np.append(pv.eta, pv.extra_eigenvalue))
+    D = np.diag(np.append(pv.eta, k))
     return SupercharMatrices(U=U, T=T, D=D)
 
 
@@ -258,7 +253,7 @@ def verify_identities(m: SupercharMatrices, tensor: StructureTensor,
         out.append(CheckResult("count_square_sum", False, True, "d <= 2"))
 
     # eigencolumn residuals: T u_l = lambda_l u_l with u_l the columns of U
-    lam = np.append(pv.eta, pv.extra_eigenvalue)
+    lam = np.append(pv.eta, k)
     res = np.abs(m.T @ m.U - m.U * lam[None, :]).max()
     out.append(CheckResult("eigencolumns", True, res < tol_p, f"max_err={res:.3g}"))
 

@@ -1,12 +1,43 @@
 """Brute-force oracles, independent of the structure tensor.
 
-The circularity oracles enumerate the subgroup Gamma of order k in F_p^x and
-its translated dilates directly; the package decides circularity from
-cyclotomic numbers, and the tests compare the two.  brute_projective counts
+discrete_log and gauss_sum_aggregate are pow loops over F_p that the
+package's tables replace; class_members lists a class of a context, the border
+class d = {0} included, for the oracles that enumerate classes.  The
+circularity oracles enumerate the subgroup Gamma of order k in F_p^x and its
+translated dilates directly; the package decides circularity from cyclotomic
+numbers, and the tests compare the two.  brute_projective counts
 the points of a twisted diagonal curve by trying every point of P^2(F_p).
 """
 
+import cmath
+import math
+
 from gpmoments.field_core import find_primitive_root
+
+
+def discrete_log(p: int, g: int) -> dict[int, int]:
+    """x -> e with g^e = x for e = 0..p-2, by repeated multiplication."""
+    out = {}
+    x = 1
+    for e in range(p - 1):
+        out[x] = e
+        x = x * g % p
+    return out
+
+
+def class_members(ctx, i: int) -> list[int]:
+    """The elements of class i: the coset X_i for i < d, {0} for i = d."""
+    return [0] if i == ctx.d else [int(x) for x in ctx.cosets[i]]
+
+
+def gauss_sum_aggregate(p: int, d: int) -> complex:
+    """Sum of e^(2 pi i n^d / p) over n = 0..p-1.
+
+    Each element of the index-d subgroup is a d-th power exactly d times, so
+    this equals 1 + d*eta[0]; the tests check that identity.  The exponent
+    here is d, not k: summing n^k instead does not reproduce 1 + d*eta[0].
+    """
+    return sum(cmath.exp(2j * math.pi * pow(n, d, p) / p) for n in range(p))
 
 
 def subgroup(p: int, k: int) -> tuple[int, list[int]]:

@@ -9,6 +9,7 @@ import pytest
 
 from brute_force import brute_projective
 from gpmoments import build_context
+from gpmoments.field_core import MAX_P
 from gpmoments.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK,
                            FIXED_D_HEADER, SweepConfig, SweepMode,
                            OutputFormat, main, run_sweep, verify_single)
@@ -125,6 +126,17 @@ def test_verify_divisor_mismatch_exit_code():
     assert main(["verify", "--p", "13", "--d", "0"]) == EXIT_CONFIG_ERROR
     assert main(["verify", "--p", "13", "--k", "0"]) == EXIT_CONFIG_ERROR
     assert main(["verify", "--p", "9", "--d", "2"]) == EXIT_CONFIG_ERROR
+
+
+def test_p_above_table_limit_exit_code(tmp_path, capsys):
+    # the first value above the limit, refused before any table is built
+    big = str(MAX_P + 1)
+    out = tmp_path / "big.csv"
+    assert main(["sweep", "--mode", "fixed_d", "--value", "2", "--from", big,
+                 "--to", big, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+    assert main(["verify", "--p", big, "--d", "2"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.count("table limit") == 2
 
 
 def test_verify_writes_to_redirected_stdout():

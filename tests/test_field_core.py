@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpmoments import (CompositeInput, DivisorMismatch, build_context,
-                       find_primitive_root, is_prime, primes_in_range)
+from brute_force import class_members, discrete_log
+from gpmoments import (CompositeInput, ConfigInvalid, DivisorMismatch,
+                       build_context, find_primitive_root, is_prime,
+                       primes_in_range)
+from gpmoments.field_core import MAX_P
 
 SMALL_PRIMES = primes_in_range(3, 200)
 
@@ -46,7 +49,7 @@ def test_context_7_3_cosets():
     assert set(ctx.cosets[0]) == {1, 6}
     assert set(ctx.cosets[1]) == {3, 4}
     assert set(ctx.cosets[2]) == {2, 5}
-    assert set(ctx.cosets[3]) == {0}
+    assert set(class_members(ctx, 3)) == {0}
 
 
 def test_context_d1_single_coset():
@@ -74,23 +77,20 @@ def test_context_invariants(params):
     assert ctx.d * ctx.k == p - 1
 
     # the d+1 classes partition F_p with sizes k,...,k,1
-    seen = np.concatenate(ctx.cosets)
+    seen = np.concatenate([ctx.cosets.ravel(), [0]])
     assert sorted(seen) == list(range(p))
-    assert all(len(ctx.cosets[i]) == ctx.k for i in range(d))
+    assert ctx.cosets.shape == (d, ctx.k)
 
-    # dlog is a bijection and inverts exponentiation
-    assert sorted(ctx.dlog[1:]) == list(range(p - 1))
-    x = 1
-    for e in range(p - 1):
-        assert ctx.dlog[x] == e
-        x = x * ctx.g % p
-
-    # class index is the dlog mod d, multiplicative on nonzero elements
-    for a in range(1, p):
-        assert ctx.coset_index[a] == ctx.dlog[a] % d
+    # g generates F_p^x, and the class of g^e is e mod d: the class index is
+    # the discrete log mod d, multiplicative on nonzero elements
+    dlog = discrete_log(p, ctx.g)
+    assert len(dlog) == p - 1
+    for x, e in dlog.items():
+        assert ctx.coset_index[x] == e % d
     assert ctx.coset_index[0] == d
-    # the d-th powers read off the tables equal the pow loop they replace
-    assert ctx.dth_powers().tolist() == [pow(x, d, p) for x in range(p)]
+    # row i lists X_i in ascending power order g^i, g^{i+d}, ...
+    assert [[dlog[int(x)] for x in row] for row in ctx.cosets] == \
+        [list(range(i, p - 1, d)) for i in range(d)]
     for a in range(1, p):
         for b in range(1, p, max(1, p // 7)):
             assert ctx.coset_index[a * b % p] == \
@@ -103,6 +103,27 @@ def test_context_invariants(params):
         assert (p - 1) % (2 * d) != 0
     else:
         assert (p - 1) % (2 * d) == 0
+
+
+@pytest.mark.parametrize("p,d", [(7, 3), (11, 1), (13, 12), (1009, 12),
+                                 (10007, 2)])
+def test_context_holds_two_tables(p, d):
+    # the class index and one owned, contiguous (d, k) coset array; no other
+    # table, and no view that keeps a larger buffer alive
+    ctx = build_context(p, d)
+    assert ctx.cosets.shape == (d, ctx.k)
+    assert ctx.cosets.flags.c_contiguous
+    assert ctx.cosets.base is None
+    tables = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+    assert sum(t.nbytes for t in tables) <= 16 * p + 64
+
+
+def test_table_limit_refused_before_allocating():
+    # the first value above the limit; a larger one would be refused the same
+    with pytest.raises(ConfigInvalid):
+        build_context(MAX_P + 1, 2)
+    with pytest.raises(ConfigInvalid):
+        primes_in_range(MAX_P + 1, MAX_P + 1)
 
 
 def test_primes_in_range_examples():

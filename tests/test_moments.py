@@ -21,7 +21,7 @@ def pipeline(p, d):
 
 def direct_v(p, d, n):
     ctx = build_context(p, d)
-    return power_sum_direct(compute_periods(ctx), n).value
+    return power_sum_direct(compute_periods(ctx), n)
 
 
 # ---------------------------------------------------------------- v2 and v1
@@ -82,7 +82,7 @@ def test_v4_exact_examples():
 def test_v4_exact_matches_float_oracle(p, d):
     ctx, tensor, pv = pipeline(p, d)
     assert float(v4_exact_from_counts(ctx, tensor)) == \
-        pytest.approx(power_sum_direct(pv, 4).value, rel=1e-9)
+        pytest.approx(power_sum_direct(pv, 4), rel=1e-9)
 
 
 # ----------------------------------------------------------------- d = 3
@@ -99,7 +99,7 @@ def test_v4_d3_example_p7():
 def test_v4_d3_p13_matches_oracle():
     ctx, tensor, pv = pipeline(13, 3)
     value, _ = v4_d3(ctx, tensor)
-    assert float(value) == pytest.approx(power_sum_direct(pv, 4).value, rel=1e-6)
+    assert float(value) == pytest.approx(power_sum_direct(pv, 4), rel=1e-6)
     assert value == v4_exact_from_counts(ctx, tensor)
 
 
@@ -243,7 +243,7 @@ def test_hurwitz_positivity_link():
     for p in primes_in_range(7, 120, (3, 1)):
         ctx = build_context(p, 3)
         pv = compute_periods(ctx)
-        v3 = power_sum_direct(pv, 3).value
+        v3 = power_sum_direct(pv, 3)
         if v3 < ctx.k ** 2:
             assert hurwitz_count(ctx, pv) > 0
 
@@ -266,7 +266,7 @@ def test_solution_count_keeps_n3_at_large_p():
 
 def test_hurwitz_count_refuses_counts_beyond_float_spacing():
     ctx = build_context(7, 3)
-    huge = PeriodVector(ctx, np.array([1e6, 0, 0], dtype=complex), 2.0)
+    huge = PeriodVector(ctx, np.array([1e6, 0, 0], dtype=complex))
     with pytest.raises(NonIntegralResult):
         hurwitz_count(ctx, huge)
 

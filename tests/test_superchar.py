@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brute_force import class_members
 import gpmoments
 from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
                        build_matrices, build_tensor, compute_periods,
@@ -23,9 +24,9 @@ TENSOR_CASES = [(7, 3), (13, 4), (13, 6), (29, 7), (11, 2), (31, 5),
 
 def brute_constant(ctx, i, j, k, rep_index=0):
     # oracle: literal pair enumeration at a chosen representative
-    z = int(ctx.cosets[k][rep_index])
-    return sum(1 for x in ctx.cosets[i] for y in ctx.cosets[j]
-               if (int(x) + int(y)) % ctx.p == z)
+    z = class_members(ctx, k)[rep_index]
+    return sum(1 for x in class_members(ctx, i) for y in class_members(ctx, j)
+               if (x + y) % ctx.p == z)
 
 
 def test_brute_constant_examples():
