@@ -1,8 +1,8 @@
 """Gaussian periods, their absolute power sums, and the exact counting
 identities and bounds that govern them."""
 
-from .circularity import (CircularityVerdict, diagonal_counts_check,
-                          half_inverse_check, is_circular, scan_noncircular)
+from .circularity import (CircularityVerdict, half_inverse_check, is_circular,
+                          scan_noncircular)
 from .errors import (CompositeInput, ConfigInvalid, DimensionMismatch,
                      DivisorMismatch, GpmError, InconsistentCounts, IoFailure,
                      NonIntegralResult,

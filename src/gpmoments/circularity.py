@@ -60,25 +60,6 @@ def is_circular(p: int, k: int,
                               max_intersection=max_int, witness=witness)
 
 
-def diagonal_counts_check(ctx: FieldContext, tensor: StructureTensor) -> list[CheckResult]:
-    """For circular (p, k): each diagonal count is at most 2 and equals the
-    coset self-intersection |X_m ^ (X_m + 1)|."""
-    verdict = is_circular(ctx.p, ctx.k, tensor)
-    if not verdict.circular:
-        return [CheckResult("diagonal_counts", False, True,
-                            f"({ctx.p},{ctx.k}) not circular; skipped")]
-    diagonal = tensor.constant(0, np.arange(ctx.d), np.arange(ctx.d))
-    out = []
-    for m in range(ctx.d):
-        c = int(diagonal[m])
-        shifted = {(int(x) + 1) % ctx.p for x in ctx.cosets[m]}
-        direct = len(set(int(x) for x in ctx.cosets[m]) & shifted)
-        out.append(CheckResult(f"diagonal_m{m}", True,
-                               c in (0, 1, 2) and c == direct,
-                               f"c={c} direct={direct}"))
-    return out
-
-
 def half_inverse_check(ctx: FieldContext, tensor: StructureTensor) -> list[CheckResult]:
     """Even k: the single diagonal count equal to 1 sits at the class of 1/2."""
     if ctx.k % 2 != 0:

@@ -77,11 +77,13 @@ def v4_exact_from_counts(ctx: FieldContext, tensor: StructureTensor) -> Fraction
     """
     p, d, k = ctx.p, ctx.d, ctx.k
     classes = np.arange(d)
-    col = tensor.constant(0, classes, 0).tolist()
-    row = tensor.constant(0, 0, classes).tolist()
-    va = Fraction(p * k + p * sum(c * c for c in col) - k ** 3)
+    col = tensor.constant(0, classes, 0)
+    row = tensor.constant(0, 0, classes)
+    # exact in int64: each of col and row sums to at most k, so its sum of
+    # squares is at most k^2 <= MAX_P^2 = 10^14 < 2^63
+    va = Fraction(p * k + p * int(col @ col) - k ** 3)
     delta_alpha = 1 if (p - 1) % (2 * d) == 0 else 0
-    vb = Fraction(p * k * delta_alpha + p * sum(c * c for c in row) - k ** 3)
+    vb = Fraction(p * k * delta_alpha + p * int(row @ row) - k ** 3)
     if va != vb:
         raise InconsistentCounts(
             f"count variants disagree at (p,d)=({p},{d}): {va} vs {vb}")

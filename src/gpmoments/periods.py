@@ -12,6 +12,12 @@ import numpy as np
 from .field_core import FieldContext
 
 
+# Largest number of exponentials evaluated at once (64 KiB of complex128):
+# compute_periods takes max(1, PERIOD_CHUNK // k) whole classes per block, so
+# its temporaries stay bounded while tiny cosets share one numpy call.
+PERIOD_CHUNK = 4096
+
+
 @dataclass(frozen=True)
 class PeriodVector:
     ctx: FieldContext
@@ -19,11 +25,19 @@ class PeriodVector:
 
 
 def compute_periods(ctx: FieldContext) -> PeriodVector:
-    """Direct summation of k unit-circle terms per class, ascending power order."""
+    """Direct summation of k unit-circle terms per class, ascending power order.
+
+    The (d, k) coset array is walked in blocks of whole rows; each row's sum
+    is the same pairwise sum over the same k terms as a per-class loop, so
+    eta is bitwise identical to summing one class at a time.
+    """
     eta = np.empty(ctx.d, dtype=np.complex128)
-    for a in range(ctx.d):
-        # residues already reduced to 0..p-1, so 2*pi*x/p stays small-argument
-        eta[a] = np.exp(2j * np.pi * ctx.cosets[a] / ctx.p).sum()
+    rows = max(1, PERIOD_CHUNK // ctx.k)
+    for a in range(0, ctx.d, rows):
+        # residues already reduced to 0..p-1, so 2*pi*x/p stays small-argument;
+        # the order 2j*pi*x/p fixes the bits of eta, which JSON rows print
+        block = ctx.cosets[a:a + rows]
+        eta[a:a + rows] = np.exp(2j * np.pi * block / ctx.p).sum(axis=1)
     return PeriodVector(ctx=ctx, eta=eta)
 
 

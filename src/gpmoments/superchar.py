@@ -194,13 +194,16 @@ def verify_identities(m: SupercharMatrices, tensor: StructureTensor,
     out.append(CheckResult("T_normal", True, err < tol_p, f"max_err={err:.3g}"))
 
     # product identity: sigma_i(X_l) sigma_j(X_l) = sum_n c_{i,j,n} sigma_n(X_l),
-    # sigma_i(X_l) = eta_{i+l} off the border, k on X_d = {0}, 1 for i = d
+    # sigma_i(X_l) = eta_{i+l} off the border, k on X_d = {0}, 1 for i = d.
+    # c_{i,j,n} = c_{0,j-i,n-i} and sigma_i(X_l) = sigma_0(X_{l+i}) (classes
+    # shifted mod d, the border d staying put), so the equations of row i < d
+    # are those of row 0; rows 0 and d hold every distinct equation.
     classes = np.arange(d + 1)
     sigma = np.ones((d + 1, d + 1), dtype=np.complex128)
     sigma[:d, :d] = pv.eta[np.add.outer(classes[:d], classes[:d]) % d]
     sigma[:d, d] = k
     max_err = 0.0
-    for i in classes:
+    for i in (0, d):
         err = tensor.constant(i, classes[:, None], classes).astype(np.complex128) @ sigma
         err -= sigma[i] * sigma
         max_err = max(max_err, float(np.abs(err).max()))

@@ -1,18 +1,25 @@
 """Brute-force oracles, independent of the structure tensor.
 
 discrete_log and gauss_sum_aggregate are pow loops over F_p that the
-package's tables replace; class_members lists a class of a context, the border
-class d = {0} included, for the oracles that enumerate classes.  The
-circularity oracles enumerate the subgroup Gamma of order k in F_p^x and its
-translated dilates directly; the package decides circularity from cyclotomic
-numbers, and the tests compare the two.  brute_projective counts
-the points of a twisted diagonal curve by trying every point of P^2(F_p).
+package's tables replace; periods_by_class sums the periods one class at a
+time, the order whose bits the package's blocked sums must keep;
+class_members lists a class of a context, the border class d = {0} included,
+for the oracles that enumerate classes.  The circularity oracles enumerate
+the subgroup Gamma of order k in F_p^x and its translated dilates directly;
+the package decides circularity from cyclotomic numbers, and the tests
+compare the two; diagonal_counts_check recounts the diagonal cyclotomic
+numbers of a circular pair with Python sets.  brute_projective counts the
+points of a twisted diagonal curve by trying every point of P^2(F_p).
 """
 
 import cmath
 import math
 
+import numpy as np
+
+from gpmoments import is_circular
 from gpmoments.field_core import find_primitive_root
+from gpmoments.superchar import CheckResult
 
 
 def discrete_log(p: int, g: int) -> dict[int, int]:
@@ -28,6 +35,14 @@ def discrete_log(p: int, g: int) -> dict[int, int]:
 def class_members(ctx, i: int) -> list[int]:
     """The elements of class i: the coset X_i for i < d, {0} for i = d."""
     return [0] if i == ctx.d else [int(x) for x in ctx.cosets[i]]
+
+
+def periods_by_class(ctx) -> np.ndarray:
+    """eta with one numpy sum per class over its row of ctx.cosets."""
+    eta = np.empty(ctx.d, dtype=np.complex128)
+    for a in range(ctx.d):
+        eta[a] = np.exp(2j * np.pi * ctx.cosets[a] / ctx.p).sum()
+    return eta
 
 
 def gauss_sum_aggregate(p: int, d: int) -> complex:
@@ -98,6 +113,25 @@ def intersection_size(p: int, k: int, a: int, b: int, c: int, e: int) -> int:
     s1 = {(x * a + b) % p for x in gamma}
     s2 = {(x * c + e) % p for x in gamma}
     return len(s1 & s2)
+
+
+def diagonal_counts_check(ctx, tensor) -> list[CheckResult]:
+    """For circular (p, k): each diagonal count is at most 2 and equals the
+    coset self-intersection |X_m ^ (X_m + 1)|, counted with Python sets."""
+    verdict = is_circular(ctx.p, ctx.k, tensor)
+    if not verdict.circular:
+        return [CheckResult("diagonal_counts", False, True,
+                            f"({ctx.p},{ctx.k}) not circular; skipped")]
+    diagonal = tensor.constant(0, np.arange(ctx.d), np.arange(ctx.d))
+    out = []
+    for m in range(ctx.d):
+        c = int(diagonal[m])
+        shifted = {(int(x) + 1) % ctx.p for x in ctx.cosets[m]}
+        direct = len(set(int(x) for x in ctx.cosets[m]) & shifted)
+        out.append(CheckResult(f"diagonal_m{m}", True,
+                               c in (0, 1, 2) and c == direct,
+                               f"c={c} direct={direct}"))
+    return out
 
 
 def brute_projective(ctx, i: int, j: int, k: int) -> int:

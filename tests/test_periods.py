@@ -4,9 +4,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import gauss_sum_aggregate
+from brute_force import gauss_sum_aggregate, periods_by_class
 from gpmoments import (build_context, compute_periods, power_sum_direct,
                        primes_in_range)
+from gpmoments.periods import PERIOD_CHUNK
 
 
 def identity_tolerance(ctx):
@@ -41,6 +42,17 @@ def test_periods_match_brute_force(p, d):
     pv = compute_periods(ctx)
     for a in range(d):
         assert pv.eta[a] == pytest.approx(brute_period(p, ctx.g, d, a), abs=1e-10)
+
+
+# block boundaries of compute_periods: k just under and at the chunk (one row
+# per block), k = 2049 (one row, since two do not fit), several rows per
+# block, a partial last block, a single partial block, and k = 1
+@pytest.mark.parametrize("p,d", [(8191, 2), (12289, 3), (4099, 2), (12289, 6),
+                                 (8191, 6), (9973, 2493), (2731, 2), (13, 12)])
+def test_blocked_periods_bitwise_equal_per_class_sums(p, d):
+    assert PERIOD_CHUNK == 4096  # the cases sit on the boundaries of this chunk
+    ctx = build_context(p, d)
+    assert compute_periods(ctx).eta.tobytes() == periods_by_class(ctx).tobytes()
 
 
 @st.composite

@@ -137,12 +137,17 @@ def test_identities_7_3_all_pass():
 
 
 def test_product_identity_rejects_perturbed_constants():
-    _, tensor, pv, m = _pipeline(13, 4)
-    counts = tensor.counts.copy()
-    counts[0] += 1
-    bad = dataclasses.replace(tensor, counts=counts)
-    results = {r.name: r for r in verify_identities(m, bad, pv)}
-    assert not results["product_identity"].passed
+    # the identity is checked on rows i = 0 and d only, so a number (u, w)_d
+    # must be caught wherever it sits: the first key, the last key, and the
+    # first key of a row u != 0
+    ctx, tensor, pv, m = _pipeline(13, 4)
+    row1 = int(np.flatnonzero(tensor.keys // ctx.d == 1)[0])
+    for pos in (0, len(tensor.keys) - 1, row1):
+        counts = tensor.counts.copy()
+        counts[pos] += 1
+        bad = dataclasses.replace(tensor, counts=counts)
+        results = {r.name: r for r in verify_identities(m, bad, pv)}
+        assert not results["product_identity"].passed, int(tensor.keys[pos])
 
 
 def test_identities_13_4_symmetry_not_applicable():
