@@ -1,14 +1,13 @@
 """Gaussian periods, their absolute power sums, and the exact counting
 identities and bounds that govern them."""
 
-from .circularity import (CircularityVerdict, half_inverse_check, is_circular,
-                          scan_noncircular)
+from .circularity import CircularityVerdict, is_circular, scan_noncircular
 from .errors import (CompositeInput, ConfigInvalid, DimensionMismatch,
                      DivisorMismatch, GpmError, InconsistentCounts, IoFailure,
                      NonIntegralResult,
                      NotCircular, PreconditionViolated, UnknownFigure)
 from .fermat_curves import (CurveCount, PowerTable, count_projective,
-                            dictionary_check, predicted_count)
+                            predicted_count)
 from .field_core import (FieldContext, build_context, find_primitive_root,
                          is_prime, primes_in_range)
 from .moments import (BoundInterval, MomentReport, build_report,

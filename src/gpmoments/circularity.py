@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DivisorMismatch, PreconditionViolated
-from .field_core import FieldContext, build_context, is_prime, primes_in_range
-from .superchar import CheckResult, StructureTensor, build_tensor
+from .field_core import build_context, is_prime, primes_in_range
+from .superchar import StructureTensor, build_tensor
 
 
 @dataclass(frozen=True)
@@ -58,21 +58,6 @@ def is_circular(p: int, k: int,
         witness = ((j - i) % d, pow(ctx.g, n, p))
     return CircularityVerdict(p=p, k=k, circular=max_int <= 2,
                               max_intersection=max_int, witness=witness)
-
-
-def half_inverse_check(ctx: FieldContext, tensor: StructureTensor) -> list[CheckResult]:
-    """Even k: the single diagonal count equal to 1 sits at the class of 1/2."""
-    if ctx.k % 2 != 0:
-        raise PreconditionViolated("k must be even")
-    m_star = int(ctx.coset_index[pow(2, ctx.p - 2, ctx.p)])
-    diagonal = tensor.constant(0, np.arange(ctx.d), np.arange(ctx.d))
-    out = []
-    for m in range(ctx.d):
-        c = int(diagonal[m])
-        ok = (c == 1) if m == m_star else (c in (0, 2))
-        out.append(CheckResult(f"half_inverse_m{m}", True, ok,
-                               f"c={c} class_of_half={m_star}"))
-    return out
 
 
 def scan_noncircular(k: int, p_max: int) -> list[int]:

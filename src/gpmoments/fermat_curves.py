@@ -93,10 +93,3 @@ def predicted_count(ctx: FieldContext, tensor: StructureTensor,
     c = int(tensor.constant(i, j, k))
     deltas = (1 if j == k else 0) + (1 if i == k else 0) + delta_star(ctx, i, j)
     return d * d * c + d * deltas
-
-
-def dictionary_check(ctx: FieldContext, tensor: StructureTensor,
-                     i: int, j: int, k: int,
-                     table: PowerTable | None = None) -> bool:
-    """Whether the enumerated count matches the structure-constant prediction."""
-    return count_projective(ctx, i, j, k, table).M == predicted_count(ctx, tensor, i, j, k)

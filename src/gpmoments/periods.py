@@ -12,9 +12,9 @@ import numpy as np
 from .field_core import FieldContext
 
 
-# Largest number of exponentials evaluated at once (64 KiB of complex128):
-# compute_periods takes max(1, PERIOD_CHUNK // k) whole classes per block, so
-# its temporaries stay bounded while tiny cosets share one numpy call.
+# Largest number of unit-root terms evaluated at once (64 KiB of complex128):
+# compute_periods takes max(1, PERIOD_CHUNK // columns) whole rows per block,
+# so its temporaries stay bounded while tiny cosets share one numpy call.
 PERIOD_CHUNK = 4096
 
 
@@ -25,19 +25,31 @@ class PeriodVector:
 
 
 def compute_periods(ctx: FieldContext) -> PeriodVector:
-    """Direct summation of k unit-circle terms per class, ascending power order.
+    """Direct summation over the (d, k) coset array, half of the p - 1 terms.
 
-    The (d, k) coset array is walked in blocks of whole rows; each row's sum
-    is the same pairwise sum over the same k terms as a per-class loop, so
-    eta is bitwise identical to summing one class at a time.
+    -1 = g^(dk/2) halves the work.  For even k it lies in the subgroup, so in
+    the power order of ctx.cosets entry j + k/2 of every row is minus entry
+    j: each eta is 2 * sum(cos) over the first k/2 columns, exactly real.
+    For odd k, d is even and -X_a = X_(a + d/2), so only rows 0 .. d/2 - 1
+    are summed and the other half are their conjugates, bit for bit.
     """
-    eta = np.empty(ctx.d, dtype=np.complex128)
-    rows = max(1, PERIOD_CHUNK // ctx.k)
-    for a in range(0, ctx.d, rows):
-        # residues already reduced to 0..p-1, so 2*pi*x/p stays small-argument;
-        # the order 2j*pi*x/p fixes the bits of eta, which JSON rows print
-        block = ctx.cosets[a:a + rows]
-        eta[a:a + rows] = np.exp(2j * np.pi * block / ctx.p).sum(axis=1)
+    p, d, k = ctx.p, ctx.d, ctx.k
+    eta = np.empty(d, dtype=np.complex128)
+    if k % 2 == 0:
+        half = ctx.cosets[:, :k // 2]
+        rows = max(1, PERIOD_CHUNK // half.shape[1])
+        for a in range(0, d, rows):
+            x = half[a:a + rows]
+            # min(x, p - x) keeps the angle in [0, pi]; for x <= p/2 it is
+            # the same float as the complex path's fl(fl(2 pi x) * fl(1/p))
+            theta = np.minimum(x, p - x) * (2 * np.pi) * (1.0 / p)
+            eta[a:a + rows] = 2 * np.cos(theta).sum(axis=1)
+    else:
+        half, out = ctx.cosets[:d // 2], eta[:d // 2]
+        rows = max(1, PERIOD_CHUNK // k)
+        for a in range(0, d // 2, rows):
+            out[a:a + rows] = np.exp(2j * np.pi * half[a:a + rows] / p).sum(axis=1)
+        eta[d // 2:] = out.conj()
     return PeriodVector(ctx=ctx, eta=eta)
 
 

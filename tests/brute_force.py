@@ -2,14 +2,18 @@
 
 discrete_log and gauss_sum_aggregate are pow loops over F_p that the
 package's tables replace; periods_by_class sums the periods one class at a
-time, the order whose bits the package's blocked sums must keep;
-class_members lists a class of a context, the border class d = {0} included,
-for the oracles that enumerate classes.  The circularity oracles enumerate
-the subgroup Gamma of order k in F_p^x and its translated dilates directly;
-the package decides circularity from cyclotomic numbers, and the tests
-compare the two; diagonal_counts_check recounts the diagonal cyclotomic
-numbers of a circular pair with Python sets.  brute_projective counts the
-points of a twisted diagonal curve by trying every point of P^2(F_p).
+time over all k complex exponentials, the accuracy baseline that the
+package's halved sums are measured against; class_members lists a class of
+a context, the border class d = {0} included, for the oracles that enumerate
+classes.  The circularity oracles enumerate the subgroup Gamma of order k in
+F_p^x and its translated dilates directly; the package decides circularity
+from cyclotomic numbers, and the tests compare the two;
+diagonal_counts_check recounts the diagonal cyclotomic numbers of a
+circular pair with Python sets, and half_inverse_check places the single
+diagonal count 1 of even k at the class of 1/2.  brute_projective counts the
+points of a twisted diagonal curve by trying every point of P^2(F_p);
+dictionary_check compares a curve count with its structure-constant
+prediction.
 """
 
 import cmath
@@ -17,7 +21,8 @@ import math
 
 import numpy as np
 
-from gpmoments import is_circular
+from gpmoments import (PowerTable, PreconditionViolated, count_projective,
+                       is_circular, predicted_count)
 from gpmoments.field_core import find_primitive_root
 from gpmoments.superchar import CheckResult
 
@@ -38,7 +43,8 @@ def class_members(ctx, i: int) -> list[int]:
 
 
 def periods_by_class(ctx) -> np.ndarray:
-    """eta with one numpy sum per class over its row of ctx.cosets."""
+    """eta with one numpy sum of all k exponentials per class: the accuracy
+    baseline for compute_periods, which sums half of the terms."""
     eta = np.empty(ctx.d, dtype=np.complex128)
     for a in range(ctx.d):
         eta[a] = np.exp(2j * np.pi * ctx.cosets[a] / ctx.p).sum()
@@ -132,6 +138,27 @@ def diagonal_counts_check(ctx, tensor) -> list[CheckResult]:
                                c in (0, 1, 2) and c == direct,
                                f"c={c} direct={direct}"))
     return out
+
+
+def half_inverse_check(ctx, tensor) -> list[CheckResult]:
+    """Even k: the single diagonal count equal to 1 sits at the class of 1/2."""
+    if ctx.k % 2 != 0:
+        raise PreconditionViolated("k must be even")
+    m_star = int(ctx.coset_index[pow(2, ctx.p - 2, ctx.p)])
+    diagonal = tensor.constant(0, np.arange(ctx.d), np.arange(ctx.d))
+    out = []
+    for m in range(ctx.d):
+        c = int(diagonal[m])
+        ok = (c == 1) if m == m_star else (c in (0, 2))
+        out.append(CheckResult(f"half_inverse_m{m}", True, ok,
+                               f"c={c} class_of_half={m_star}"))
+    return out
+
+
+def dictionary_check(ctx, tensor, i: int, j: int, k: int,
+                     table: PowerTable | None = None) -> bool:
+    """Whether the enumerated count matches the structure-constant prediction."""
+    return count_projective(ctx, i, j, k, table).M == predicted_count(ctx, tensor, i, j, k)
 
 
 def brute_projective(ctx, i: int, j: int, k: int) -> int:

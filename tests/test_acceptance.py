@@ -13,14 +13,14 @@ import pytest
 
 from gpmoments import (PowerTable, build_context, build_tensor,
                        build_matrices, compute_periods, count_projective,
-                       dictionary_check, fermat_solution_count,
-                       half_inverse_check, hurwitz_count,
-                       is_circular, power_sum_direct, primes_in_range, v2_exact,
-                       v4_d3, v4_d4, v4_d5_bounds, v4_exact_from_counts,
-                       v4_fixed_k, v4_general_bounds, verify_identities)
+                       fermat_solution_count, hurwitz_count, is_circular,
+                       power_sum_direct, primes_in_range, v2_exact, v4_d3,
+                       v4_d4, v4_d5_bounds, v4_exact_from_counts, v4_fixed_k,
+                       v4_general_bounds, verify_identities)
 from gpmoments.cli import main
 
-from brute_force import diagonal_counts_check, replay_witness
+from brute_force import (diagonal_counts_check, dictionary_check,
+                         half_inverse_check, replay_witness)
 
 P_SWEEP = 10_000
 

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brute_force import (circularity_by_pairs, diagonal_counts_check,
-                         intersection_size, replay_witness, subgroup)
+                         half_inverse_check, intersection_size,
+                         replay_witness, subgroup)
 from gpmoments import (DimensionMismatch, DivisorMismatch,
                        PreconditionViolated, build_context, build_tensor,
-                       half_inverse_check, is_circular, primes_in_range,
-                       scan_noncircular)
+                       is_circular, primes_in_range, scan_noncircular)
 
 
 def test_5_4_not_circular_with_replayable_witness():

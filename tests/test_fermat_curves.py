@@ -2,10 +2,9 @@ import math
 
 import pytest
 
-from brute_force import brute_projective
+from brute_force import brute_projective, dictionary_check
 from gpmoments import (PowerTable, build_context, build_tensor,
-                       count_projective, dictionary_check, predicted_count,
-                       primes_in_range)
+                       count_projective, predicted_count, primes_in_range)
 from gpmoments.fermat_curves import delta_star
 
 

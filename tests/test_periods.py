@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,15 +45,51 @@ def test_periods_match_brute_force(p, d):
         assert pv.eta[a] == pytest.approx(brute_period(p, ctx.g, d, a), abs=1e-10)
 
 
-# block boundaries of compute_periods: k just under and at the chunk (one row
-# per block), k = 2049 (one row, since two do not fit), several rows per
-# block, a partial last block, a single partial block, and k = 1
-@pytest.mark.parametrize("p,d", [(8191, 2), (12289, 3), (4099, 2), (12289, 6),
-                                 (8191, 6), (9973, 2493), (2731, 2), (13, 12)])
-def test_blocked_periods_bitwise_equal_per_class_sums(p, d):
+def longdouble_periods(ctx):
+    # reference eta in extended precision, one longdouble sum per class
+    two_pi = 2 * np.arccos(np.longdouble(-1))
+    theta = two_pi * ctx.cosets.astype(np.longdouble) / ctx.p
+    return np.cos(theta).sum(axis=1), np.sin(theta).sum(axis=1)
+
+
+def max_error(eta, reference):
+    re, im = reference
+    return float(np.max(np.hypot(eta.real.astype(np.longdouble) - re,
+                                 eta.imag.astype(np.longdouble) - im)))
+
+
+# block boundaries of compute_periods, which sums k/2 columns of every row
+# for even k and k columns of the first d/2 rows for odd k: one row per block
+# just under the chunk, two rows of 2048 columns, several rows per block with
+# a partial last block, a single partial block, k = 1 and 2, and the sizes of
+# the benchmark's primes near 5e4 and 1e6
+BLOCK_CASES = [(8191, 2), (12289, 3), (4099, 2), (12289, 6), (8191, 6),
+               (9973, 2493), (2731, 2), (13, 12), (3, 1), (3, 2), (7, 1),
+               (7, 6), (5, 4), (49999, 3), (1000003, 3), (1000117, 12)]
+
+
+@pytest.mark.parametrize("p,d", BLOCK_CASES)
+def test_periods_symmetry_is_bitwise(p, d):
+    # even k: -1 is in the subgroup and eta is exactly real; odd k: the
+    # second half of the classes are the negated first half, so conjugates
     assert PERIOD_CHUNK == 4096  # the cases sit on the boundaries of this chunk
     ctx = build_context(p, d)
-    assert compute_periods(ctx).eta.tobytes() == periods_by_class(ctx).tobytes()
+    eta = compute_periods(ctx).eta
+    assert eta.dtype == np.complex128
+    if ctx.k % 2 == 0:
+        assert not eta.imag.any()
+    else:
+        assert eta[d // 2:].tobytes() == eta[:d // 2].conj().tobytes()
+
+
+@pytest.mark.parametrize("p,d", BLOCK_CASES)
+def test_periods_as_accurate_as_per_class_sums(p, d):
+    assert np.finfo(np.longdouble).eps < 1e-18  # the reference must be finer
+    ctx = build_context(p, d)
+    reference = longdouble_periods(ctx)
+    baseline = max_error(periods_by_class(ctx), reference)
+    error = max_error(compute_periods(ctx).eta, reference)
+    assert error <= 2 * max(baseline, np.finfo(np.float64).eps * ctx.k)
 
 
 @st.composite
@@ -73,8 +110,16 @@ def test_period_sum_is_minus_one(ctx):
 @given(contexts())
 def test_periods_real_when_minus_one_in_subgroup(ctx):
     if (ctx.p - 1) % (2 * ctx.d) == 0:
-        pv = compute_periods(ctx)
-        assert max(abs(e.imag) for e in pv.eta) < identity_tolerance(ctx)
+        assert not compute_periods(ctx).eta.imag.any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(contexts())
+def test_periods_conjugate_rows_when_k_odd(ctx):
+    if ctx.k % 2 == 1:
+        eta = compute_periods(ctx).eta
+        half = ctx.d // 2
+        assert eta[half:].tobytes() == eta[:half].conj().tobytes()
 
 
 @settings(max_examples=40, deadline=None)
