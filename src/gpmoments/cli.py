@@ -23,8 +23,8 @@ from .fermat_curves import PowerTable, count_projective
 from .field_core import build_context, primes_in_range
 from .moments import MomentReport, build_report
 from .periods import compute_periods
-from .superchar import (build_matrices, build_tensor, check_dense_budget,
-                        verify_identities)
+from .superchar import (all_passed, build_matrices, build_tensor,
+                        check_dense_budget, verify_identities)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -123,13 +123,16 @@ def _run_prime(p: int, mode: SweepMode, value: int):
     return ctx, tensor, pv, rpt, vk
 
 
-def _sweep_row(task: tuple[int, str, int]) -> tuple[int, str, str, bool]:
-    """Worker: one prime -> (p, csv_row, json_blob, passed)."""
-    p, mode_name, value = task
+def _sweep_row(task: tuple[int, str, int, str]) -> tuple[int, str, bool]:
+    """Worker: one prime -> (p, row, passed), the row a CSV line or a JSON
+    object as the task's output format asks."""
+    p, mode_name, value, format_name = task
     mode = SweepMode(mode_name)
     _, _, _, rpt, vk = _run_prime(p, mode, value)
     passed = rpt.all_passed()
-    if mode is SweepMode.FIXED_D:
+    if OutputFormat(format_name) is OutputFormat.JSON:
+        row = json.dumps(rpt.to_json_dict(), sort_keys=True)
+    elif mode is SweepMode.FIXED_D:
         fname, fval = _pick_formula(rpt)
         lo, hi = _pick_bounds(rpt)
         row = ",".join([
@@ -147,8 +150,7 @@ def _sweep_row(task: tuple[int, str, int]) -> tuple[int, str, str, bool]:
             str(rpt.v4_exact.numerator), str(rpt.v4_exact.denominator),
             "1" if passed else "0",
         ])
-    blob = json.dumps(rpt.to_json_dict(), sort_keys=True)
-    return p, row, blob, passed
+    return p, row, passed
 
 
 def _sweep_primes(cfg: SweepConfig) -> list[int]:
@@ -190,16 +192,17 @@ def _atomic_write(path: str, lines: list[str]) -> None:
 def run_sweep(cfg: SweepConfig) -> int:
     """Run the sweep and write the output file; returns the process exit code."""
     cfg.validate()
-    tasks = [(p, cfg.mode.value, cfg.value) for p in _sweep_primes(cfg)]
+    tasks = [(p, cfg.mode.value, cfg.value, cfg.out_format.value)
+             for p in _sweep_primes(cfg)]
     results = _map_by_p(_sweep_row, tasks, cfg.workers)
 
     if cfg.out_format is OutputFormat.CSV:
         header = FIXED_D_HEADER if cfg.mode is SweepMode.FIXED_D else FIXED_K_HEADER
         lines = [header] + [r[1] for r in results]
     else:
-        lines = ["[" + ",".join(r[2] for r in results) + "]"]
+        lines = ["[" + ",".join(r[1] for r in results) + "]"]
     _atomic_write(cfg.output, lines)
-    return EXIT_OK if all(r[3] for r in results) else EXIT_CHECK_FAILED
+    return EXIT_OK if all(r[2] for r in results) else EXIT_CHECK_FAILED
 
 
 def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
@@ -242,7 +245,8 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
         print(f"check {name}: {'pass' if ok else 'FAIL'}", file=out)
 
     matrices = build_matrices(ctx, tensor, pv)
-    for res in verify_identities(matrices, tensor, pv):
+    identities = verify_identities(matrices, tensor, pv)
+    for res in identities:
         tag = "pass" if res.passed else "FAIL"
         if not res.applicable:
             tag = "n/a"
@@ -257,7 +261,7 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
               f"min HW margin {worst.hw_margin:.4f} at (0,{worst.j},{worst.k})",
               file=out)
 
-    ok = rpt.all_passed()
+    ok = rpt.all_passed() and all_passed(identities)
     print("RESULT:", "pass" if ok else "FAIL", file=out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

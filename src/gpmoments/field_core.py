@@ -85,32 +85,24 @@ def build_context(p: int, d: int) -> FieldContext:
     """Build the class-index and coset tables for (p, d)."""
     if p > MAX_P:
         raise ConfigInvalid(f"p={p} is above the table limit {MAX_P}")
-    if not is_prime(p) or p == 2:
-        raise CompositeInput(f"{p} is not an odd prime")
+    g = find_primitive_root(p)  # raises CompositeInput unless p is an odd prime
     if d < 1 or (p - 1) % d != 0:
         raise DivisorMismatch(f"d={d} does not divide p-1={p - 1}")
-    g = find_primitive_root(p)
     k = (p - 1) // d
 
-    # powers table g^e for e = 0..p-2, filled in O(sqrt(p)) Python steps via
-    # baby-step/giant-step blocks and one vectorized modular multiply
-    m = int((p - 1) ** 0.5) + 1
-    baby = np.empty(m, dtype=np.int64)
-    x = 1
-    for i in range(m):
-        baby[i] = x
-        x = x * g % p
-    giant = np.empty(m + 1, dtype=np.int64)
-    gm = pow(g, m, p)
-    x = 1
-    for j in range(m + 1):
-        giant[j] = x
-        x = x * gm % p
-    g_pows = (giant[:, None] * baby[None, :] % p).reshape(-1)[:p - 1]
+    # powers table g^e for e = 0..p-2 by doubling: the powers found so far,
+    # times g^done, are the next ones; products stay below p^2 < 2^63
+    g_pows = np.empty(p - 1, dtype=np.int64)
+    g_pows[0] = 1
+    done = 1
+    while done < p - 1:
+        step = g_pows[done:2 * done]
+        np.multiply(g_pows[:len(step)], pow(g, done, p), out=step)
+        step %= p
+        done += len(step)
 
-    # X_i in ascending power order g^i, g^{i+d}, ...; always a copy (for
-    # d = 1 or k = 1 the transpose is already contiguous), so that no view
-    # keeps the oversized baby-step/giant-step product alive
+    # X_i in ascending power order g^i, g^{i+d}, ...; an owned C-contiguous
+    # copy, also for d = 1 or k = 1, where the transpose is contiguous already
     cosets = g_pows.reshape(k, d).T.copy()
     coset_index = np.empty(p, dtype=np.int64)
     coset_index[cosets] = np.arange(d)[:, None]

@@ -2,12 +2,13 @@
 
 Every structure constant is a re-indexing of the cyclotomic numbers
 (i, j)_d = #{v in X_i : v + 1 in X_j}, which one O(p) pass over the
-class-index table counts exactly.  They are stored sparsely: at most p - 2 of
-the d^2 numbers are nonzero.  `StructureTensor.constant` is the one map from
-c_{i,j,k} to them; the dense (d+1) x (d+1) slice `c0` is the same numbers
-scattered into a zeroed array, and every dense (d+1) x (d+1) array is refused with ConfigInvalid when it would
-exceed DENSE_BUDGET_BYTES.  Floats only enter when the counts are assembled
-into T/U/D for the analytic identities.
+class-index table counts exactly.  They are stored once, sparsely: at most
+p - 2 of the d^2 numbers are nonzero.  `StructureTensor.constant` is the one
+map from c_{i,j,k} to them and the one place that knows the border class
+d = {0}; the dense (d+1) x (d+1) slice `c0` is read through it.  Every dense
+(d+1) x (d+1) array is refused with ConfigInvalid when it would exceed
+DENSE_BUDGET_BYTES.  Floats only enter when the counts are assembled into
+T/U/D for the analytic identities.
 """
 
 from dataclasses import dataclass
@@ -79,47 +80,36 @@ class StructureTensor:
             return self.keys, self.counts
         return _cyclotomic_numbers(self.ctx, e)
 
-    @cached_property
-    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero c_{0,u,w} as ascending keys u*(d+1) + w and counts: the
-        stored (u, w)_d for u, w < d, c_{0,d,0} = 1 (y = 0 forces x = z) and
-        c_{0,alpha,d} = k (z = 0 forces y = -x, a whole class)."""
-        ctx = self.ctx
-        d, e = ctx.d, ctx.d + 1
-        keys = self.keys + self.keys // d
-        border = np.array([ctx.alpha * e + d, d * e])
-        pos = np.searchsorted(keys, border)
-        return np.insert(keys, pos, border), np.insert(self.counts, pos, [ctx.k, 1])
-
     def constant(self, i, j, n) -> np.ndarray:
         """c_{i,j,n} = #{(x, y) in X_i x X_j : x + y = z} for a z in X_n, for
         classes 0..d (integers or broadcastable index arrays).
 
         x = 0 (i = d) forces y = z.  Otherwise v = y/x and v + 1 = z/x lie in
         the classes u, w of j, n shifted by -i, the border class d = {0}
-        staying put, so c_{i,j,n} = c_{0,u,w}, read off `_entries`, or off
-        their dense scatter `c0` for a request of (d+1)^2 or more.
+        staying put, so c_{i,j,n} = c_{0,u,w}: the stored (u, w)_d, key
+        u*d + w, for u, w < d; on row or column d, c_{0,d,0} = 1 (y = 0
+        forces x = z), c_{0,alpha,d} = k (z = 0 forces y = -x, a whole class)
+        and 0 elsewhere.
         """
         d = self.ctx.d
         i, j, n = np.asarray(i), np.asarray(j), np.asarray(n)
-        want = np.where(j < d, (j - i) % d, d) * (d + 1) + np.where(n < d, (n - i) % d, d)
-        if want.size >= (d + 1) ** 2:
-            found = self.c0.take(want)  # flat indices
-        else:
-            keys, counts = self._entries
-            pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-            found = np.where(keys[pos] == want, counts[pos], 0)
+        u = np.where(j < d, (j - i) % d, d)
+        w = np.where(n < d, (n - i) % d, d)
+        want = u * d + w
+        pos = np.minimum(np.searchsorted(self.keys, want), len(self.keys) - 1)
+        found = np.where(self.keys[pos] == want, self.counts[pos], 0)
+        # the border rule overrides the lookup: u*d + d is the key of (u+1, 0)_d
+        border = np.where(u == d, w == 0, (u == self.ctx.alpha) * self.ctx.k)
+        found = np.where((u == d) | (w == d), border, found)
         return np.where(i == d, j == n, found)
 
     @cached_property
     def c0(self) -> np.ndarray:
         """Dense read-only (d+1) x (d+1) slice c_{0,j,n}, 0 <= j, n <= d,
-        scattered from `_entries`."""
+        read through `constant`."""
         d = self.ctx.d
         check_dense_budget(d, np.int64)
-        keys, counts = self._entries
-        c0 = np.zeros((d + 1, d + 1), dtype=counts.dtype)
-        np.put(c0, keys, counts)
+        c0 = self.constant(0, *np.indices((d + 1, d + 1), sparse=True))
         c0.flags.writeable = False
         return c0
 
@@ -186,7 +176,8 @@ def verify_identities(m: SupercharMatrices, tensor: StructureTensor,
     err = np.abs(m.U - m.U.T).max()
     out.append(CheckResult("U_symmetric", True, err < UNITARY_TOL, f"max_err={err:.3g}"))
 
-    err = np.abs(m.T @ m.U - m.U @ m.D).max()
+    TU = m.T @ m.U
+    err = np.abs(TU - m.U @ m.D).max()
     out.append(CheckResult("TU_eq_UD", True, err < tol_p, f"max_err={err:.3g}"))
 
     # normality of T, exact on the counting block
@@ -257,7 +248,7 @@ def verify_identities(m: SupercharMatrices, tensor: StructureTensor,
 
     # eigencolumn residuals: T u_l = lambda_l u_l with u_l the columns of U
     lam = np.append(pv.eta, k)
-    res = np.abs(m.T @ m.U - m.U * lam[None, :]).max()
+    res = np.abs(TU - m.U * lam[None, :]).max()
     out.append(CheckResult("eigencolumns", True, res < tol_p, f"max_err={res:.3g}"))
 
     return out

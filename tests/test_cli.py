@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import re
 import pytest
 
 from brute_force import brute_projective
-from gpmoments import build_context
+from gpmoments import build_context, cli, verify_identities
 from gpmoments.field_core import MAX_P
 from gpmoments.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK,
                            FIXED_D_HEADER, SweepConfig, SweepMode,
@@ -119,6 +120,19 @@ def test_verify_13_d4_branch():
     buf = io.StringIO()
     verify_single(13, 4, SweepMode.FIXED_D, out=buf)
     assert "mod8_5" in buf.getvalue()
+
+
+def test_verify_fails_when_an_identity_fails(monkeypatch, capsys):
+    # one failed identity check fails the whole run, not only its own line
+    def one_failing(*args):
+        first, *rest = verify_identities(*args)
+        return [dataclasses.replace(first, passed=False)] + rest
+
+    monkeypatch.setattr(cli, "verify_identities", one_failing)
+    assert main(["verify", "--p", "7", "--d", "3"]) == EXIT_CHECK_FAILED
+    text = capsys.readouterr().out
+    assert "identity U_unitary: FAIL" in text
+    assert text.endswith("RESULT: FAIL\n")
 
 
 def test_verify_divisor_mismatch_exit_code():

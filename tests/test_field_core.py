@@ -106,7 +106,7 @@ def test_context_invariants(params):
 
 
 @pytest.mark.parametrize("p,d", [(7, 3), (11, 1), (13, 12), (1009, 12),
-                                 (10007, 2)])
+                                 (10007, 2), (65537, 1)])
 def test_context_holds_two_tables(p, d):
     # the class index and one owned, contiguous (d, k) coset array; no other
     # table, and no view that keeps a larger buffer alive
@@ -116,6 +116,17 @@ def test_context_holds_two_tables(p, d):
     assert ctx.cosets.base is None
     tables = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
     assert sum(t.nbytes for t in tables) <= 16 * p + 64
+
+
+@pytest.mark.parametrize("p,d,step", [(65537, 1, 1), (65537, 256, 1),
+                                      (1000003, 3, 997), (1000117, 12, 991)])
+def test_cosets_match_modular_powers(p, d, step):
+    # entry (i, j) of the coset array is g^(i + j*d); p - 1 = 2^16 ends the
+    # power table exactly on a doubling, the others part-way through one
+    ctx = build_context(p, d)
+    exponents = list(range(0, p - 1, step)) + [p - 2]
+    assert ctx.cosets.T.ravel()[exponents].tolist() == \
+        [pow(ctx.g, e, p) for e in exponents]
 
 
 def test_table_limit_refused_before_allocating():

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from brute_force import class_members
 import gpmoments
 from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
-                       build_matrices, build_tensor, compute_periods,
-                       primes_in_range, verify_identities)
+                       build_matrices, build_report, build_tensor,
+                       compute_periods, primes_in_range, verify_identities)
 from gpmoments.superchar import (DENSE_BUDGET_BYTES, all_passed,
                                  check_dense_budget)
 
@@ -111,6 +111,17 @@ def test_general_constant_matches_brute():
         cube = tensor.constant(classes[:, None, None], classes[:, None], classes)
         assert np.array_equal(cube, expected)
         assert np.array_equal(tensor.c0, expected[0])
+
+
+def test_tensor_stores_only_the_cyclotomic_numbers():
+    # keys/counts are the one stored form: a report reads its constants
+    # without caching a second copy, and c0 is the only cached view
+    ctx = build_context(1009, 3)
+    tensor = build_tensor(ctx)
+    build_report(ctx, tensor, compute_periods(ctx))
+    assert set(vars(tensor)) == {"ctx", "keys", "counts"}
+    assert not tensor.c0.flags.writeable
+    assert set(vars(tensor)) == {"ctx", "keys", "counts", "c0"}
 
 
 def _pipeline(p, d):
