@@ -6,8 +6,7 @@ from .errors import (CompositeInput, ConfigInvalid, DimensionMismatch,
                      DivisorMismatch, GpmError, InconsistentCounts, IoFailure,
                      NonIntegralResult,
                      NotCircular, PreconditionViolated, UnknownFigure)
-from .fermat_curves import (CurveCount, PowerTable, count_projective,
-                            predicted_count)
+from .fermat_curves import CurveCount, PowerTable, count_projective
 from .field_core import (FieldContext, build_context, find_primitive_root,
                          is_prime, primes_in_range)
 from .moments import (BoundInterval, MomentReport, build_report,

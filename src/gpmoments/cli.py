@@ -19,7 +19,7 @@ from fractions import Fraction
 from .circularity import is_circular, scan_noncircular
 from .errors import (CompositeInput, ConfigInvalid, DivisorMismatch, GpmError,
                      IoFailure, UnknownFigure)
-from .fermat_curves import PowerTable, count_projective
+from .fermat_curves import PowerTable
 from .field_core import build_context, primes_in_range
 from .moments import MomentReport, build_report
 from .periods import compute_periods
@@ -39,6 +39,9 @@ FIXED_K_HEADER = ("p,d,k,circular,max_intersection,formula_name,formula_value,"
 CIRCULAR_HEADER = "p,k,circular,max_intersection,witness_m,witness_t"
 
 FIGURE_IDS = tuple(f"d{d}" for d in range(3, 14)) + ("noncircular_scan",)
+
+# the keys of a sweep config file; its range is p_lo..p_hi (flags --from/--to)
+CONFIG_KEYS = ("mode", "value", "p_lo", "p_hi", "out", "format", "workers")
 
 
 class SweepMode(enum.Enum):
@@ -253,12 +256,11 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
         print(f"identity {res.name}: {tag} {res.detail}", file=out)
 
     if d <= 12:
-        table = PowerTable(ctx)
-        curves = [count_projective(ctx, 0, j, kk, table)
-                  for j in range(d) for kk in range(d)]
-        worst = min(curves, key=lambda cc: cc.hw_margin)  # first of the smallest
-        print(f"curve counts: M(0,0,0)={curves[0].M}, "
-              f"min HW margin {worst.hw_margin:.4f} at (0,{worst.j},{worst.k})",
+        table = PowerTable(tensor)
+        # C order, j outer and k inner: argmin is the first of the smallest
+        j, kk = divmod(int(table.hw_margin.argmin()), d)
+        print(f"curve counts: M(0,0,0)={table.M[0, 0]}, "
+              f"min HW margin {table.hw_margin[j, kk]:.4f} at (0,{j},{kk})",
               file=out)
 
     ok = rpt.all_passed() and all_passed(identities)
@@ -271,8 +273,11 @@ def emit_figure_data(figure_id: str, output: str, p_hi: int | None = None,
     """Emit the data behind one of the published scatter plots."""
     if figure_id not in FIGURE_IDS:
         raise UnknownFigure(f"unknown figure id {figure_id!r}")
+    if workers < 1:
+        raise ConfigInvalid("workers must be >= 1")
     if figure_id == "noncircular_scan":
-        p_hi = p_hi or 10_000
+        if p_hi is None:
+            p_hi = 10_000
         lines = ["k,p"]
         for k in range(2, 13):
             for p in scan_noncircular(k, p_hi):
@@ -281,7 +286,8 @@ def emit_figure_data(figure_id: str, output: str, p_hi: int | None = None,
         return EXIT_OK
 
     d = int(figure_id[1:])
-    p_hi = p_hi or 100_000
+    if p_hi is None:
+        p_hi = 100_000
     tasks = [(p, SweepMode.FIXED_D.value, d)
              for p in primes_in_range(d * d + 1, p_hi, (d, 1))]
     results = _map_by_p(_figure_row, tasks, workers)
@@ -328,7 +334,11 @@ def _load_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigInvalid(f"bad config line: {line!r}")
                 key, _, val = line.partition("=")
-                out[key.strip()] = val.strip()
+                key = key.strip()
+                if key not in CONFIG_KEYS:
+                    raise ConfigInvalid(f"unknown config key {key!r}; valid "
+                                        f"keys: {', '.join(CONFIG_KEYS)}")
+                out[key] = val.strip()
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config file {path}: {exc}") from exc
     return out
@@ -338,7 +348,7 @@ def _default_workers() -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError as exc:
             raise ConfigInvalid(f"{WORKERS_ENV} must be an integer") from exc
     return 1
@@ -412,8 +422,8 @@ def main(argv: list[str] | None = None) -> int:
             mode = SweepMode.FIXED_D if args.d is not None else SweepMode.FIXED_K
             return verify_single(args.p, args.d if args.d is not None else args.k, mode)
         if args.command == "figure":
-            return emit_figure_data(args.id, args.out, args.p_hi,
-                                    args.workers or _default_workers())
+            workers = _default_workers() if args.workers is None else args.workers
+            return emit_figure_data(args.id, args.out, args.p_hi, workers)
         if args.command == "circular":
             return run_circular_scan(args.k, args.p_hi, args.out)
         raise ConfigInvalid(f"unknown command {args.command}")

@@ -1,23 +1,19 @@
 """Projective point counts on twisted degree-d plane curves over F_p.
 
-The curve g^i x^d + g^j y^d = g^k z^d is counted exactly and reconciled
-against the structure constants via
+The curve g^i x^d + g^j y^d = g^k z^d is counted exactly from the structure
+constants, by the dictionary
 M = d^2 c_{i,j,k} + d (delta_{jk} + delta_{ik} + delta_*), with delta_* = 1
 exactly when (p-1)/2 = i - j (mod d) (solvability at the line z = 0).
 
-The count is read off the subgroup X_0 = <g^d> of size k = (p-1)/d, never
-off a pass over F_p.  Dividing the equation by g^i, and absorbing the d-th
-powers g^(d m) into y and z, leaves the same projective points, so
-M(i, j, k) = M(0, j', r) with j' = (j - i) mod d and r = (k - i) mod d.
-On the patch z = 1, x^d is 0 once and takes each u in X_0 exactly d times.
-With h(w) = #{y : y^d = w}, h(g^e) = d when d | e and 0 otherwise, h(0) = 1,
-and W_r[c] = #{u in X_0 : g^r - u in X_c} for c = 0..d (class d = {0}):
+Dividing the equation by g^i, and absorbing the d-th powers g^(d m) into y
+and z, leaves the same projective points, so M(i, j, k) = M(0, j', r) with
+j' = (j - i) mod d and r = (k - i) mod d, and as -1 = g^alpha,
 
-    sum_x h((g^r - x^d) / g^j') = h(g^(r - j')) + d (d W_r[j'] + W_r[d]).
+    M(0, j', r) = d^2 c_{0,j',r} + d ([j' = r] + [r = 0] + [d | alpha + j']).
 
-The patch z = 0, y = 1 solves x^d = -g^j' = g^(alpha + j'), which adds
-d [d | alpha + j']; the point [1:0:0] would need g^i = 0.  So a curve needs
-one row W_r: the (p-1)/d differences g^r - u, classified by the coset index.
+c_{0,j',r} is the stored cyclotomic number (j', r)_d, so a count is one
+lookup in the tensor and never a pass over F_p.  (tests/brute_force.py
+derives the same count from the subgroup X_0 and recounts it that way.)
 """
 
 import math
@@ -26,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field_core import FieldContext
-from .superchar import StructureTensor
+from .superchar import StructureTensor, check_dense_budget
 
 
 @dataclass(frozen=True)
@@ -40,56 +36,42 @@ class CurveCount:
     hw_margin: float  # 2 * genus * sqrt(p) - |M - (p+1)|
 
 
-class PowerTable:
-    """On-demand rows W_r of the curve counts, one per class r of g^r.
+def _genus(d: int) -> int:
+    return (d - 1) * (d - 2) // 2
 
-    rows[r] lists W_r[c] = #{u in X_0 : g^r - u in X_c} for c = 0..d, which
-    costs O(k) to build; all d rows together cost O(p).  The table holds only
-    the rows asked for, each d + 1 ints.  (The class keeps its name because
-    the benchmark's layer tracer wraps its constructor by name.)
+
+def _count(tensor: StructureTensor, jp, r) -> tuple[np.ndarray, np.ndarray]:
+    """(M(0, j', r), Hasse-Weil margin) for classes j', r < d, integers or
+    broadcastable index arrays."""
+    ctx = tensor.ctx
+    p, d = ctx.p, ctx.d
+    jp, r = np.asarray(jp), np.asarray(r)
+    # cast before summing: numpy adds bool arrays as logical or
+    deltas = ((jp == r).astype(np.int64) + (r == 0).astype(np.int64)
+              + ((ctx.alpha + jp) % d == 0).astype(np.int64))
+    m = d * d * tensor.constant(0, jp, r) + d * deltas
+    return m, 2 * _genus(d) * math.sqrt(p) - np.abs(m - (p + 1))
+
+
+class PowerTable:
+    """The d x d grid of counts M[j, r] = M(0, j, r) and their Hasse-Weil
+    margins hw_margin[j, r], the curves that `verify` reports.
+
+    (The class keeps its name because the benchmark's layer tracer wraps its
+    constructor by name.)
     """
 
-    def __init__(self, ctx: FieldContext):
-        self.ctx = ctx
-        self.rows: dict[int, list[int]] = {}
-
-    def row(self, r: int) -> list[int]:
-        """W_r, built on first use."""
-        if r not in self.rows:
-            ctx = self.ctx
-            diffs = (ctx.cosets[r][0] - ctx.cosets[0]) % ctx.p
-            self.rows[r] = np.bincount(ctx.coset_index[diffs],
-                                       minlength=ctx.d + 1).tolist()
-        return self.rows[r]
+    def __init__(self, tensor: StructureTensor):
+        d = tensor.ctx.d
+        check_dense_budget(d, np.int64)
+        self.M, self.hw_margin = _count(tensor,
+                                        *np.indices((d, d), sparse=True))
 
 
-def count_projective(ctx: FieldContext, i: int, j: int, k: int,
-                     table: PowerTable | None = None) -> CurveCount:
-    """Exact point count over P^2(F_p), from row W_(k-i) of the table."""
-    p, d = ctx.p, ctx.d
-    if table is None:
-        table = PowerTable(ctx)
-    jp, r = (j - i) % d, (k - i) % d
-    w = table.row(r)
-    # patch z = 1: x = 0, then the d x with x^d = u for each u in X_0
-    m = (d if r == jp else 0) + d * (d * w[jp] + w[d])
-    # patch z = 0, y = 1: x^d = g^(alpha + j')
-    m += d if (ctx.alpha + jp) % d == 0 else 0
-
-    genus = (d - 1) * (d - 2) // 2
-    margin = 2 * genus * math.sqrt(p) - abs(m - (p + 1))
-    return CurveCount(ctx=ctx, i=i, j=j, k=k, M=m, genus=genus, hw_margin=margin)
-
-
-def delta_star(ctx: FieldContext, i: int, j: int) -> int:
-    """Indicator that the curve meets the line z = 0 over F_p."""
-    return 1 if ((ctx.p - 1) // 2 - (i - j)) % ctx.d == 0 else 0
-
-
-def predicted_count(ctx: FieldContext, tensor: StructureTensor,
-                    i: int, j: int, k: int) -> int:
-    """Point count predicted from the structure constants."""
-    d = ctx.d
-    c = int(tensor.constant(i, j, k))
-    deltas = (1 if j == k else 0) + (1 if i == k else 0) + delta_star(ctx, i, j)
-    return d * d * c + d * deltas
+def count_projective(tensor: StructureTensor, i: int, j: int,
+                     k: int) -> CurveCount:
+    """Exact point count over P^2(F_p), read off the structure constants."""
+    d = tensor.ctx.d
+    m, margin = _count(tensor, (j - i) % d, (k - i) % d)
+    return CurveCount(ctx=tensor.ctx, i=i, j=j, k=k, M=int(m),
+                      genus=_genus(d), hw_margin=float(margin))

@@ -12,8 +12,9 @@ diagonal_counts_check recounts the diagonal cyclotomic numbers of a
 circular pair with Python sets, and half_inverse_check places the single
 diagonal count 1 of even k at the class of 1/2.  brute_projective counts the
 points of a twisted diagonal curve by trying every point of P^2(F_p);
-dictionary_check compares a curve count with its structure-constant
-prediction.
+subgroup_projective counts them from the subgroup X_0 and the coset index,
+without the structure tensor; dictionary_check compares the package's count,
+read off the structure constants, with subgroup_projective.
 """
 
 import cmath
@@ -21,8 +22,7 @@ import math
 
 import numpy as np
 
-from gpmoments import (PowerTable, PreconditionViolated, count_projective,
-                       is_circular, predicted_count)
+from gpmoments import PreconditionViolated, count_projective, is_circular
 from gpmoments.field_core import find_primitive_root
 from gpmoments.superchar import CheckResult
 
@@ -155,10 +155,37 @@ def half_inverse_check(ctx, tensor) -> list[CheckResult]:
     return out
 
 
-def dictionary_check(ctx, tensor, i: int, j: int, k: int,
-                     table: PowerTable | None = None) -> bool:
-    """Whether the enumerated count matches the structure-constant prediction."""
-    return count_projective(ctx, i, j, k, table).M == predicted_count(ctx, tensor, i, j, k)
+def subgroup_projective(ctx, i: int, j: int, k: int) -> int:
+    """Points of g^i x^d + g^j y^d = g^k z^d on P^2(F_p), from the subgroup
+    X_0 = <g^d> of size k = (p-1)/d.
+
+    Dividing the equation by g^i, and absorbing the d-th powers g^(d m) into
+    y and z, leaves the same projective points, so M(i, j, k) = M(0, j', r)
+    with j' = (j - i) mod d and r = (k - i) mod d.  On the patch z = 1, x^d
+    is 0 once and takes each u in X_0 exactly d times.  With
+    h(w) = #{y : y^d = w}, h(g^e) = d when d | e and 0 otherwise, h(0) = 1,
+    and W_r[c] = #{u in X_0 : g^r - u in X_c} for c = 0..d (class d = {0}):
+
+        sum_x h((g^r - x^d) / g^j') = h(g^(r - j')) + d (d W_r[j'] + W_r[d]).
+
+    The patch z = 0, y = 1 solves x^d = -g^j' = g^(alpha + j'), which adds
+    d [d | alpha + j']; the point [1:0:0] would need g^i = 0.  So a curve
+    needs one row W_r: the k differences g^r - u, classified by the coset
+    index.
+    """
+    p, d = ctx.p, ctx.d
+    jp, r = (j - i) % d, (k - i) % d
+    diffs = (ctx.cosets[r][0] - ctx.cosets[0]) % p
+    w = np.bincount(ctx.coset_index[diffs], minlength=d + 1)
+    m = (d if r == jp else 0) + d * (d * int(w[jp]) + int(w[d]))
+    return m + (d if (ctx.alpha + jp) % d == 0 else 0)
+
+
+def dictionary_check(tensor, i: int, j: int, k: int) -> bool:
+    """Whether the count read off the structure constants matches the count
+    from the subgroup X_0."""
+    return (count_projective(tensor, i, j, k).M
+            == subgroup_projective(tensor.ctx, i, j, k))
 
 
 def brute_projective(ctx, i: int, j: int, k: int) -> int:

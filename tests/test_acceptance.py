@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gpmoments import (PowerTable, build_context, build_tensor,
-                       build_matrices, compute_periods, count_projective,
+from gpmoments import (build_context, build_tensor, build_matrices,
+                       compute_periods, count_projective,
                        fermat_solution_count, hurwitz_count, is_circular,
                        power_sum_direct, primes_in_range, v2_exact, v4_d3,
                        v4_d4, v4_d5_bounds, v4_exact_from_counts, v4_fixed_k,
@@ -184,12 +184,11 @@ def test_criterion_7_curve_dictionary_hasse_weil():
                 continue
             ctx = build_context(p, d)
             tensor = build_tensor(ctx)
-            table = PowerTable(ctx)
             for j in range(d):
                 for kk in range(d):
-                    if not dictionary_check(ctx, tensor, 0, j, kk, table):
+                    if not dictionary_check(tensor, 0, j, kk):
                         failures.append(("dict", p, d, j, kk))
-                    if count_projective(ctx, 0, j, kk, table).hw_margin < 0:
+                    if count_projective(tensor, 0, j, kk).hw_margin < 0:
                         failures.append(("hasse-weil", p, d, j, kk))
                     count += 1
     report(7, failures, f"curve dictionary + Hasse-Weil on {count} curves, "

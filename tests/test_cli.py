@@ -80,6 +80,19 @@ def test_sweep_config_file_with_cli_override(tmp_path):
     assert not (tmp_path / "from_file.csv").exists()
 
 
+def test_sweep_config_file_rejects_unknown_key(tmp_path, capsys):
+    # the file key is p_hi; to= (the flag's name) must not be dropped quietly
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("mode=fixed_d\nvalue=3\nto=40\n")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "'to'" in err
+    assert "mode, value, p_lo, p_hi, out, format, workers" in err
+
+
 def test_sweep_invalid_config_exit_code(tmp_path):
     rc = main(["sweep", "--mode", "fixed_d", "--value", "3",
                "--from", "100", "--to", "5", "--out", str(tmp_path / "x.csv")])
@@ -91,10 +104,13 @@ def test_workers_env_override(tmp_path, monkeypatch):
     out = tmp_path / "env.csv"
     assert main(["sweep", "--mode", "fixed_d", "--value", "3",
                  "--from", "5", "--to", "100", "--out", str(out)]) == EXIT_OK
-    monkeypatch.setenv("GPMOMENTS_WORKERS", "zzz")
-    assert main(["sweep", "--mode", "fixed_d", "--value", "3",
-                 "--from", "5", "--to", "100",
-                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    for bad in ("zzz", "0", "-3"):
+        monkeypatch.setenv("GPMOMENTS_WORKERS", bad)
+        assert main(["sweep", "--mode", "fixed_d", "--value", "3",
+                     "--from", "5", "--to", "100",
+                     "--out", str(out)]) == EXIT_CONFIG_ERROR, bad
+        assert main(["figure", "--id", "d3", "--to", "100",
+                     "--out", str(out)]) == EXIT_CONFIG_ERROR, bad
 
 
 def test_verify_7_3_report():
@@ -163,7 +179,8 @@ def test_verify_writes_to_redirected_stdout():
     assert buf.getvalue().endswith("RESULT: pass\n")
 
 
-@pytest.mark.parametrize("p,d", [(37, 4), (37, 12)])
+# (11, 1) and (13, 2) have genus 0; (31, 6) ties six curves at the minimum
+@pytest.mark.parametrize("p,d", [(37, 4), (37, 12), (11, 1), (13, 2), (31, 6)])
 def test_verify_curve_line_matches_brute_force(p, d):
     buf = io.StringIO()
     verify_single(p, d, SweepMode.FIXED_D, out=buf)
@@ -204,6 +221,23 @@ def test_figure_d4_branch_column(tmp_path):
     lines = read(out).strip().split("\n")
     assert lines[0].endswith(",branch")
     assert {line.split(",")[-1] for line in lines[1:]} <= {"1", "5"}
+
+
+def test_figure_to_zero_writes_only_the_header(tmp_path):
+    # 0 is a bound, not a missing value
+    out = tmp_path / "d3.csv"
+    assert main(["figure", "--id", "d3", "--out", str(out),
+                 "--to", "0"]) == EXIT_OK
+    assert read(out) == "p,v4_exact,lower_bound,upper_bound\n"
+    assert main(["figure", "--id", "noncircular_scan", "--out", str(out),
+                 "--to", "0"]) == EXIT_OK
+    assert read(out) == "k,p\n"
+
+
+def test_figure_workers_below_one_exit_code(tmp_path):
+    for bad in ("0", "-3"):
+        assert main(["figure", "--id", "d3", "--to", "100", "--workers", bad,
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG_ERROR
 
 
 def test_figure_unknown_id(tmp_path):
