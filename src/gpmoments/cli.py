@@ -83,12 +83,10 @@ def _fmt_value(v) -> str:
     return _fmt_float(float(v))
 
 
-def _pick_formula(rpt: MomentReport, prefer_fixed_k: bool = False) -> tuple[str, str]:
-    names = ("v4_d2", "v4_d3", "v4_d4_mod8_1", "v4_d4_mod8_5",
-             "v4_fixed_k_even", "v4_fixed_k_odd")
-    if prefer_fixed_k:
-        names = names[-2:] + names[:-2]
-    for name in names:
+def _pick_formula(rpt: MomentReport) -> tuple[str, str]:
+    # a fixed-d report holds no fixed-k form, a fixed-k one may hold both kinds
+    for name in ("v4_fixed_k_even", "v4_fixed_k_odd", "v4_d2", "v4_d3",
+                 "v4_d4_mod8_1", "v4_d4_mod8_5"):
         if name in rpt.formula_values:
             return name, _fmt_value(rpt.formula_values[name])
     return "", ""
@@ -103,27 +101,15 @@ def _pick_bounds(rpt: MomentReport) -> tuple[str, str]:
 
 
 def _run_prime(p: int, mode: SweepMode, value: int):
-    """Build context, tensor and periods once and report on them.
-
-    Returns (ctx, tensor, pv, report, verdict); verdict is the (p, k)
-    circularity verdict in fixed-k mode and None in fixed-d mode.
-    """
-    if mode is SweepMode.FIXED_D:
-        ctx = build_context(p, value)
-        tensor = build_tensor(ctx)
-        vk = fixed_k = None
-    else:
-        k = value
-        ctx = build_context(p, (p - 1) // k)
-        tensor = build_tensor(ctx)
-        vk = is_circular(p, k, tensor)
-        v2k = None
-        if k % 2 == 1 and vk.circular and (p - 1) % (2 * k) == 0:
-            v2k = is_circular(p, 2 * k, tensor)
-        fixed_k = (vk, v2k)
+    """Build context, tensor and periods once and report on them; returns
+    (ctx, tensor, pv, report).  A fixed-k report holds the (p, k)
+    circularity verdict."""
+    d = value if mode is SweepMode.FIXED_D else (p - 1) // value
+    ctx = build_context(p, d)
+    tensor = build_tensor(ctx)
     pv = compute_periods(ctx)
-    rpt = build_report(ctx, tensor, pv, fixed_k_verdicts=fixed_k)
-    return ctx, tensor, pv, rpt, vk
+    rpt = build_report(ctx, tensor, pv, fixed_k=mode is SweepMode.FIXED_K)
+    return ctx, tensor, pv, rpt
 
 
 def _sweep_row(task: tuple[int, str, int, str]) -> tuple[int, str, bool]:
@@ -131,7 +117,7 @@ def _sweep_row(task: tuple[int, str, int, str]) -> tuple[int, str, bool]:
     object as the task's output format asks."""
     p, mode_name, value, format_name = task
     mode = SweepMode(mode_name)
-    _, _, _, rpt, vk = _run_prime(p, mode, value)
+    rpt = _run_prime(p, mode, value)[3]
     passed = rpt.all_passed()
     if OutputFormat(format_name) is OutputFormat.JSON:
         row = json.dumps(rpt.to_json_dict(), sort_keys=True)
@@ -145,7 +131,8 @@ def _sweep_row(task: tuple[int, str, int, str]) -> tuple[int, str, bool]:
             "1" if passed else "0",
         ])
     else:
-        fname, fval = _pick_formula(rpt, prefer_fixed_k=True)
+        fname, fval = _pick_formula(rpt)
+        vk = rpt.circularity
         row = ",".join([
             str(rpt.p), str(rpt.d), str(rpt.k),
             "1" if vk.circular else "0", str(vk.max_intersection),
@@ -158,8 +145,7 @@ def _sweep_row(task: tuple[int, str, int, str]) -> tuple[int, str, bool]:
 
 def _sweep_primes(cfg: SweepConfig) -> list[int]:
     # the fixed d or k divides p - 1 in either mode
-    return primes_in_range(max(cfg.p_lo, 3), cfg.p_hi,
-                           (cfg.value, 1) if cfg.value > 1 else None)
+    return primes_in_range(max(cfg.p_lo, 3), cfg.p_hi, (cfg.value, 1))
 
 
 def _map_by_p(fn, tasks: list, workers: int) -> list[tuple]:
@@ -221,7 +207,7 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
     # any table is built
     check_dense_budget(d, complex)
 
-    ctx, tensor, pv, rpt, vk = _run_prime(p, mode, value)
+    ctx, tensor, pv, rpt = _run_prime(p, mode, value)
 
     print(f"p={p} d={d} k={ctx.k} g={ctx.g} alpha={ctx.alpha} (p mod 8 = {p % 8})",
           file=out)
@@ -238,7 +224,8 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
         print(f"formula {name} = {_fmt_value(val)}", file=out)
     for name, b in rpt.bounds.items():
         print(f"bounds {name}: [{float(b.lower):.6f}, {float(b.upper):.6f}]", file=out)
-    if mode is SweepMode.FIXED_K:
+    vk = rpt.circularity
+    if vk is not None:
         state = "circular" if vk.circular else "non-circular"
         print(f"pair (p,k)=({p},{value}) is {state} "
               f"(max intersection {vk.max_intersection})", file=out)
@@ -311,8 +298,10 @@ def _figure_row(task: tuple[int, str, int]) -> tuple[int, str]:
 
 def run_circular_scan(k: int, p_hi: int, output: str | None) -> int:
     """Scan primes with k | (p-1) and report each verdict."""
+    if k < 1:
+        raise ConfigInvalid("k must be >= 1")
     lines = [CIRCULAR_HEADER]
-    for p in primes_in_range(3, p_hi, (k, 1) if k > 1 else None):
+    for p in primes_in_range(3, p_hi, (k, 1)):
         v = is_circular(p, k)
         wm, wt = (v.witness if v.witness else ("", ""))
         lines.append(f"{p},{k},{1 if v.circular else 0},{v.max_intersection},{wm},{wt}")
@@ -338,6 +327,8 @@ def _load_config_file(path: str) -> dict:
                 if key not in CONFIG_KEYS:
                     raise ConfigInvalid(f"unknown config key {key!r}; valid "
                                         f"keys: {', '.join(CONFIG_KEYS)}")
+                if key in out:
+                    raise ConfigInvalid(f"config key {key!r} is set twice")
                 out[key] = val.strip()
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config file {path}: {exc}") from exc
@@ -391,25 +382,29 @@ def _sweep_config_from_args(args) -> SweepConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
 
     def pick(cli_val, key, conv, default=None):
+        # conv(flag), else conv(file value), else default(); no default: required
         if cli_val is not None:
-            return cli_val
+            return conv(cli_val)
         if key in file_cfg:
             try:
                 return conv(file_cfg[key])
             except ValueError as exc:
-                raise ConfigInvalid(f"bad value for {key}") from exc
+                raise ConfigInvalid(
+                    f"bad value for {key}: {file_cfg[key]!r}") from exc
         if default is None:
             raise ConfigInvalid(f"missing required option {key}")
-        return default
+        return default()
 
     return SweepConfig(
-        mode=SweepMode(pick(args.mode, "mode", str)),
+        mode=pick(args.mode, "mode", SweepMode),
         value=pick(args.value, "value", int),
-        p_lo=pick(args.p_lo, "p_lo", int, 3),
-        p_hi=pick(args.p_hi, "p_hi", int, 100_000),
+        p_lo=pick(args.p_lo, "p_lo", int, lambda: 3),
+        p_hi=pick(args.p_hi, "p_hi", int, lambda: 100_000),
         output=pick(args.out, "out", str),
-        out_format=OutputFormat(pick(args.format, "format", str, "csv")),
-        workers=pick(args.workers, "workers", int, _default_workers()),
+        out_format=pick(args.format, "format", OutputFormat,
+                        lambda: OutputFormat.CSV),
+        # the environment is read only when neither flag nor file sets it
+        workers=pick(args.workers, "workers", int, _default_workers),
     )
 
 

@@ -18,21 +18,11 @@ MAX_P = 10**7
 
 def is_prime(n: int) -> bool:
     """Deterministic trial division; intended for desk-scale n (<= MAX_P)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, ascending; [] for n < 2."""
     out = []
     q = 2
     while q * q <= n:
@@ -40,7 +30,7 @@ def _prime_factors(n: int) -> list[int]:
             out.append(q)
             while n % q == 0:
                 n //= q
-        q += 1
+        q += 2 if q > 2 else 1
     if n > 1:
         out.append(n)
     return out

@@ -150,18 +150,16 @@ def v4_general_bounds(p: int, d: int) -> BoundInterval:
     return BoundInterval("v4_general", lower, upper)
 
 
-def v4_fixed_k(p: int, k: int,
-               verdict: CircularityVerdict | None = None,
+def v4_fixed_k(p: int, k: int, verdict: CircularityVerdict,
                verdict_2k: CircularityVerdict | None = None) -> Fraction:
-    """Fixed-cofactor closed form; requires circularity of (p,k), and of
-    (p,2k) as well when k is odd."""
-    verdict = verdict or is_circular(p, k)
+    """Fixed-cofactor closed form.  It holds when (p,k) is circular and, for
+    odd k, (p,2k) as well; NotCircular is raised otherwise, also when the
+    verdict on (p,2k) that an odd k needs is missing."""
     if not verdict.circular:
         raise NotCircular(f"({p},{k}) is not circular")
     if k % 2 == 0:
         return Fraction(3 * p * (k - 1) - k ** 3)
-    verdict_2k = verdict_2k or is_circular(p, 2 * k)
-    if not verdict_2k.circular:
+    if verdict_2k is None or not verdict_2k.circular:
         raise NotCircular(f"({p},{2 * k}) is not circular (needed for odd k)")
     return Fraction(p * (2 * k - 1) - k ** 3)
 
@@ -206,7 +204,9 @@ def _rounded_count(value: complex, case: str) -> int:
 @dataclass
 class MomentReport:
     """Per-prime verification record: direct power sums, exact V_4, the
-    applicable closed forms and bands, and pass/fail verdicts."""
+    applicable closed forms and bands, and pass/fail verdicts.  circularity
+    is the (p,k) verdict of a fixed-k report, None otherwise; it is not part
+    of the JSON row."""
 
     p: int
     d: int
@@ -217,6 +217,7 @@ class MomentReport:
     formula_values: dict[str, Fraction | float] = field(default_factory=dict)
     bounds: dict[str, BoundInterval] = field(default_factory=dict)
     verdicts: dict[str, bool] = field(default_factory=dict)
+    circularity: CircularityVerdict | None = None
 
     def all_passed(self) -> bool:
         return all(self.verdicts.values())
@@ -234,15 +235,14 @@ class MomentReport:
         }
 
 
-def build_report(
-        ctx: FieldContext, tensor: StructureTensor, pv: PeriodVector,
-        fixed_k_verdicts: tuple[CircularityVerdict, CircularityVerdict | None] | None = None,
-) -> MomentReport:
+def build_report(ctx: FieldContext, tensor: StructureTensor, pv: PeriodVector,
+                 fixed_k: bool = False) -> MomentReport:
     """Evaluate every applicable formula and bound for one context.
 
-    fixed_k_verdicts, when given, carries the circularity verdicts for (p,k)
-    and (when k is odd) (p,2k); the fixed-k formula is only asserted when the
-    required pairs are circular.
+    With fixed_k, the circularity of (p,k) is decided from tensor and kept
+    as rpt.circularity; for odd k, (p,2k) is decided too when (p,k) is
+    circular.  The fixed-k closed form is asserted when v4_fixed_k accepts
+    those verdicts.
     """
     p, d, k = ctx.p, ctx.d, ctx.k
     rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8,
@@ -293,13 +293,16 @@ def build_report(
         if p > d * d:
             rpt.verdicts["v4_general_bounds"] = gb.contains(rpt.v4_exact)
 
-    if fixed_k_verdicts is not None:
-        vk, v2k = fixed_k_verdicts
-        applicable = vk.circular and (k % 2 == 0 or (v2k is not None and v2k.circular))
-        if applicable:
+    if fixed_k:
+        vk = rpt.circularity = is_circular(p, k, tensor)
+        # an odd k divides the even p - 1 with 2k
+        v2k = is_circular(p, 2 * k, tensor) if k % 2 and vk.circular else None
+        try:
             val = v4_fixed_k(p, k, vk, v2k)
-            name = "v4_fixed_k_even" if k % 2 == 0 else "v4_fixed_k_odd"
-            rpt.formula_values[name] = val
-            rpt.verdicts[name] = val == rpt.v4_exact
+        except NotCircular:
+            return rpt
+        name = "v4_fixed_k_even" if k % 2 == 0 else "v4_fixed_k_odd"
+        rpt.formula_values[name] = val
+        rpt.verdicts[name] = val == rpt.v4_exact
 
     return rpt

@@ -93,6 +93,30 @@ def test_sweep_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "mode, value, p_lo, p_hi, out, format, workers" in err
 
 
+@pytest.mark.parametrize("key,val", [("format", "xml"), ("mode", "bogus"),
+                                     ("value", "three")])
+def test_sweep_config_file_rejects_bad_value(tmp_path, capsys, key, val):
+    settings = {"mode": "fixed_d", "value": "3", "p_hi": "40", key: val}
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+    assert f"bad value for {key}: {val!r}" in capsys.readouterr().err
+
+
+def test_sweep_config_file_rejects_repeated_key(tmp_path, capsys):
+    # value=3 then value=4 used to run a d = 4 sweep
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("mode=fixed_d\nvalue=3\nvalue=4\np_hi=40\n")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+    assert "'value' is set twice" in capsys.readouterr().err
+
+
 def test_sweep_invalid_config_exit_code(tmp_path):
     rc = main(["sweep", "--mode", "fixed_d", "--value", "3",
                "--from", "100", "--to", "5", "--out", str(tmp_path / "x.csv")])
@@ -100,6 +124,8 @@ def test_sweep_invalid_config_exit_code(tmp_path):
 
 
 def test_workers_env_override(tmp_path, monkeypatch):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("mode=fixed_d\nvalue=3\np_hi=100\nworkers=2\n")
     monkeypatch.setenv("GPMOMENTS_WORKERS", "2")
     out = tmp_path / "env.csv"
     assert main(["sweep", "--mode", "fixed_d", "--value", "3",
@@ -111,6 +137,14 @@ def test_workers_env_override(tmp_path, monkeypatch):
                      "--out", str(out)]) == EXIT_CONFIG_ERROR, bad
         assert main(["figure", "--id", "d3", "--to", "100",
                      "--out", str(out)]) == EXIT_CONFIG_ERROR, bad
+        # the variable is read only when nothing else sets the count
+        assert main(["sweep", "--mode", "fixed_d", "--value", "3",
+                     "--from", "5", "--to", "100", "--workers", "2",
+                     "--out", str(out)]) == EXIT_OK, bad
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK, bad
+        assert main(["figure", "--id", "d3", "--to", "100", "--workers", "2",
+                     "--out", str(out)]) == EXIT_OK, bad
 
 
 def test_verify_7_3_report():
@@ -253,6 +287,17 @@ def test_circular_scan(tmp_path):
     row5 = [line for line in lines if line.startswith("5,")][0]
     cols = row5.split(",")
     assert cols[2] == "0" and int(cols[3]) >= 3
+
+
+@pytest.mark.parametrize("k", ["0", "-4"])
+@pytest.mark.parametrize("p_hi", ["2", "3000"])
+def test_circular_k_below_one_exit_code(tmp_path, capsys, k, p_hi):
+    # refused before the sieve, not after it or with a header-only file
+    out = tmp_path / "c.csv"
+    assert main(["circular", "--k", k, "--to", p_hi,
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+    assert "k must be >= 1" in capsys.readouterr().err
 
 
 def test_failed_sweep_leaves_no_partial_file(tmp_path, monkeypatch):

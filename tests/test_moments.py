@@ -182,21 +182,25 @@ def test_general_bounds_reject_small_d():
 # ------------------------------------------------------------- fixed k
 
 def test_fixed_k_even_example():
-    assert v4_fixed_k(13, 2) == 31
+    assert v4_fixed_k(13, 2, is_circular(13, 2)) == 31
 
 
 def test_fixed_k_odd_example():
     # (7, 6) and (13, 6) are not circular; the first qualifying prime is 31
     assert not is_circular(13, 6).circular
     assert is_circular(31, 6).circular
-    assert v4_fixed_k(31, 3) == 31 * 5 - 27 == 128
+    assert v4_fixed_k(31, 3, is_circular(31, 3), is_circular(31, 6)) \
+        == 31 * 5 - 27 == 128
     ctx, tensor, _ = pipeline(31, 10)
     assert v4_exact_from_counts(ctx, tensor) == 128
+    # an odd k without the verdict on (p, 2k) is refused, not decided here
+    with pytest.raises(NotCircular):
+        v4_fixed_k(31, 3, is_circular(31, 3))
 
 
 def test_fixed_k_rejects_noncircular():
     with pytest.raises(NotCircular):
-        v4_fixed_k(5, 4)
+        v4_fixed_k(5, 4, is_circular(5, 4))
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -205,7 +209,8 @@ def test_fixed_k_even_sweep(k):
         if not is_circular(p, k).circular:
             continue
         ctx, tensor, _ = pipeline(p, (p - 1) // k)
-        assert v4_fixed_k(p, k) == v4_exact_from_counts(ctx, tensor)
+        assert v4_fixed_k(p, k, is_circular(p, k)) == \
+            v4_exact_from_counts(ctx, tensor)
 
 
 # --------------------------------------------------- solution counts
@@ -295,13 +300,27 @@ def test_report_13_4_branch():
 
 def test_report_fixed_k_noncircular_skips_formula():
     ctx, tensor, pv = pipeline(5, 1)
-    rpt = build_report(ctx, tensor, pv,
-                       fixed_k_verdicts=(is_circular(5, 4), None))
+    rpt = build_report(ctx, tensor, pv, fixed_k=True)
     assert not any(name.startswith("v4_fixed_k") for name in rpt.formula_values)
+    assert rpt.circularity == is_circular(5, 4)
+    assert not rpt.circularity.circular
+
+
+def test_report_fixed_k_odd_circular_asserts_formula():
+    # k = 3 at p = 31: (31, 3) and (31, 6) are circular
+    rpt = build_report(*pipeline(31, 10), fixed_k=True)
+    assert rpt.circularity == is_circular(31, 3)
+    assert rpt.circularity.circular
+    assert rpt.formula_values["v4_fixed_k_odd"] == 128
+    assert rpt.verdicts["v4_fixed_k_odd"]
+    assert rpt.all_passed()
 
 
 def test_report_json_roundtrip():
     rpt = build_report(*pipeline(13, 4))
     blob = rpt.to_json_dict()
     assert blob["p"] == 13
+    # a fixed-d report holds no verdict, and a verdict is never serialized
+    assert rpt.circularity is None
+    assert "circularity" not in blob
     assert blob["v4_exact"] == [38, 1]
