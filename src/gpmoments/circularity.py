@@ -34,10 +34,14 @@ def is_circular(p: int, k: int,
 
     tensor, when given, is the structure tensor of p at any multiple of d
     (the classes of order d are its coset indices mod d); otherwise one is
-    built.  The witness comes from the first largest number (i, j)_d:
-    n = alpha - i, m = j - i (mod d) and t = g^n.
+    built, and only then is p tested for primality.  The witness comes from
+    the first largest number (i, j)_d: n = alpha - i, m = j - i (mod d) and
+    t = g^n.
     """
-    if not is_prime(p) or p == 2:
+    if tensor is not None and tensor.ctx.p != p:
+        raise DimensionMismatch(f"tensor of p={tensor.ctx.p} cannot decide p={p}")
+    # a tensor's context has proved p an odd prime in find_primitive_root
+    if tensor is None and (not is_prime(p) or p == 2):
         raise DivisorMismatch(f"{p} is not an odd prime")
     if k < 1 or (p - 1) % k != 0:
         raise DivisorMismatch(f"k={k} does not divide p-1={p - 1}")
@@ -45,8 +49,6 @@ def is_circular(p: int, k: int,
     if tensor is None:
         tensor = build_tensor(build_context(p, d))
     ctx = tensor.ctx
-    if ctx.p != p:
-        raise DimensionMismatch(f"tensor of p={ctx.p} cannot decide p={p}")
     keys, counts = tensor.numbers_of_order(d)
 
     best = int(np.argmax(counts))

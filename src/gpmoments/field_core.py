@@ -56,10 +56,12 @@ class FieldContext:
     """Immutable description of the coset partition of F_p under <g^d>.
 
     coset_index[x] is the class of x: the exponent of x's coset for x != 0,
-    and d for x = 0.  cosets is a (d, k) array whose row i lists X_i in
+    and d for x = 0, held in the narrowest unsigned dtype that fits d (uint8
+    up to d = 255).  cosets is a (d, k) view whose row i lists X_i in
     ascending power order g^i, g^{i+d}, g^{i+2d}, ..., which fixes the
-    summation order used by the period computation.  These two tables are
-    the whole context; the class d = {0} has no row.
+    summation order used by the period computation; it views the (p-1,)
+    power table g^0, ..., g^(p-2), so its rows are strided.  These two
+    read-only tables are the whole context; the class d = {0} has no row.
     """
 
     p: int
@@ -80,23 +82,31 @@ def build_context(p: int, d: int) -> FieldContext:
         raise DivisorMismatch(f"d={d} does not divide p-1={p - 1}")
     k = (p - 1) // d
 
-    # powers table g^e for e = 0..p-2 by doubling: the powers found so far,
-    # times g^done, are the next ones; products stay below p^2 < 2^63
+    # power table g^e for e = 0..p-2.  The first half by doubling: the powers
+    # found so far, times g^done, are the next ones; products stay below
+    # p^2 < 2^63.  The second half from -1 = g^half: g^(e + half) = p - g^e.
+    half = (p - 1) // 2
     g_pows = np.empty(p - 1, dtype=np.int64)
     g_pows[0] = 1
     done = 1
-    while done < p - 1:
-        step = g_pows[done:2 * done]
+    while done < half:
+        step = g_pows[done:min(2 * done, half)]
         np.multiply(g_pows[:len(step)], pow(g, done, p), out=step)
         step %= p
         done += len(step)
+    np.subtract(p, g_pows[:half], out=g_pows[half:])
+    g_pows.flags.writeable = False
 
-    # X_i in ascending power order g^i, g^{i+d}, ...; an owned C-contiguous
-    # copy, also for d = 1 or k = 1, where the transpose is contiguous already
-    cosets = g_pows.reshape(k, d).T.copy()
-    coset_index = np.empty(p, dtype=np.int64)
-    coset_index[cosets] = np.arange(d)[:, None]
+    # X_i in ascending power order g^i, g^{i+d}, ...: a read-only view of the
+    # power table.  Every class label is < d + 1, so the index is the
+    # narrowest unsigned type holding d, filled by one scatter of the labels
+    # 0, 1, ..., d-1 repeated k times in power order.
+    cosets = g_pows.reshape(k, d).T
+    dt = np.min_scalar_type(d)
+    coset_index = np.empty(p, dtype=dt)
+    coset_index[g_pows] = np.tile(np.arange(d, dtype=dt), k)
     coset_index[0] = d
+    coset_index.flags.writeable = False
 
     alpha = ((p - 1) // 2) % d
     return FieldContext(p=p, g=g, d=d, k=k, alpha=alpha,

@@ -25,6 +25,10 @@ from .periods import PeriodVector
 # 4 MiB admits complex128 matrices up to d = 511.
 DENSE_BUDGET_BYTES = 1 << 22
 
+# Largest number of keys one bincount call of _cyclotomic_numbers counts; its
+# intp copy of them is then at most 512 KiB.
+COUNT_CHUNK = 1 << 16
+
 # Float tolerances of verify_identities (the counts themselves are exact):
 UNITARY_TOL = 1e-9  # bounds ||U*U - I||_max and ||U - U^T||_max
 SCALED_TOL = 1e-8  # times p, bounds the residuals that grow with the entries
@@ -50,13 +54,23 @@ def _cyclotomic_numbers(ctx: FieldContext, e: int) -> tuple[np.ndarray, np.ndarr
     ci = ctx.coset_index[1:]  # classes of 1..p-1; 0 never occurs as v or v+1
     if e != ctx.d:
         ci = ci % e
-    key = ci[:-1] * e  # v = 1..p-2; built in place to hold one O(p) temporary
+    # v = 1..p-2, keys in the narrowest type holding e*e - 1: ci is as narrow
+    # as d allows, and a product taken in its dtype would wrap.  Built in
+    # place to hold one O(p) temporary.
+    key = np.multiply(ci[:-1], e, dtype=np.min_scalar_type(e * e - 1))
     key += ci[1:]
     if e * e <= ctx.p:
-        dense = np.bincount(key, minlength=e * e)
+        # bincount copies its input to intp: count COUNT_CHUNK keys at a time
+        # so that copy stays small, or e*e at a time so that adding up the
+        # histograms is at most one more pass over the keys
+        step = max(COUNT_CHUNK, e * e)
+        dense = np.zeros(e * e, dtype=np.intp)
+        for a in range(0, len(key), step):
+            dense += np.bincount(key[a:a + step], minlength=e * e)
         keys = np.flatnonzero(dense)
         return keys, dense[keys]
-    return np.unique(key, return_counts=True)
+    keys, counts = np.unique(key, return_counts=True)
+    return keys.astype(np.int64), counts
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Brute-force oracles, independent of the structure tensor.
 
-discrete_log and gauss_sum_aggregate are pow loops over F_p that the
-package's tables replace; periods_by_class sums the periods one class at a
-time over all k complex exponentials, the accuracy baseline that the
-package's halved sums are measured against; class_members lists a class of
-a context, the border class d = {0} included, for the oracles that enumerate
-classes.  The circularity oracles enumerate the subgroup Gamma of order k in
+discrete_log, cyclotomic_numbers and gauss_sum_aggregate are pow loops
+over F_p that the package's tables replace; periods_by_class sums the
+periods one class at a time over all k complex exponentials, the accuracy
+baseline that the package's halved sums are measured against;
+class_members lists a class of a context, the border class d = {0}
+included, for the oracles that enumerate classes.  The circularity oracles enumerate the subgroup Gamma of order k in
 F_p^x and its translated dilates directly; the package decides circularity
 from cyclotomic numbers, and the tests compare the two;
 diagonal_counts_check recounts the diagonal cyclotomic numbers of a
@@ -34,6 +34,17 @@ def discrete_log(p: int, g: int) -> dict[int, int]:
     for e in range(p - 1):
         out[x] = e
         x = x * g % p
+    return out
+
+
+def cyclotomic_numbers(p: int, g: int, e: int) -> dict[int, int]:
+    """key i*e + j -> (i, j)_e = #{v : v in class i, v + 1 in class j} for
+    the nonzero numbers of order e, classifying v = 1..p-2 by discrete log."""
+    dlog = discrete_log(p, g)
+    out: dict[int, int] = {}
+    for v in range(1, p - 1):
+        key = dlog[v] % e * e + dlog[v + 1] % e
+        out[key] = out.get(key, 0) + 1
     return out
 
 

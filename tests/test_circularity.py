@@ -6,7 +6,8 @@ from brute_force import (circularity_by_pairs, diagonal_counts_check,
                          replay_witness, subgroup)
 from gpmoments import (DimensionMismatch, DivisorMismatch,
                        PreconditionViolated, build_context, build_tensor,
-                       is_circular, primes_in_range, scan_noncircular)
+                       circularity, is_circular, primes_in_range,
+                       scan_noncircular)
 
 
 def test_5_4_not_circular_with_replayable_witness():
@@ -38,6 +39,20 @@ def test_divisor_mismatch():
         is_circular(13, 2, build_tensor(build_context(7, 3)))
     with pytest.raises(DimensionMismatch):  # order 6 does not divide d = 4
         is_circular(13, 2, build_tensor(build_context(13, 4)))
+
+
+def test_tensor_verdict_takes_p_as_proved(monkeypatch):
+    # a tensor's context has proved p prime; only a bare p is tested again
+    tensor = build_tensor(build_context(1009, 252))
+    expected = [is_circular(1009, k) for k in (4, 12)]
+
+    def no_test(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr(circularity, "is_prime", no_test)
+    assert [is_circular(1009, k, tensor) for k in (4, 12)] == expected
+    with pytest.raises(AssertionError):
+        is_circular(1009, 4)
 
 
 def test_tensor_verdict_matches_brute_force():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,7 +96,7 @@ def test_context_invariants(params):
     for a in range(1, p):
         for b in range(1, p, max(1, p // 7)):
             assert ctx.coset_index[a * b % p] == \
-                (ctx.coset_index[a] + ctx.coset_index[b]) % d
+                (int(ctx.coset_index[a]) + int(ctx.coset_index[b])) % d
 
     # alpha is 0 or d/2, and nonzero only when 2d does not divide p-1
     assert ctx.alpha in (0, d / 2)
@@ -108,21 +110,64 @@ def test_context_invariants(params):
 @pytest.mark.parametrize("p,d", [(7, 3), (11, 1), (13, 12), (1009, 12),
                                  (10007, 2), (65537, 1)])
 def test_context_holds_two_tables(p, d):
-    # the class index and one owned, contiguous (d, k) coset array; no other
-    # table, and no view that keeps a larger buffer alive
+    # the class index and a (d, k) coset view of the one (p-1,) power table;
+    # no other table, and no view that keeps a larger buffer alive
     ctx = build_context(p, d)
     assert ctx.cosets.shape == (d, ctx.k)
-    assert ctx.cosets.flags.c_contiguous
-    assert ctx.cosets.base is None
+    assert ctx.cosets.base.shape == (p - 1,)
+    assert ctx.cosets.base.nbytes == ctx.cosets.nbytes
     tables = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
-    assert sum(t.nbytes for t in tables) <= 16 * p + 64
+    assert sum(t.nbytes for t in tables) <= \
+        (8 + ctx.coset_index.itemsize) * p + 64
 
 
-@pytest.mark.parametrize("p,d,step", [(65537, 1, 1), (65537, 256, 1),
-                                      (1000003, 3, 997), (1000117, 12, 991)])
+def test_context_tables_are_read_only():
+    ctx = build_context(13, 4)
+    with pytest.raises(ValueError):
+        ctx.cosets[0, 0] = 2
+    with pytest.raises(ValueError):
+        ctx.cosets.base[0] = 2
+    with pytest.raises(ValueError):
+        ctx.coset_index[1] = 0
+    assert ctx.cosets[0, 0] == 1 and ctx.coset_index[1] == 0
+
+
+@pytest.mark.parametrize("p,d,dtype", [(1021, 255, np.uint8),
+                                       (257, 256, np.uint16),
+                                       (65537, 65536, np.uint32)])
+def test_coset_index_is_discrete_log_in_narrowest_dtype(p, d, dtype):
+    # the largest d of each index dtype, and the first d that needs the next
+    ctx = build_context(p, d)
+    assert ctx.coset_index.dtype == dtype
+    expected = np.full(p, d)
+    for x, e in discrete_log(p, ctx.g).items():
+        expected[x] = e % d
+    assert np.array_equal(ctx.coset_index, expected)
+
+
+@pytest.mark.parametrize("p,d", [(1000003, 3), (1000117, 12)])
+def test_context_peak_memory_is_about_ten_bytes_per_element(p, d):
+    # the int64 power table plus the one-byte index and its labels: no
+    # transposed copy and no int64 index
+    tracemalloc.start()
+    try:
+        ctx = build_context(p, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.coset_index.itemsize == 1
+    assert peak <= 11 * p
+
+
+@pytest.mark.parametrize("p,d,step", [(3, 1, 1), (3, 2, 1), (5, 2, 1),
+                                      (5, 4, 1), (65537, 1, 1),
+                                      (65537, 256, 1), (1000003, 3, 997),
+                                      (1000117, 12, 991)])
 def test_cosets_match_modular_powers(p, d, step):
-    # entry (i, j) of the coset array is g^(i + j*d); p - 1 = 2^16 ends the
-    # power table exactly on a doubling, the others part-way through one
+    # entry (i, j) of the coset array is g^(i + j*d); the doubling fills the
+    # first half of the power table, -1 = g^((p-1)/2) the second.  It stops
+    # at once for p = 3 and after one step for p = 5; p - 1 = 2^16 ends the
+    # first half exactly on a doubling, the others part-way through one
     ctx = build_context(p, d)
     exponents = list(range(0, p - 1, step)) + [p - 2]
     assert ctx.cosets.T.ravel()[exponents].tolist() == \

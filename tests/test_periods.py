@@ -83,6 +83,23 @@ def test_periods_symmetry_is_bitwise(p, d):
 
 
 @pytest.mark.parametrize("p,d", BLOCK_CASES)
+def test_periods_are_row_sums_bit_for_bit(p, d):
+    # each eta is the pairwise sum of its own row alone, one 1-D array at a
+    # time: the strided cosets view and the blocks change no bit
+    ctx = build_context(p, d)
+    eta = compute_periods(ctx).eta
+    for a in range(d if ctx.k % 2 == 0 else d // 2):
+        if ctx.k % 2 == 0:
+            x = np.array(ctx.cosets[a, :ctx.k // 2])
+            theta = np.minimum(x, p - x) * (2 * np.pi) * (1.0 / p)
+            expected = complex(2 * np.cos(theta).sum())
+        else:
+            x = np.array(ctx.cosets[a])
+            expected = complex(np.exp(2j * np.pi * x / p).sum())
+        assert eta[a] == expected, a
+
+
+@pytest.mark.parametrize("p,d", BLOCK_CASES)
 def test_periods_as_accurate_as_per_class_sums(p, d):
     assert np.finfo(np.longdouble).eps < 1e-18  # the reference must be finer
     ctx = build_context(p, d)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import class_members
+from brute_force import class_members, cyclotomic_numbers
 import gpmoments
 from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
                        build_matrices, build_report, build_tensor,
-                       compute_periods, primes_in_range, verify_identities)
+                       compute_periods, primes_in_range, superchar,
+                       verify_identities)
 from gpmoments.superchar import (DENSE_BUDGET_BYTES, all_passed,
                                  check_dense_budget)
 
@@ -62,6 +63,37 @@ def test_tensor_matches_brute_force():
         for j in range(d + 1):
             for n in range(d + 1):
                 assert tensor.c0[j, n] == brute_constant(ctx, 0, j, n), (p, d, j, n)
+
+
+def _numbers(keys, counts):
+    assert keys.dtype == np.int64
+    return dict(zip(keys.tolist(), counts.tolist()))
+
+
+# the largest d of each coset-index dtype and the first d of the next: at
+# d = 255 the keys i*d + j need 16 bits, twice the width of the index; at
+# d = 65536 they fill all 32 bits of theirs; 256^2 <= 65537 is counted by
+# bincount in 16 bits from a 32-bit index
+@pytest.mark.parametrize("p,d,orders", [(1021, 255, ()), (257, 256, (16,)),
+                                        (65537, 65536, (256, 4096))])
+def test_tensor_matches_oracle_at_index_dtype_edges(p, d, orders):
+    ctx = build_context(p, d)
+    tensor = build_tensor(ctx)
+    assert _numbers(tensor.keys, tensor.counts) == cyclotomic_numbers(p, ctx.g, d)
+    for e in orders:
+        assert _numbers(*tensor.numbers_of_order(e)) == \
+            cyclotomic_numbers(p, ctx.g, e)
+
+
+def test_bincount_chunks_match_oracle(monkeypatch):
+    # chunks of COUNT_CHUNK keys, or of e*e keys (17^2 = 289) when larger;
+    # orders 51 and up count with np.unique
+    monkeypatch.setattr(superchar, "COUNT_CHUNK", 100)
+    ctx = build_context(1021, 255)
+    tensor = build_tensor(ctx)
+    for e in (1, 3, 5, 15, 17, 51, 85, 255):
+        assert _numbers(*tensor.numbers_of_order(e)) == \
+            cyclotomic_numbers(1021, ctx.g, e), e
 
 
 def test_tensor_d1_count():
