@@ -4,7 +4,6 @@ identities and bounds that govern them."""
 from .circularity import CircularityVerdict, is_circular, scan_noncircular
 from .errors import (CompositeInput, ConfigInvalid, DimensionMismatch,
                      DivisorMismatch, GpmError, InconsistentCounts, IoFailure,
-                     NonIntegralResult,
                      NotCircular, PreconditionViolated, UnknownFigure)
 from .fermat_curves import CurveCount, PowerTable, count_projective
 from .field_core import (FieldContext, build_context, find_primitive_root,
@@ -15,6 +14,6 @@ from .moments import (BoundInterval, MomentReport, build_report,
                       v4_fixed_k, v4_general_bounds, vn_d2_closed_form)
 from .periods import PeriodVector, compute_periods, power_sum_direct
 from .superchar import (StructureTensor, SupercharMatrices, build_matrices,
-                        build_tensor, verify_identities)
+                        build_tensor, verify_identities, zero_sum_counts)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -62,12 +62,15 @@ def is_circular(p: int, k: int,
                               max_intersection=max_int, witness=witness)
 
 
+def circularity_verdicts(k: int, p_max: int) -> list[CircularityVerdict]:
+    """Verdicts on (p, k) for the primes 3 <= p <= p_max with k | (p-1),
+    ascending, each from a tensor built here: the sieved p is tested once."""
+    return [is_circular(p, k, build_tensor(build_context(p, (p - 1) // k)))
+            for p in primes_in_range(3, p_max, (k, 1))]
+
+
 def scan_noncircular(k: int, p_max: int) -> list[int]:
     """Ascending primes p <= p_max with k | (p-1) that are not circular."""
     if k < 2:
         raise PreconditionViolated("k must be >= 2")
-    out = []
-    for p in primes_in_range(3, p_max, (k, 1)):
-        if not is_circular(p, k).circular:
-            out.append(p)
-    return out
+    return [v.p for v in circularity_verdicts(k, p_max) if not v.circular]

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circularity import is_circular, scan_noncircular
+from .circularity import circularity_verdicts, scan_noncircular
 from .errors import (CompositeInput, ConfigInvalid, DivisorMismatch, GpmError,
                      IoFailure, UnknownFigure)
 from .fermat_curves import PowerTable
@@ -301,10 +301,9 @@ def run_circular_scan(k: int, p_hi: int, output: str | None) -> int:
     if k < 1:
         raise ConfigInvalid("k must be >= 1")
     lines = [CIRCULAR_HEADER]
-    for p in primes_in_range(3, p_hi, (k, 1)):
-        v = is_circular(p, k)
+    for v in circularity_verdicts(k, p_hi):
         wm, wt = (v.witness if v.witness else ("", ""))
-        lines.append(f"{p},{k},{1 if v.circular else 0},{v.max_intersection},{wm},{wt}")
+        lines.append(f"{v.p},{k},{int(v.circular)},{v.max_intersection},{wm},{wt}")
     if output:
         _atomic_write(output, lines)
     else:

@@ -29,10 +29,6 @@ class InconsistentCounts(GpmError):
     """Two exact computations of the same count disagree."""
 
 
-class NonIntegralResult(GpmError):
-    """A solution-count formula evaluated too far from an integer."""
-
-
 class UnknownFigure(GpmError):
     """Unrecognized figure identifier."""
 

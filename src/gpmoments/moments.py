@@ -2,7 +2,8 @@
 
 Everything that can be rational is kept rational (fractions.Fraction); bound
 endpoints involving p^(3/2) are the only floats, and containment checks give
-them a HALF_POWER_SLACK relative slack.
+them a HALF_POWER_SLACK relative slack.  The diagonal solution counts are
+read off the structure constants exactly; their argument pv is unread.
 """
 
 import math
@@ -12,20 +13,15 @@ from fractions import Fraction
 import numpy as np
 
 from .circularity import CircularityVerdict, is_circular
-from .errors import (InconsistentCounts, NonIntegralResult, NotCircular,
-                     PreconditionViolated)
+from .errors import InconsistentCounts, NotCircular, PreconditionViolated
 from .field_core import FieldContext
 from .periods import PeriodVector, power_sum_direct
-from .superchar import StructureTensor
+from .superchar import StructureTensor, build_tensor, zero_sum_counts
 
 # Float tolerances (exact values are compared exactly; verify_identities has
 # its own, superchar.UNITARY_TOL and superchar.SCALED_TOL):
 HALF_POWER_SLACK = 1e-9  # relative slack on bound endpoints containing p^(3/2)
 FLOAT_REL_TOL = 1e-6  # relative tolerance of direct float power sums
-# Solution counts rounded from a complex float are refused from this magnitude
-# on: from 2^52 the float spacing is 1, so every float is an integer, the
-# "within 1e-3 of an integer" test cannot fail and a wrong count would pass.
-FLOAT_INT_LIMIT = 2 ** 52
 
 
 @dataclass(frozen=True)
@@ -166,39 +162,23 @@ def v4_fixed_k(p: int, k: int, verdict: CircularityVerdict,
 
 def fermat_solution_count(ctx: FieldContext, pv: PeriodVector, n: int) -> int:
     """Number of solutions in F_p^n to x_1^d + ... + x_n^d = 0 (all tuples,
-    the zero tuple included), from the period power sum.
-
-    Evaluated in complex arithmetic; the imaginary part must vanish, the
-    real part must land within 1e-3 of an integer, and the value must lie
-    below FLOAT_INT_LIMIT, or NonIntegralResult is raised.
+    the zero tuple included), exact: x^d is 0 once and each element of X_0
+    d times, so it is sum_{m=0..n} C(n, m) d^m N_m (`zero_sum_counts`).
+    pv is unread and kept only for the positional call (ctx, pv, n) of
+    bench/workloads.py.
     """
     if n < 2:
         raise PreconditionViolated("n must be >= 2")
-    p, d = ctx.p, ctx.d
-    total = complex(np.sum((1 + d * pv.eta) ** n))
-    value = p ** (n - 1) + (p - 1) / (p * d) * total
-    return _rounded_count(value, f"(p,d,n)=({p},{d},{n})")
+    # the tensor is rebuilt from ctx (about 3 ms at p ~ 10^6) so that
+    # callers keep passing (ctx, pv, n)
+    zero_sums = zero_sum_counts(build_tensor(ctx), n)
+    return sum(math.comb(n, m) * ctx.d ** m * zero_sums[m] for m in range(n + 1))
 
 
 def hurwitz_count(ctx: FieldContext, pv: PeriodVector) -> int:
-    """Number of solutions to x^d + y^d + z^d = 0 with x, y, z all nonzero
-    (d prime), from the third power sum of the periods."""
-    p, d = ctx.p, ctx.d
-    s3 = complex(np.sum(pv.eta ** 3))
-    value = ((p - 1) ** 3 + (p - 1) * d * d * s3) / p
-    return _rounded_count(value, f"(p,d)=({p},{d})")
-
-
-def _rounded_count(value: complex, case: str) -> int:
-    """The integer a float count formula gave, refused when its imaginary part
-    or its distance to an integer exceeds 1e-3, or when it is too large for
-    that test to mean anything (FLOAT_INT_LIMIT)."""
-    if abs(value) >= FLOAT_INT_LIMIT:
-        raise NonIntegralResult(f"formula gave {value} for {case}, at or "
-                                f"above FLOAT_INT_LIMIT")
-    if abs(value.imag) > 1e-3 or abs(value.real - round(value.real)) > 1e-3:
-        raise NonIntegralResult(f"formula gave {value} for {case}")
-    return round(value.real)
+    """Number of solutions to x^d + y^d + z^d = 0 with x, y, z all nonzero:
+    d^3 N_3, exact.  pv is unread, as in fermat_solution_count."""
+    return ctx.d ** 3 * zero_sum_counts(build_tensor(ctx), 3)[3]
 
 
 @dataclass

@@ -128,6 +128,27 @@ class StructureTensor:
         return c0
 
 
+def zero_sum_counts(tensor: StructureTensor, n: int) -> list[int]:
+    """N_m = #{(x_1, ..., x_m) in X_0^m : x_1 + ... + x_m = 0}, m = 0..n, in
+    Python ints.  r_m[w], the number of m-tuples of X_0 summing to a z in
+    class w, walks from r_0 = e_d (the empty tuple) by r_{m+1}[w] =
+    sum_u c_{0,u,w} r_m[u]: the stored (u, w)_d plus the border constants
+    c_{0,d,0} = 1 and c_{0,alpha,d} = k.  So r_1 = e_0 and N_m = r_m[d]."""
+    ctx, d = tensor.ctx, tensor.ctx.d
+    terms = [(*divmod(key, d), c)
+             for key, c in zip(tensor.keys.tolist(), tensor.counts.tolist())]
+    r, out = [0] * d + [1], [1]
+    for _ in range(n):
+        nxt = [0] * (d + 1)
+        for u, w, c in terms:
+            nxt[w] += c * r[u]
+        nxt[0] += r[d]
+        nxt[d] = ctx.k * r[ctx.alpha]
+        r = nxt
+        out.append(r[d])
+    return out
+
+
 @dataclass(frozen=True)
 class SupercharMatrices:
     U: np.ndarray  # (d+1) x (d+1) complex, symmetric unitary

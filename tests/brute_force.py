@@ -15,10 +15,15 @@ points of a twisted diagonal curve by trying every point of P^2(F_p);
 subgroup_projective counts them from the subgroup X_0 and the coset index,
 without the structure tensor; dictionary_check compares the package's count,
 read off the structure constants, with subgroup_projective.
+fermat_count_from_periods and hurwitz_count_from_periods are the period
+formulas for the diagonal solution counts, rounded from complex floats;
+gauss_cubic_L and cubic_period_power_sums give the exact power sums of the
+d = 3 periods from Gauss's period polynomial, with no table at all.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -212,3 +217,50 @@ def brute_projective(ctx, i: int, j: int, k: int) -> int:
     count += sum(1 for x in range(p) if on_curve(x, 1, 0))
     count += 1 if on_curve(1, 0, 0) else 0
     return count
+
+
+def _rounded(value: complex) -> int:
+    if abs(value.imag) > 1e-3 or abs(value.real - round(value.real)) > 1e-3:
+        raise ValueError(f"float count {value} is not near an integer")
+    return round(value.real)
+
+
+def fermat_count_from_periods(ctx, pv, n: int) -> int:
+    """#{x in F_p^n : x_1^d + ... + x_n^d = 0} as
+    p^(n-1) + (p-1)/(p d) sum_a (1 + d eta_a)^n, rounded; trustworthy while
+    the count is far below 2^52."""
+    p, d = ctx.p, ctx.d
+    total = complex(np.sum((1 + d * pv.eta) ** n))
+    return _rounded(p ** (n - 1) + (p - 1) / (p * d) * total)
+
+
+def hurwitz_count_from_periods(ctx, pv) -> int:
+    """#{x, y, z nonzero : x^d + y^d + z^d = 0} as
+    ((p-1)^3 + (p-1) d^2 sum_a eta_a^3) / p, rounded."""
+    p, d = ctx.p, ctx.d
+    s3 = complex(np.sum(pv.eta ** 3))
+    return _rounded(((p - 1) ** 3 + (p - 1) * d * d * s3) / p)
+
+
+def gauss_cubic_L(p: int) -> int:
+    """The L with 4p = L^2 + 27 M^2 and L = 1 (mod 3), for a prime
+    p = 1 (mod 3), by a search over M."""
+    for m in range(math.isqrt(4 * p // 27) + 1):
+        rest = 4 * p - 27 * m * m
+        L = math.isqrt(rest)
+        if L * L == rest:
+            return L if L % 3 == 1 else -L
+    raise ValueError(f"no representation 4p = L^2 + 27M^2 for p={p}")
+
+
+def cubic_period_power_sums(p: int, n: int) -> list[Fraction]:
+    """sum_a eta_a^m for m = 0..n at d = 3, by Newton's identities on
+    Gauss's period polynomial x^3 + x^2 - (p-1)/3 x - (Lp + 3p - 1)/27."""
+    L = gauss_cubic_L(p)
+    e1, e2, e3 = -1, Fraction(-(p - 1), 3), Fraction(L * p + 3 * p - 1, 27)
+    s = [Fraction(3), Fraction(e1)]
+    s.append(e1 * s[1] - 2 * e2)
+    s.append(e1 * s[2] - e2 * s[1] + 3 * e3)
+    while len(s) <= n:
+        s.append(e1 * s[-1] - e2 * s[-2] + e3 * s[-3])
+    return s[:n + 1]

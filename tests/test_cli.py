@@ -9,7 +9,7 @@ import re
 import pytest
 
 from brute_force import brute_projective
-from gpmoments import build_context, cli, verify_identities
+from gpmoments import build_context, cli, field_core, verify_identities
 from gpmoments.field_core import MAX_P
 from gpmoments.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK,
                            FIXED_D_HEADER, SweepConfig, SweepMode,
@@ -287,6 +287,24 @@ def test_circular_scan(tmp_path):
     row5 = [line for line in lines if line.startswith("5,")][0]
     cols = row5.split(",")
     assert cols[2] == "0" and int(cols[3]) >= 3
+
+
+def test_circular_scan_factors_each_prime_twice(tmp_path, monkeypatch):
+    # the context of each sieved p factors p (its primality test) and p - 1
+    # (its primitive root); the verdict takes p as proved and factors nothing
+    calls = []
+    real = field_core._prime_factors
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(field_core, "_prime_factors", counted)
+    out = tmp_path / "c.csv"
+    assert main(["circular", "--k", "12", "--to", "3000",
+                 "--out", str(out)]) == EXIT_OK
+    primes = len(read(out).splitlines()) - 1
+    assert primes == 99 and len(calls) == 2 * primes == 198
 
 
 @pytest.mark.parametrize("k", ["0", "-4"])

@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from gpmoments import (NonIntegralResult, NotCircular, PeriodVector,
-                       PreconditionViolated, build_context, build_report,
-                       build_tensor, compute_periods, fermat_solution_count,
-                       hurwitz_count, power_sum_direct, primes_in_range,
+from brute_force import (cubic_period_power_sums, fermat_count_from_periods,
+                         gauss_cubic_L, hurwitz_count_from_periods)
+from gpmoments import (NotCircular, PreconditionViolated, build_context,
+                       build_report, build_tensor, compute_periods,
+                       fermat_solution_count, hurwitz_count, power_sum_direct,
+                       primes_in_range,
                        v1_bounds, v2_exact, v4_d3, v4_d4,
                        v4_d5_bounds, v4_exact_from_counts, v4_fixed_k,
                        v4_general_bounds, vn_d2_closed_form)
@@ -236,11 +237,15 @@ def test_solution_count_formula_matches_brute(p, d, n):
     assert fermat_solution_count(ctx, pv, n) == brute_all_tuples(p, d, n)
 
 
-@pytest.mark.parametrize("p", [7, 13, 19])
-def test_hurwitz_count_matches_nonzero_brute(p):
-    ctx = build_context(p, 3)
-    pv = compute_periods(ctx)
-    assert hurwitz_count(ctx, pv) == brute_nonzero(p, 3)
+# composite d too: d^3 N_3 holds for every d
+@pytest.mark.parametrize("p,d,count", [
+    (7, 3, 0), (13, 3, 0), (19, 3, 324),
+    (13, 4, 384), (37, 6, 2592), (37, 12, 10368), (61, 12, 0)],
+    ids=["7", "13", "19", "13-4", "37-6", "37-12", "61-12"])
+def test_hurwitz_count_matches_nonzero_brute(p, d, count):
+    ctx = build_context(p, d)
+    assert brute_nonzero(p, d) == count
+    assert hurwitz_count(ctx, compute_periods(ctx)) == count
 
 
 def test_hurwitz_positivity_link():
@@ -253,27 +258,47 @@ def test_hurwitz_positivity_link():
             assert hurwitz_count(ctx, pv) > 0
 
 
-@pytest.mark.parametrize("p", [300007, 180001])
-def test_solution_count_refuses_counts_beyond_float_spacing(p):
-    # n = 4 gives about p^3: 2.7e16 > 2^54 at p = 300007, where the float
-    # path returned 27002430067500596 for the exact ...595; 5.8e15 in
-    # [2^52, 2^53) at p = 180001, where every float is an integer
+@pytest.mark.parametrize("d", range(1, 13))
+def test_exact_counts_match_period_formulas(d):
+    # every p < 1000 with d | p - 1: the counts stay below 1e9, far inside
+    # the range where the rounded float formulas are trustworthy
+    for p in primes_in_range(3, 999, (d, 1)):
+        ctx = build_context(p, d)
+        pv = compute_periods(ctx)
+        for n in (2, 3, 4):
+            assert fermat_solution_count(ctx, pv, n) == \
+                fermat_count_from_periods(ctx, pv, n), (p, n)
+        assert hurwitz_count(ctx, pv) == hurwitz_count_from_periods(ctx, pv), p
+
+
+@pytest.mark.parametrize("p,count", [(180001, 5832291601620001),
+                                     (300007, 27002430067500595)],
+                         ids=["180001", "300007"])
+def test_solution_count_exact_beyond_float_spacing(p, count):
+    # n = 4 gives about p^3, at or above 2^52 where every float is an
+    # integer; a rounded float gave 27002430067500596 at p = 300007
     ctx = build_context(p, 3)
-    with pytest.raises(NonIntegralResult):
-        fermat_solution_count(ctx, compute_periods(ctx), 4)
+    assert fermat_solution_count(ctx, compute_periods(ctx), 4) == count
+
+
+def test_solution_count_exact_above_int64():
+    # about 1e21 > 2^63, checked against Gauss's period polynomial:
+    # N_m = (k sum_a eta_a^m + k^m) / p zero-sum m-tuples of X_0
+    p, d = 9999991, 3
+    k = (p - 1) // d
+    assert gauss_cubic_L(p) == -3701
+    sums = cubic_period_power_sums(p, 4)
+    zero_sums = [(k * s + k ** m) / p for m, s in enumerate(sums)]
+    assert all(z.denominator == 1 for z in zero_sums)
+    want = sum(math.comb(4, m) * d ** m * zero_sums[m] for m in range(5))
+    assert want == 999997900001289999811
+    ctx = build_context(p, d)
+    assert fermat_solution_count(ctx, compute_periods(ctx), 4) == want
 
 
 def test_solution_count_keeps_n3_at_large_p():
-    # about p^2 = 1e12, well inside the range the float test can judge
     ctx = build_context(1000003, 3)
     assert fermat_solution_count(ctx, compute_periods(ctx), 3) == 1001009002015
-
-
-def test_hurwitz_count_refuses_counts_beyond_float_spacing():
-    ctx = build_context(7, 3)
-    huge = PeriodVector(ctx, np.array([1e6, 0, 0], dtype=complex))
-    with pytest.raises(NonIntegralResult):
-        hurwitz_count(ctx, huge)
 
 
 def test_solution_count_rejects_n1():

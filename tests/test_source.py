@@ -16,3 +16,21 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing raises is dead code: each GpmError subclass
+    # of errors.py is the target of some `raise` in the package
+    tree = ast.parse((SRC / "errors.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)
+               and any(isinstance(b, ast.Name) and b.id == "GpmError"
+                       for b in node.bases)}
+    assert classes
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(classes - raised) == []

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import gpmoments
 from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
                        build_matrices, build_report, build_tensor,
                        compute_periods, primes_in_range, superchar,
-                       verify_identities)
+                       verify_identities, zero_sum_counts)
 from gpmoments.superchar import (DENSE_BUDGET_BYTES, all_passed,
                                  check_dense_budget)
 
@@ -143,6 +144,16 @@ def test_general_constant_matches_brute():
         cube = tensor.constant(classes[:, None, None], classes[:, None], classes)
         assert np.array_equal(cube, expected)
         assert np.array_equal(tensor.c0, expected[0])
+
+
+def test_zero_sum_counts_match_enumeration():
+    # N_m = #{m-tuples of X_0 summing to 0}, every tuple listed, m = 0..4
+    for p, d in TENSOR_CASES:
+        ctx = build_context(p, d)
+        gamma = class_members(ctx, 0)
+        expected = [sum(1 for xs in itertools.product(gamma, repeat=m)
+                        if sum(xs) % p == 0) for m in range(5)]
+        assert zero_sum_counts(build_tensor(ctx), 4) == expected, (p, d)
 
 
 def test_tensor_stores_only_the_cyclotomic_numbers():
