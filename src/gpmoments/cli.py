@@ -23,8 +23,8 @@ from .fermat_curves import PowerTable
 from .field_core import build_context, primes_in_range
 from .moments import MomentReport, build_report
 from .periods import compute_periods
-from .superchar import (all_passed, build_matrices, build_tensor,
-                        check_dense_budget, verify_identities)
+from .superchar import (all_passed, build_tensor, check_dense_budget,
+                        verify_identities)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -102,24 +102,22 @@ def _pick_bounds(rpt: MomentReport) -> tuple[str, str]:
 
 def _run_prime(p: int, mode: SweepMode, value: int):
     """Build context, tensor and periods once and report on them; returns
-    (ctx, tensor, pv, report).  A fixed-k report holds the (p, k)
-    circularity verdict."""
+    (tensor, pv, report).  A fixed-k report holds the (p, k) circularity
+    verdict."""
     d = value if mode is SweepMode.FIXED_D else (p - 1) // value
     ctx = build_context(p, d)
     tensor = build_tensor(ctx)
     pv = compute_periods(ctx)
-    rpt = build_report(ctx, tensor, pv, fixed_k=mode is SweepMode.FIXED_K)
-    return ctx, tensor, pv, rpt
+    return tensor, pv, build_report(tensor, pv, fixed_k=mode is SweepMode.FIXED_K)
 
 
-def _sweep_row(task: tuple[int, str, int, str]) -> tuple[int, str, bool]:
+def _sweep_row(task: tuple[int, SweepMode, int, OutputFormat]) -> tuple[int, str, bool]:
     """Worker: one prime -> (p, row, passed), the row a CSV line or a JSON
     object as the task's output format asks."""
-    p, mode_name, value, format_name = task
-    mode = SweepMode(mode_name)
-    rpt = _run_prime(p, mode, value)[3]
+    p, mode, value, out_format = task
+    rpt = _run_prime(p, mode, value)[2]
     passed = rpt.all_passed()
-    if OutputFormat(format_name) is OutputFormat.JSON:
+    if out_format is OutputFormat.JSON:
         row = json.dumps(rpt.to_json_dict(), sort_keys=True)
     elif mode is SweepMode.FIXED_D:
         fname, fval = _pick_formula(rpt)
@@ -181,8 +179,7 @@ def _atomic_write(path: str, lines: list[str]) -> None:
 def run_sweep(cfg: SweepConfig) -> int:
     """Run the sweep and write the output file; returns the process exit code."""
     cfg.validate()
-    tasks = [(p, cfg.mode.value, cfg.value, cfg.out_format.value)
-             for p in _sweep_primes(cfg)]
+    tasks = [(p, cfg.mode, cfg.value, cfg.out_format) for p in _sweep_primes(cfg)]
     results = _map_by_p(_sweep_row, tasks, cfg.workers)
 
     if cfg.out_format is OutputFormat.CSV:
@@ -203,11 +200,12 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
     if value < 1 or (p - 1) % value != 0:
         raise DivisorMismatch(f"{fixed}={value} is not a positive divisor of p-1")
     d = value if mode is SweepMode.FIXED_D else (p - 1) // value
-    # build_matrices needs dense complex (d+1) x (d+1) matrices; refuse before
+    # verify_identities needs dense complex (d+1) x (d+1) matrices; refuse before
     # any table is built
     check_dense_budget(d, complex)
 
-    ctx, tensor, pv, rpt = _run_prime(p, mode, value)
+    tensor, pv, rpt = _run_prime(p, mode, value)
+    ctx = tensor.ctx
 
     print(f"p={p} d={d} k={ctx.k} g={ctx.g} alpha={ctx.alpha} (p mod 8 = {p % 8})",
           file=out)
@@ -234,8 +232,7 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
     for name, ok in rpt.verdicts.items():
         print(f"check {name}: {'pass' if ok else 'FAIL'}", file=out)
 
-    matrices = build_matrices(ctx, tensor, pv)
-    identities = verify_identities(matrices, tensor, pv)
+    identities = verify_identities(tensor, pv)
     for res in identities:
         tag = "pass" if res.passed else "FAIL"
         if not res.applicable:
@@ -275,8 +272,7 @@ def emit_figure_data(figure_id: str, output: str, p_hi: int | None = None,
     d = int(figure_id[1:])
     if p_hi is None:
         p_hi = 100_000
-    tasks = [(p, SweepMode.FIXED_D.value, d)
-             for p in primes_in_range(d * d + 1, p_hi, (d, 1))]
+    tasks = [(p, d) for p in primes_in_range(d * d + 1, p_hi, (d, 1))]
     results = _map_by_p(_figure_row, tasks, workers)
     header = "p,v4_exact,lower_bound,upper_bound"
     if d == 4:
@@ -286,9 +282,9 @@ def emit_figure_data(figure_id: str, output: str, p_hi: int | None = None,
     return EXIT_OK
 
 
-def _figure_row(task: tuple[int, str, int]) -> tuple[int, str]:
-    p, _, d = task
-    rpt = _run_prime(p, SweepMode.FIXED_D, d)[3]
+def _figure_row(task: tuple[int, int]) -> tuple[int, str]:
+    p, d = task
+    rpt = _run_prime(p, SweepMode.FIXED_D, d)[2]
     lo, hi = _pick_bounds(rpt)
     cols = [str(p), _fmt_value(rpt.v4_exact), lo, hi]
     if d == 4:

@@ -49,7 +49,7 @@ def _count(tensor: StructureTensor, jp, r) -> tuple[np.ndarray, np.ndarray]:
     # cast before summing: numpy adds bool arrays as logical or
     deltas = ((jp == r).astype(np.int64) + (r == 0).astype(np.int64)
               + ((ctx.alpha + jp) % d == 0).astype(np.int64))
-    m = d * d * tensor.constant(0, jp, r) + d * deltas
+    m = d * d * tensor.constant(jp, r) + d * deltas
     return m, 2 * _genus(d) * math.sqrt(p) - np.abs(m - (p + 1))
 
 

@@ -3,7 +3,7 @@
 Everything that can be rational is kept rational (fractions.Fraction); bound
 endpoints involving p^(3/2) are the only floats, and containment checks give
 them a HALF_POWER_SLACK relative slack.  The diagonal solution counts are
-read off the structure constants exactly; their argument pv is unread.
+read off the structure constants exactly.
 """
 
 import math
@@ -64,17 +64,17 @@ def vn_d2_closed_form(p: int, n: int) -> float:
     return 2.0 ** (1 - n) * (p + 1) ** (n / 2)
 
 
-def v4_exact_from_counts(ctx: FieldContext, tensor: StructureTensor) -> Fraction:
+def v4_exact_from_counts(tensor: StructureTensor) -> Fraction:
     """Exact V_4 from integer counts, computed both ways and cross-checked.
 
     Variant (a) uses the first column of the counting slice; variant (b) uses
     the first row plus an indicator for 2d | (p-1).  InconsistentCounts is
     raised if they differ.
     """
-    p, d, k = ctx.p, ctx.d, ctx.k
+    p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
     classes = np.arange(d)
-    col = tensor.constant(0, classes, 0)
-    row = tensor.constant(0, 0, classes)
+    col = tensor.constant(classes, 0)
+    row = tensor.constant(0, classes)
     # exact in int64: each of col and row sums to at most k, so its sum of
     # squares is at most k^2 <= MAX_P^2 = 10^14 < 2^63
     va = Fraction(p * k + p * int(col @ col) - k ** 3)
@@ -86,12 +86,12 @@ def v4_exact_from_counts(ctx: FieldContext, tensor: StructureTensor) -> Fraction
     return va
 
 
-def v4_d3(ctx: FieldContext, tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
+def v4_d3(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
     """d = 3: exact value from t_0 = c_{0,0,0} plus the tight p^(3/2) band."""
-    p = ctx.p
-    if ctx.d != 3:
+    p = tensor.ctx.p
+    if tensor.ctx.d != 3:
         raise PreconditionViolated("v4_d3 requires d = 3")
-    t0 = int(tensor.constant(0, 0, 0))
+    t0 = int(tensor.constant(0, 0))
     value = Fraction(10 * p * p - 20 * p + 1, 27) - Fraction(4, 3) * p * t0
     ph = p ** 1.5
     bounds = BoundInterval("v4_d3",
@@ -100,21 +100,21 @@ def v4_d3(ctx: FieldContext, tensor: StructureTensor) -> tuple[Fraction, BoundIn
     return value, bounds
 
 
-def v4_d4(ctx: FieldContext, tensor: StructureTensor) -> tuple[Fraction, BoundInterval, str]:
+def v4_d4(tensor: StructureTensor) -> tuple[Fraction, BoundInterval, str]:
     """d = 4: exact value and band, branching on p mod 8."""
-    p = ctx.p
-    if ctx.d != 4:
+    p = tensor.ctx.p
+    if tensor.ctx.d != 4:
         raise PreconditionViolated("v4_d4 requires d = 4")
     ph = p ** 1.5
     if p % 8 == 1:
-        t0 = int(tensor.constant(0, 0, 0))
+        t0 = int(tensor.constant(0, 0))
         value = Fraction(256 * p * t0 * t0 - (32 * p * p + 224 * p) * t0
                          + p ** 3 + 167 * p * p - 113 * p + 9, 576)
         bounds = BoundInterval("v4_d4_mod8_1",
                                Fraction(17 * p * p - 18 * p + 1, 64),
                                (21 * p * p + 24 * ph + 18 * p + 1) / 64)
         return value, bounds, "mod8_1"
-    t2 = int(tensor.constant(0, 0, 2))
+    t2 = int(tensor.constant(0, 2))
     value = Fraction(p ** 3 + 71 * p * p + 256 * p * t2 * t2
                      - 32 * (p - 5) * p * t2 + 79 * p + 9, 576)
     bounds = BoundInterval("v4_d4_mod8_5",
@@ -175,10 +175,10 @@ def fermat_solution_count(ctx: FieldContext, pv: PeriodVector, n: int) -> int:
     return sum(math.comb(n, m) * ctx.d ** m * zero_sums[m] for m in range(n + 1))
 
 
-def hurwitz_count(ctx: FieldContext, pv: PeriodVector) -> int:
+def hurwitz_count(tensor: StructureTensor) -> int:
     """Number of solutions to x^d + y^d + z^d = 0 with x, y, z all nonzero:
-    d^3 N_3, exact.  pv is unread, as in fermat_solution_count."""
-    return ctx.d ** 3 * zero_sum_counts(build_tensor(ctx), 3)[3]
+    d^3 N_3, exact."""
+    return tensor.ctx.d ** 3 * zero_sum_counts(tensor, 3)[3]
 
 
 @dataclass
@@ -215,19 +215,21 @@ class MomentReport:
         }
 
 
-def build_report(ctx: FieldContext, tensor: StructureTensor, pv: PeriodVector,
+def build_report(tensor: StructureTensor, pv: PeriodVector,
                  fixed_k: bool = False) -> MomentReport:
-    """Evaluate every applicable formula and bound for one context.
+    """Evaluate every applicable formula and bound for the tensor's context;
+    DimensionMismatch is raised unless pv holds the periods of its p and d.
 
     With fixed_k, the circularity of (p,k) is decided from tensor and kept
     as rpt.circularity; for odd k, (p,2k) is decided too when (p,k) is
     circular.  The fixed-k closed form is asserted when v4_fixed_k accepts
     those verdicts.
     """
-    p, d, k = ctx.p, ctx.d, ctx.k
+    tensor.check_periods(pv)
+    p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
     rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8,
                        v_direct={n: power_sum_direct(pv, n) for n in (1, 2, 3, 4)})
-    rpt.v4_exact = v4_exact_from_counts(ctx, tensor)
+    rpt.v4_exact = v4_exact_from_counts(tensor)
     v4f = rpt.v_direct[4]
 
     def close(a: float, b: float) -> bool:
@@ -247,14 +249,14 @@ def build_report(ctx: FieldContext, tensor: StructureTensor, pv: PeriodVector,
         rpt.formula_values["v4_d2"] = val
         rpt.verdicts["v4_d2"] = close(float(rpt.v4_exact), val)
     elif d == 3:
-        val, bounds = v4_d3(ctx, tensor)
+        val, bounds = v4_d3(tensor)
         rpt.formula_values["v4_d3"] = val
         rpt.bounds["v4_d3"] = bounds
         rpt.verdicts["v4_d3"] = val == rpt.v4_exact
         if p > d * d:
             rpt.verdicts["v4_d3_bounds"] = bounds.contains(rpt.v4_exact)
     elif d == 4:
-        val, bounds, branch = v4_d4(ctx, tensor)
+        val, bounds, branch = v4_d4(tensor)
         name = f"v4_d4_{branch}"
         rpt.formula_values[name] = val
         rpt.bounds[name] = bounds
@@ -262,7 +264,7 @@ def build_report(ctx: FieldContext, tensor: StructureTensor, pv: PeriodVector,
         if p > d * d:
             rpt.verdicts[name + "_bounds"] = bounds.contains(rpt.v4_exact)
     elif d == 5:
-        bounds = v4_d5_bounds(ctx)
+        bounds = v4_d5_bounds(tensor.ctx)
         rpt.bounds["v4_d5"] = bounds
         if p > d * d:
             rpt.verdicts["v4_d5_bounds"] = bounds.contains(rpt.v4_exact)

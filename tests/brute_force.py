@@ -144,7 +144,7 @@ def diagonal_counts_check(ctx, tensor) -> list[CheckResult]:
     if not verdict.circular:
         return [CheckResult("diagonal_counts", False, True,
                             f"({ctx.p},{ctx.k}) not circular; skipped")]
-    diagonal = tensor.constant(0, np.arange(ctx.d), np.arange(ctx.d))
+    diagonal = tensor.constant(np.arange(ctx.d), np.arange(ctx.d))
     out = []
     for m in range(ctx.d):
         c = int(diagonal[m])
@@ -161,7 +161,7 @@ def half_inverse_check(ctx, tensor) -> list[CheckResult]:
     if ctx.k % 2 != 0:
         raise PreconditionViolated("k must be even")
     m_star = int(ctx.coset_index[pow(2, ctx.p - 2, ctx.p)])
-    diagonal = tensor.constant(0, np.arange(ctx.d), np.arange(ctx.d))
+    diagonal = tensor.constant(np.arange(ctx.d), np.arange(ctx.d))
     out = []
     for m in range(ctx.d):
         c = int(diagonal[m])

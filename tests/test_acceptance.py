@@ -11,12 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gpmoments import (build_context, build_tensor, build_matrices,
-                       compute_periods, count_projective,
-                       fermat_solution_count, hurwitz_count, is_circular,
-                       power_sum_direct, primes_in_range, v2_exact, v4_d3,
-                       v4_d4, v4_d5_bounds, v4_exact_from_counts, v4_fixed_k,
-                       v4_general_bounds, verify_identities)
+from gpmoments import (build_context, build_tensor, compute_periods,
+                       count_projective, fermat_solution_count, hurwitz_count,
+                       is_circular, power_sum_direct, primes_in_range, v2_exact,
+                       v4_d3, v4_d4, v4_d5_bounds, v4_exact_from_counts,
+                       v4_fixed_k, v4_general_bounds, verify_identities)
 from gpmoments.cli import main
 
 from brute_force import (diagonal_counts_check, dictionary_check,
@@ -32,19 +31,18 @@ def report(num: int, failures: list, detail: str) -> None:
 
 
 def pipeline(p, d):
-    ctx = build_context(p, d)
-    return ctx, build_tensor(ctx)
+    return build_tensor(build_context(p, d))
 
 
 def test_criterion_1_d3_exact_v4():
     failures = []
     count = 0
     for p in primes_in_range(7, P_SWEEP, (3, 1)):
-        ctx, tensor = pipeline(p, 3)
-        value, _ = v4_d3(ctx, tensor)
-        if value != v4_exact_from_counts(ctx, tensor):
+        tensor = pipeline(p, 3)
+        value, _ = v4_d3(tensor)
+        if value != v4_exact_from_counts(tensor):
             failures.append(("exact", p))
-        oracle = power_sum_direct(compute_periods(ctx), 4)
+        oracle = power_sum_direct(compute_periods(tensor.ctx), 4)
         if abs(float(value) - oracle) > 1e-6 * abs(oracle):
             failures.append(("float", p))
         count += 1
@@ -55,9 +53,9 @@ def test_criterion_2_d4_both_branches():
     failures = []
     count = 0
     for p in primes_in_range(5, P_SWEEP, (4, 1)):
-        ctx, tensor = pipeline(p, 4)
-        value, _, branch = v4_d4(ctx, tensor)
-        if value != v4_exact_from_counts(ctx, tensor):
+        tensor = pipeline(p, 4)
+        value, _, branch = v4_d4(tensor)
+        if value != v4_exact_from_counts(tensor):
             failures.append((p, branch))
         count += 1
     report(2, failures, f"d=4 exact V4, both mod-8 branches, {count} primes")
@@ -68,14 +66,14 @@ def test_criterion_3_bound_containment():
     count = 0
     for d in range(3, 14):
         for p in primes_in_range(d * d + 1, P_SWEEP, (d, 1)):
-            ctx, tensor = pipeline(p, d)
-            exact = v4_exact_from_counts(ctx, tensor)
+            tensor = pipeline(p, d)
+            exact = v4_exact_from_counts(tensor)
             if d == 3:
-                bounds = v4_d3(ctx, tensor)[1]
+                bounds = v4_d3(tensor)[1]
             elif d == 4:
-                bounds = v4_d4(ctx, tensor)[1]
+                bounds = v4_d4(tensor)[1]
             elif d == 5:
-                bounds = v4_d5_bounds(ctx)
+                bounds = v4_d5_bounds(tensor.ctx)
             else:
                 bounds = v4_general_bounds(p, d)
             if not bounds.contains(exact):
@@ -95,8 +93,8 @@ def test_criterion_4_fixed_k_closed_forms():
                     # (5,4) is the only known non-circular pair in this range
                     failures.append(("unexpected noncircular", p, k))
                 continue
-            ctx, tensor = pipeline(p, (p - 1) // k)
-            if v4_fixed_k(p, k, verdict) != v4_exact_from_counts(ctx, tensor):
+            tensor = pipeline(p, (p - 1) // k)
+            if v4_fixed_k(p, k, verdict) != v4_exact_from_counts(tensor):
                 failures.append((p, k))
             count += 1
     if is_circular(5, 4).circular:
@@ -105,8 +103,8 @@ def test_criterion_4_fixed_k_closed_forms():
         verdict, verdict_2k = is_circular(p, 3), is_circular(p, 6)
         if not (verdict.circular and verdict_2k.circular):
             continue
-        ctx, tensor = pipeline(p, (p - 1) // 3)
-        if v4_fixed_k(p, 3, verdict, verdict_2k) != v4_exact_from_counts(ctx, tensor):
+        tensor = pipeline(p, (p - 1) // 3)
+        if v4_fixed_k(p, 3, verdict, verdict_2k) != v4_exact_from_counts(tensor):
             failures.append((p, 3))
         count += 1
     report(4, failures, f"fixed-k closed forms on {count} circular pairs, p <= 5000")
@@ -136,17 +134,17 @@ def test_criterion_5_matrix_identities():
         ctx = build_context(p, d)
         tensor = build_tensor(ctx)
         pv = compute_periods(ctx)
-        m = build_matrices(ctx, tensor, pv)
         wanted = {"U_unitary", "TU_eq_UD", "product_identity", "trace_identity"}
-        for r in verify_identities(m, tensor, pv):
+        for r in verify_identities(tensor, pv):
             if r.name in wanted and not r.passed:
                 failures.append((p, d, r.name, r.detail))
     report(5, failures, f"U*U=I, TU=UD, product identity, trace on {len(sample)} "
                         "seeded (p,d) samples, p <= 2000")
 
 
-def exact_trace_identity(ctx, tensor) -> bool:
+def exact_trace_identity(tensor) -> bool:
     # tr(T^t T) with the sqrt(size_n/size_j) scaling squared away exactly
+    ctx = tensor.ctx
     d, k = ctx.d, ctx.k
     sizes = [k] * d + [1]
     tr = sum(Fraction(int(tensor.c0[j, n]) ** 2 * sizes[n], sizes[j])
@@ -161,16 +159,15 @@ def test_criterion_6_exact_counting_identities():
         ctx = build_context(p, d)
         tensor = build_tensor(ctx)
         pv = compute_periods(ctx)
-        m = build_matrices(ctx, tensor, pv)
         exact_names = {"column_sums", "rotation_symmetry", "T_symmetric",
                        "half_turn_symmetry", "count_square_sum"}
-        for r in verify_identities(m, tensor, pv):
+        for r in verify_identities(tensor, pv):
             if r.name in exact_names and not r.passed:
                 failures.append((p, d, r.name))
-        if not exact_trace_identity(ctx, tensor):
+        if not exact_trace_identity(tensor):
             failures.append((p, d, "exact_trace"))
         # v4_exact_from_counts asserts variant (a) == variant (b) internally
-        v4_exact_from_counts(ctx, tensor)
+        v4_exact_from_counts(tensor)
     report(6, failures, f"exact column-sum/symmetry/trace/variant identities on "
                         f"{len(contexts)} contexts")
 
@@ -206,7 +203,7 @@ def test_criterion_8_solution_counts():
         if fermat_solution_count(ctx, pv, 3) != brute:
             failures.append(("count", p))
         v3 = power_sum_direct(pv, 3)
-        if v3 < ctx.k ** 2 and hurwitz_count(ctx, pv) <= 0:
+        if v3 < ctx.k ** 2 and hurwitz_count(build_tensor(ctx)) <= 0:
             failures.append(("positivity", p))
     report(8, failures, "diagonal-sum counts vs brute force, p in {7,13,19,31}")
 

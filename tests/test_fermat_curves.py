@@ -85,7 +85,7 @@ def test_dictionary_7_3_origin():
     # 9 = 9*0 + 3*(1 + 1 + 1): both unit deltas plus the point at infinity,
     # which is there because d | alpha
     assert ctx.alpha == 0
-    assert tensor.constant(0, 0, 0) == 0
+    assert tensor.constant(0, 0) == 0
     assert count_projective(tensor, 0, 0, 0).M == 9
     assert dictionary_check(tensor, 0, 0, 0)
 

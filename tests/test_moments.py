@@ -17,7 +17,7 @@ from gpmoments.circularity import is_circular
 
 def pipeline(p, d):
     ctx = build_context(p, d)
-    return ctx, build_tensor(ctx), compute_periods(ctx)
+    return build_tensor(ctx), compute_periods(ctx)
 
 
 def direct_v(p, d, n):
@@ -73,24 +73,24 @@ def test_d2_closed_form_vs_direct(n):
 # --------------------------------------------------- exact V4 from counts
 
 def test_v4_exact_examples():
-    assert v4_exact_from_counts(*pipeline(7, 3)[:2]) == 13
-    assert v4_exact_from_counts(*pipeline(13, 2)[:2]) == 31
-    assert v4_exact_from_counts(*pipeline(13, 6)[:2]) == 31
+    assert v4_exact_from_counts(pipeline(7, 3)[0]) == 13
+    assert v4_exact_from_counts(pipeline(13, 2)[0]) == 31
+    assert v4_exact_from_counts(pipeline(13, 6)[0]) == 31
 
 
 @pytest.mark.parametrize("p,d", [(7, 3), (13, 4), (17, 4), (29, 7), (31, 6),
                                  (13, 12), (41, 8), (11, 5)])
 def test_v4_exact_matches_float_oracle(p, d):
-    ctx, tensor, pv = pipeline(p, d)
-    assert float(v4_exact_from_counts(ctx, tensor)) == \
+    tensor, pv = pipeline(p, d)
+    assert float(v4_exact_from_counts(tensor)) == \
         pytest.approx(power_sum_direct(pv, 4), rel=1e-9)
 
 
 # ----------------------------------------------------------------- d = 3
 
 def test_v4_d3_example_p7():
-    ctx, tensor, _ = pipeline(7, 3)
-    value, bounds = v4_d3(ctx, tensor)
+    tensor, _ = pipeline(7, 3)
+    value, bounds = v4_d3(tensor)
     assert value == 13
     ph = 7 ** 1.5
     assert float(bounds.lower) == pytest.approx((6 * 49 - 8 * ph + 84 + 1) / 27)
@@ -98,14 +98,14 @@ def test_v4_d3_example_p7():
 
 
 def test_v4_d3_p13_matches_oracle():
-    ctx, tensor, pv = pipeline(13, 3)
-    value, _ = v4_d3(ctx, tensor)
+    tensor, pv = pipeline(13, 3)
+    value, _ = v4_d3(tensor)
     assert float(value) == pytest.approx(power_sum_direct(pv, 4), rel=1e-6)
-    assert value == v4_exact_from_counts(ctx, tensor)
+    assert value == v4_exact_from_counts(tensor)
 
 
 def test_v4_d3_p31_t0_hasse_window():
-    ctx, tensor, _ = pipeline(31, 3)
+    tensor, _ = pipeline(31, 3)
     t0 = int(tensor.c0[0, 0])
     p = 31
     assert (p - 2 * math.sqrt(p) - 8) / 9 <= t0 <= (p + 2 * math.sqrt(p) - 8) / 9
@@ -113,21 +113,21 @@ def test_v4_d3_p31_t0_hasse_window():
 
 def test_v4_d3_rejects_other_d():
     with pytest.raises(PreconditionViolated):
-        v4_d3(*pipeline(13, 4)[:2])
+        v4_d3(pipeline(13, 4)[0])
 
 
 # ----------------------------------------------------------------- d = 4
 
 def test_v4_d4_both_branches_exact():
-    ctx, tensor, _ = pipeline(17, 4)
-    value, _, branch = v4_d4(ctx, tensor)
+    tensor, _ = pipeline(17, 4)
+    value, _, branch = v4_d4(tensor)
     assert branch == "mod8_1"
-    assert value == v4_exact_from_counts(ctx, tensor)
+    assert value == v4_exact_from_counts(tensor)
 
-    ctx, tensor, _ = pipeline(13, 4)
-    value, bounds, branch = v4_d4(ctx, tensor)
+    tensor, _ = pipeline(13, 4)
+    value, bounds, branch = v4_d4(tensor)
     assert branch == "mod8_5"
-    assert value == v4_exact_from_counts(ctx, tensor)
+    assert value == v4_exact_from_counts(tensor)
     p = 13
     assert float(bounds.lower) == pytest.approx((9 * 169 + 78 + 1) / 64)
     assert float(bounds.upper) == \
@@ -136,9 +136,9 @@ def test_v4_d4_both_branches_exact():
 
 @pytest.mark.parametrize("p", primes_in_range(17, 600, (4, 1)))
 def test_v4_d4_sweep_exact_equality(p):
-    ctx, tensor, _ = pipeline(p, 4)
-    value, bounds, _ = v4_d4(ctx, tensor)
-    assert value == v4_exact_from_counts(ctx, tensor)
+    tensor, _ = pipeline(p, 4)
+    value, bounds, _ = v4_d4(tensor)
+    assert value == v4_exact_from_counts(tensor)
     if p > 16:
         assert bounds.contains(value)
 
@@ -147,9 +147,9 @@ def test_v4_d4_sweep_exact_equality(p):
 
 @pytest.mark.parametrize("p", [11, 31, 41])
 def test_v4_d5_bounds_contain_exact(p):
-    ctx, tensor, _ = pipeline(p, 5)
-    bounds = v4_d5_bounds(ctx)
-    exact = v4_exact_from_counts(ctx, tensor)
+    tensor, _ = pipeline(p, 5)
+    bounds = v4_d5_bounds(tensor.ctx)
+    exact = v4_exact_from_counts(tensor)
     if p > 25:
         assert bounds.contains(exact)
     if p == 11:
@@ -161,18 +161,18 @@ def test_v4_d5_bounds_contain_exact(p):
 def test_general_bounds_example_7_3():
     b = v4_general_bounds(7, 3)
     assert b.lower == Fraction(225, 27)
-    assert v4_exact_from_counts(*pipeline(7, 3)[:2]) >= b.lower
+    assert v4_exact_from_counts(pipeline(7, 3)[0]) >= b.lower
 
 
 def test_general_bounds_d8_sweep():
     for p in primes_in_range(65, 1500, (8, 1)):
-        ctx, tensor, _ = pipeline(p, 8)
-        assert v4_general_bounds(p, 8).contains(v4_exact_from_counts(ctx, tensor))
+        tensor, _ = pipeline(p, 8)
+        assert v4_general_bounds(p, 8).contains(v4_exact_from_counts(tensor))
 
 
 def test_general_bounds_29_7():
-    ctx, tensor, _ = pipeline(29, 7)
-    assert v4_general_bounds(29, 7).lower <= v4_exact_from_counts(ctx, tensor)
+    tensor, _ = pipeline(29, 7)
+    assert v4_general_bounds(29, 7).lower <= v4_exact_from_counts(tensor)
 
 
 def test_general_bounds_reject_small_d():
@@ -192,8 +192,8 @@ def test_fixed_k_odd_example():
     assert is_circular(31, 6).circular
     assert v4_fixed_k(31, 3, is_circular(31, 3), is_circular(31, 6)) \
         == 31 * 5 - 27 == 128
-    ctx, tensor, _ = pipeline(31, 10)
-    assert v4_exact_from_counts(ctx, tensor) == 128
+    tensor, _ = pipeline(31, 10)
+    assert v4_exact_from_counts(tensor) == 128
     # an odd k without the verdict on (p, 2k) is refused, not decided here
     with pytest.raises(NotCircular):
         v4_fixed_k(31, 3, is_circular(31, 3))
@@ -209,9 +209,9 @@ def test_fixed_k_even_sweep(k):
     for p in primes_in_range(k + 1, 400, (k, 1)):
         if not is_circular(p, k).circular:
             continue
-        ctx, tensor, _ = pipeline(p, (p - 1) // k)
+        tensor, _ = pipeline(p, (p - 1) // k)
         assert v4_fixed_k(p, k, is_circular(p, k)) == \
-            v4_exact_from_counts(ctx, tensor)
+            v4_exact_from_counts(tensor)
 
 
 # --------------------------------------------------- solution counts
@@ -245,7 +245,7 @@ def test_solution_count_formula_matches_brute(p, d, n):
 def test_hurwitz_count_matches_nonzero_brute(p, d, count):
     ctx = build_context(p, d)
     assert brute_nonzero(p, d) == count
-    assert hurwitz_count(ctx, compute_periods(ctx)) == count
+    assert hurwitz_count(build_tensor(ctx)) == count
 
 
 def test_hurwitz_positivity_link():
@@ -255,7 +255,7 @@ def test_hurwitz_positivity_link():
         pv = compute_periods(ctx)
         v3 = power_sum_direct(pv, 3)
         if v3 < ctx.k ** 2:
-            assert hurwitz_count(ctx, pv) > 0
+            assert hurwitz_count(build_tensor(ctx)) > 0
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -268,7 +268,8 @@ def test_exact_counts_match_period_formulas(d):
         for n in (2, 3, 4):
             assert fermat_solution_count(ctx, pv, n) == \
                 fermat_count_from_periods(ctx, pv, n), (p, n)
-        assert hurwitz_count(ctx, pv) == hurwitz_count_from_periods(ctx, pv), p
+        assert hurwitz_count(build_tensor(ctx)) == \
+            hurwitz_count_from_periods(ctx, pv), p
 
 
 @pytest.mark.parametrize("p,count", [(180001, 5832291601620001),
@@ -324,8 +325,8 @@ def test_report_13_4_branch():
 
 
 def test_report_fixed_k_noncircular_skips_formula():
-    ctx, tensor, pv = pipeline(5, 1)
-    rpt = build_report(ctx, tensor, pv, fixed_k=True)
+    tensor, pv = pipeline(5, 1)
+    rpt = build_report(tensor, pv, fixed_k=True)
     assert not any(name.startswith("v4_fixed_k") for name in rpt.formula_values)
     assert rpt.circularity == is_circular(5, 4)
     assert not rpt.circularity.circular

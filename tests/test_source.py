@@ -34,3 +34,40 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert sorted(classes - raised) == []
+
+
+def _takes_context_and_tensor(tree) -> list[str]:
+    # public functions and methods with a FieldContext and a StructureTensor
+    # among their parameter annotations (a name, a string, or a union)
+    def names(annotation):
+        out = set()
+        for n in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                out |= names(ast.parse(n.value, mode="eval"))
+        return out
+
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            annotated = set().union(*(names(a.annotation) for a in params))
+            if {"FieldContext", "StructureTensor"} <= annotated:
+                found.append(f"{node.name}:{node.lineno}")
+    return found
+
+
+def test_no_function_takes_a_context_beside_the_tensor():
+    # a tensor fixes p, d and k through tensor.ctx; a second context could
+    # name another field, so no public function takes both
+    probe = ast.parse("def f(ctx: FieldContext, t: 'StructureTensor | None'): pass\n"
+                      "def _g(ctx: FieldContext, t: StructureTensor): pass\n"
+                      "def h(t: StructureTensor, pv: PeriodVector): pass")
+    assert _takes_context_and_tensor(probe) == ["f:1"]
+    found = [f"{path.name}:{hit}" for path in sorted(SRC.glob("*.py"))
+             for hit in _takes_context_and_tensor(
+                 ast.parse(path.read_text(), str(path)))]
+    assert found == []

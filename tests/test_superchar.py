@@ -126,24 +126,28 @@ def test_d2_matrix_displays():
 
 
 def test_general_constant_matches_brute():
-    # every c_{i,j,n}, the border class d included, read one at a time and as
-    # whole arrays (a single class, one row per class, and the full cube)
+    # every c_{0,u,w}, the border class d included, read one at a time and as
+    # whole arrays (one row, the full grid, and c0); every c_{i,j,n} reduces
+    # to them, which the pair enumeration confirms on its own
     for p, d in TENSOR_CASES:
         ctx = build_context(p, d)
         tensor = build_tensor(ctx)
         expected = np.array([[[brute_constant(ctx, i, j, n) for n in range(d + 1)]
                               for j in range(d + 1)] for i in range(d + 1)])
         classes = np.arange(d + 1)
-        for i in range(d + 1):
-            for j in range(d + 1):
-                for n in range(d + 1):
-                    assert tensor.constant(i, j, n) == expected[i, j, n], (p, d, i, j, n)
-            assert np.array_equal(tensor.constant(i, classes[:, None], classes),
-                                  expected[i])
-            assert np.array_equal(tensor.constant(i, i, classes), expected[i, i])
-        cube = tensor.constant(classes[:, None, None], classes[:, None], classes)
-        assert np.array_equal(cube, expected)
+        for u in range(d + 1):
+            for w in range(d + 1):
+                assert tensor.constant(u, w) == expected[0, u, w], (p, d, u, w)
+            assert np.array_equal(tensor.constant(u, classes), expected[0, u])
+        assert np.array_equal(tensor.constant(classes[:, None], classes), expected[0])
         assert np.array_equal(tensor.c0, expected[0])
+        # c_{d,j,n} = [j = n]; for i < d, c_{i,j,n} = c_{0,u,w} with the
+        # classes of j, n shifted by -i and the border class d kept fixed
+        assert np.array_equal(expected[d], np.eye(d + 1, dtype=int))
+        for i in range(d):
+            shift = np.where(classes < d, (classes - i) % d, d)
+            assert np.array_equal(expected[i],
+                                  expected[0][np.ix_(shift, shift)]), (p, d, i)
 
 
 def test_zero_sum_counts_match_enumeration():
@@ -161,7 +165,7 @@ def test_tensor_stores_only_the_cyclotomic_numbers():
     # without caching a second copy, and c0 is the only cached view
     ctx = build_context(1009, 3)
     tensor = build_tensor(ctx)
-    build_report(ctx, tensor, compute_periods(ctx))
+    build_report(tensor, compute_periods(ctx))
     assert set(vars(tensor)) == {"ctx", "keys", "counts"}
     assert not tensor.c0.flags.writeable
     assert set(vars(tensor)) == {"ctx", "keys", "counts", "c0"}
@@ -169,14 +173,13 @@ def test_tensor_stores_only_the_cyclotomic_numbers():
 
 def _pipeline(p, d):
     ctx = build_context(p, d)
-    tensor = build_tensor(ctx)
-    pv = compute_periods(ctx)
-    return ctx, tensor, pv, build_matrices(ctx, tensor, pv)
+    return build_tensor(ctx), compute_periods(ctx)
 
 
 def test_t_structure_sqrt_row_at_alpha():
     for p, d in [(13, 4), (17, 4), (7, 3), (13, 2), (7, 2)]:
-        ctx, tensor, pv, m = _pipeline(p, d)
+        tensor, pv = _pipeline(p, d)
+        ctx, m = tensor.ctx, build_matrices(tensor, pv)
         root = np.sqrt(ctx.k)
         for j in range(d):
             expected = root if j == ctx.alpha else 0.0
@@ -186,43 +189,40 @@ def test_t_structure_sqrt_row_at_alpha():
 
 
 def test_identities_7_3_all_pass():
-    _, tensor, pv, m = _pipeline(7, 3)
-    assert all_passed(verify_identities(m, tensor, pv))
+    assert all_passed(verify_identities(*_pipeline(7, 3)))
 
 
 def test_product_identity_rejects_perturbed_constants():
-    # the identity is checked on rows i = 0 and d only, so a number (u, w)_d
-    # must be caught wherever it sits: the first key, the last key, and the
-    # first key of a row u != 0
-    ctx, tensor, pv, m = _pipeline(13, 4)
-    row1 = int(np.flatnonzero(tensor.keys // ctx.d == 1)[0])
+    # the identity is checked on row i = 0 only, so a number (u, w)_d must be
+    # caught wherever it sits: the first key, the last key, and the first key
+    # of a row u != 0
+    tensor, pv = _pipeline(13, 4)
+    row1 = int(np.flatnonzero(tensor.keys // tensor.ctx.d == 1)[0])
     for pos in (0, len(tensor.keys) - 1, row1):
         counts = tensor.counts.copy()
         counts[pos] += 1
         bad = dataclasses.replace(tensor, counts=counts)
-        results = {r.name: r for r in verify_identities(m, bad, pv)}
+        results = {r.name: r for r in verify_identities(bad, pv)}
         assert not results["product_identity"].passed, int(tensor.keys[pos])
 
 
 def test_identities_13_4_symmetry_not_applicable():
-    _, tensor, pv, m = _pipeline(13, 4)
-    results = {r.name: r for r in verify_identities(m, tensor, pv)}
+    results = {r.name: r for r in verify_identities(*_pipeline(13, 4))}
     assert not results["T_symmetric"].applicable
     assert results["T_normal"].passed
     assert all(r.passed for r in results.values())
 
 
 def test_identities_29_7_odd_d_symmetric():
-    ctx, tensor, pv, m = _pipeline(29, 7)
-    results = {r.name: r for r in verify_identities(m, tensor, pv)}
+    results = {r.name: r for r in verify_identities(*_pipeline(29, 7))}
     assert results["T_symmetric"].applicable  # d odd forces 2d | p-1
     assert results["T_symmetric"].passed
 
 
 def test_eigenvalues_of_T_are_periods():
-    ctx, tensor, pv, m = _pipeline(13, 6)
-    eig = sorted(np.linalg.eigvals(m.T).real)
-    expected = sorted(list(pv.eta.real) + [(ctx.p - 1) / ctx.d])
+    tensor, pv = _pipeline(13, 6)
+    eig = sorted(np.linalg.eigvals(build_matrices(tensor, pv).T).real)
+    expected = sorted(list(pv.eta.real) + [(13 - 1) / 6])
     assert np.allclose(eig, expected, atol=1e-8)
 
 
@@ -238,7 +238,17 @@ def test_build_matrices_dimension_mismatch():
     ctx3 = build_context(7, 3)
     ctx2 = build_context(7, 2)
     with pytest.raises(DimensionMismatch):
-        build_matrices(ctx3, build_tensor(ctx2), compute_periods(ctx3))
+        build_matrices(build_tensor(ctx2), compute_periods(ctx3))
+
+
+@pytest.mark.parametrize("fn", [build_matrices, build_report])
+@pytest.mark.parametrize("other", [(13, 3), (7, 2)], ids=["other_p", "other_d"])
+def test_tensor_and_periods_of_another_field_are_refused(fn, other):
+    # the (7, 3) tensor beside periods of another p with the same d, and of
+    # another d with the same p: counts and floats must describe one field
+    tensor = build_tensor(build_context(7, 3))
+    with pytest.raises(DimensionMismatch):
+        fn(tensor, compute_periods(build_context(*other)))
 
 
 @st.composite
@@ -294,7 +304,7 @@ def test_cross_checks_survive_python_O():
         assert False, "asserts must be stripped in this run"
         ctx = build_context(13, 3)
         tensor = build_tensor(ctx)
-        v4_exact_from_counts(ctx, tensor)
+        v4_exact_from_counts(tensor)
         # raise c_{0,1,0} = (1, 0)_d, in column 0 but not in row 0
         key = 1 * ctx.d + 0
         keys, counts = tensor.keys.copy(), tensor.counts.copy()
@@ -305,7 +315,7 @@ def test_cross_checks_survive_python_O():
             keys, counts = np.insert(keys, pos, key), np.insert(counts, pos, 1)
         bad = dataclasses.replace(tensor, keys=keys, counts=counts)
         try:
-            v4_exact_from_counts(ctx, bad)
+            v4_exact_from_counts(bad)
         except InconsistentCounts:
             print("variant check raised")
     """)
