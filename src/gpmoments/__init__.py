@@ -12,7 +12,7 @@ from .moments import (BoundInterval, MomentReport, build_report,
                       fermat_solution_count, hurwitz_count, v1_bounds, v2_exact,
                       v4_d3, v4_d4, v4_d5_bounds, v4_exact_from_counts,
                       v4_fixed_k, v4_general_bounds, vn_d2_closed_form)
-from .periods import PeriodVector, compute_periods, power_sum_direct
+from .periods import compute_periods, power_sum_direct
 from .superchar import (StructureTensor, SupercharMatrices, build_matrices,
                         build_tensor, verify_identities, zero_sum_counts)
 

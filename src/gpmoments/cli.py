@@ -22,7 +22,6 @@ from .errors import (CompositeInput, ConfigInvalid, DivisorMismatch, GpmError,
 from .fermat_curves import PowerTable
 from .field_core import build_context, primes_in_range
 from .moments import MomentReport, build_report
-from .periods import compute_periods
 from .superchar import (all_passed, build_tensor, check_dense_budget,
                         verify_identities)
 
@@ -101,21 +100,18 @@ def _pick_bounds(rpt: MomentReport) -> tuple[str, str]:
 
 
 def _run_prime(p: int, mode: SweepMode, value: int):
-    """Build context, tensor and periods once and report on them; returns
-    (tensor, pv, report).  A fixed-k report holds the (p, k) circularity
-    verdict."""
+    """Build context and tensor once and report on them; returns (tensor,
+    report).  A fixed-k report holds the (p, k) circularity verdict."""
     d = value if mode is SweepMode.FIXED_D else (p - 1) // value
-    ctx = build_context(p, d)
-    tensor = build_tensor(ctx)
-    pv = compute_periods(ctx)
-    return tensor, pv, build_report(tensor, pv, fixed_k=mode is SweepMode.FIXED_K)
+    tensor = build_tensor(build_context(p, d))
+    return tensor, build_report(tensor, fixed_k=mode is SweepMode.FIXED_K)
 
 
 def _sweep_row(task: tuple[int, SweepMode, int, OutputFormat]) -> tuple[int, str, bool]:
     """Worker: one prime -> (p, row, passed), the row a CSV line or a JSON
     object as the task's output format asks."""
     p, mode, value, out_format = task
-    rpt = _run_prime(p, mode, value)[2]
+    rpt = _run_prime(p, mode, value)[1]
     passed = rpt.all_passed()
     if out_format is OutputFormat.JSON:
         row = json.dumps(rpt.to_json_dict(), sort_keys=True)
@@ -204,14 +200,14 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
     # any table is built
     check_dense_budget(d, complex)
 
-    tensor, pv, rpt = _run_prime(p, mode, value)
+    tensor, rpt = _run_prime(p, mode, value)
     ctx = tensor.ctx
 
     print(f"p={p} d={d} k={ctx.k} g={ctx.g} alpha={ctx.alpha} (p mod 8 = {p % 8})",
           file=out)
     print("periods:", file=out)
     for a in range(min(d, 12)):
-        print(f"  eta[{a}] = {pv.eta[a]:.6f}", file=out)
+        print(f"  eta[{a}] = {tensor.eta[a]:.6f}", file=out)
     if d > 12:
         print(f"  ... ({d - 12} more)", file=out)
     for n, v in rpt.v_direct.items():
@@ -232,7 +228,7 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
     for name, ok in rpt.verdicts.items():
         print(f"check {name}: {'pass' if ok else 'FAIL'}", file=out)
 
-    identities = verify_identities(tensor, pv)
+    identities = verify_identities(tensor)
     for res in identities:
         tag = "pass" if res.passed else "FAIL"
         if not res.applicable:
@@ -284,7 +280,7 @@ def emit_figure_data(figure_id: str, output: str, p_hi: int | None = None,
 
 def _figure_row(task: tuple[int, int]) -> tuple[int, str]:
     p, d = task
-    rpt = _run_prime(p, SweepMode.FIXED_D, d)[2]
+    rpt = _run_prime(p, SweepMode.FIXED_D, d)[1]
     lo, hi = _pick_bounds(rpt)
     cols = [str(p), _fmt_value(rpt.v4_exact), lo, hi]
     if d == 4:

@@ -13,9 +13,10 @@ from fractions import Fraction
 import numpy as np
 
 from .circularity import CircularityVerdict, is_circular
-from .errors import InconsistentCounts, NotCircular, PreconditionViolated
+from .errors import (DimensionMismatch, InconsistentCounts, NotCircular,
+                     PreconditionViolated)
 from .field_core import FieldContext
-from .periods import PeriodVector, power_sum_direct
+from .periods import power_sum_direct
 from .superchar import StructureTensor, build_tensor, zero_sum_counts
 
 # Float tolerances (exact values are compared exactly; verify_identities has
@@ -123,10 +124,9 @@ def v4_d4(tensor: StructureTensor) -> tuple[Fraction, BoundInterval, str]:
     return value, bounds, "mod8_5"
 
 
-def v4_d5_bounds(ctx: FieldContext) -> BoundInterval:
+def v4_d5_bounds(p: int, d: int) -> BoundInterval:
     """d = 5 band."""
-    p = ctx.p
-    if ctx.d != 5:
+    if d != 5:
         raise PreconditionViolated("v4_d5_bounds requires d = 5")
     return BoundInterval("v4_d5",
                          Fraction((4 * p + 1) ** 2, 125),
@@ -146,11 +146,18 @@ def v4_general_bounds(p: int, d: int) -> BoundInterval:
     return BoundInterval("v4_general", lower, upper)
 
 
-def v4_fixed_k(p: int, k: int, verdict: CircularityVerdict,
+def v4_fixed_k(verdict: CircularityVerdict,
                verdict_2k: CircularityVerdict | None = None) -> Fraction:
-    """Fixed-cofactor closed form.  It holds when (p,k) is circular and, for
-    odd k, (p,2k) as well; NotCircular is raised otherwise, also when the
-    verdict on (p,2k) that an odd k needs is missing."""
+    """Fixed-cofactor closed form at the verdict's (p,k).  It holds when
+    (p,k) is circular and, for odd k, (p,2k) as well; NotCircular is raised
+    otherwise, also when the verdict on (p,2k) that an odd k needs is
+    missing.  DimensionMismatch is raised when verdict_2k is given for
+    another pair than (p,2k)."""
+    p, k = verdict.p, verdict.k
+    if verdict_2k is not None and (verdict_2k.p, verdict_2k.k) != (p, 2 * k):
+        raise DimensionMismatch(
+            f"verdict on ({verdict_2k.p},{verdict_2k.k}) given for "
+            f"({p},{2 * k})")
     if not verdict.circular:
         raise NotCircular(f"({p},{k}) is not circular")
     if k % 2 == 0:
@@ -160,12 +167,12 @@ def v4_fixed_k(p: int, k: int, verdict: CircularityVerdict,
     return Fraction(p * (2 * k - 1) - k ** 3)
 
 
-def fermat_solution_count(ctx: FieldContext, pv: PeriodVector, n: int) -> int:
+def fermat_solution_count(ctx: FieldContext, pv: np.ndarray, n: int) -> int:
     """Number of solutions in F_p^n to x_1^d + ... + x_n^d = 0 (all tuples,
     the zero tuple included), exact: x^d is 0 once and each element of X_0
     d times, so it is sum_{m=0..n} C(n, m) d^m N_m (`zero_sum_counts`).
-    pv is unread and kept only for the positional call (ctx, pv, n) of
-    bench/workloads.py.
+    pv, the array `compute_periods(ctx)` returns, is unread and kept only
+    for the positional call (ctx, pv, n) of bench/workloads.py.
     """
     if n < 2:
         raise PreconditionViolated("n must be >= 2")
@@ -215,20 +222,19 @@ class MomentReport:
         }
 
 
-def build_report(tensor: StructureTensor, pv: PeriodVector,
-                 fixed_k: bool = False) -> MomentReport:
-    """Evaluate every applicable formula and bound for the tensor's context;
-    DimensionMismatch is raised unless pv holds the periods of its p and d.
+def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport:
+    """Evaluate every applicable formula and bound for the tensor's context,
+    the direct power sums from its periods `tensor.eta`.
 
     With fixed_k, the circularity of (p,k) is decided from tensor and kept
     as rpt.circularity; for odd k, (p,2k) is decided too when (p,k) is
     circular.  The fixed-k closed form is asserted when v4_fixed_k accepts
     those verdicts.
     """
-    tensor.check_periods(pv)
     p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
     rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8,
-                       v_direct={n: power_sum_direct(pv, n) for n in (1, 2, 3, 4)})
+                       v_direct={n: power_sum_direct(tensor.eta, n)
+                                 for n in (1, 2, 3, 4)})
     rpt.v4_exact = v4_exact_from_counts(tensor)
     v4f = rpt.v_direct[4]
 
@@ -264,7 +270,7 @@ def build_report(tensor: StructureTensor, pv: PeriodVector,
         if p > d * d:
             rpt.verdicts[name + "_bounds"] = bounds.contains(rpt.v4_exact)
     elif d == 5:
-        bounds = v4_d5_bounds(tensor.ctx)
+        bounds = v4_d5_bounds(p, d)
         rpt.bounds["v4_d5"] = bounds
         if p > d * d:
             rpt.verdicts["v4_d5_bounds"] = bounds.contains(rpt.v4_exact)
@@ -280,7 +286,7 @@ def build_report(tensor: StructureTensor, pv: PeriodVector,
         # an odd k divides the even p - 1 with 2k
         v2k = is_circular(p, 2 * k, tensor) if k % 2 and vk.circular else None
         try:
-            val = v4_fixed_k(p, k, vk, v2k)
+            val = v4_fixed_k(vk, v2k)
         except NotCircular:
             return rpt
         name = "v4_fixed_k_even" if k % 2 == 0 else "v4_fixed_k_odd"

@@ -5,8 +5,6 @@ numbers whose absolute n-th powers are summed into the power sums checked
 against the exact formulas in `moments`.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .field_core import FieldContext
@@ -19,14 +17,9 @@ from .field_core import FieldContext
 PERIOD_CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class PeriodVector:
-    ctx: FieldContext
-    eta: np.ndarray  # d complex values
-
-
-def compute_periods(ctx: FieldContext) -> PeriodVector:
-    """Direct summation over the (d, k) coset array, half of the p - 1 terms.
+def compute_periods(ctx: FieldContext) -> np.ndarray:
+    """The d periods eta, summed directly over the (d, k) coset array: half
+    of the p - 1 terms.
 
     The rows are summed from a C-contiguous copy, so every eta is the
     pairwise sum of one contiguous row whatever the strides of ctx.cosets:
@@ -66,11 +59,11 @@ def compute_periods(ctx: FieldContext) -> PeriodVector:
             z /= p
             out[a:a + rows] = np.exp(z, out=z).sum(axis=1)
         eta[d // 2:] = out.conj()
-    return PeriodVector(ctx=ctx, eta=eta)
+    return eta
 
 
-def power_sum_direct(pv: PeriodVector, n: int) -> float:
+def power_sum_direct(eta: np.ndarray, n: int) -> float:
     """Sum of |eta|^n over the d classes, via floating-point moduli."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(np.sum(np.abs(pv.eta) ** n))
+    return float(np.sum(np.abs(eta) ** n))

@@ -7,8 +7,9 @@ p - 2 of the d^2 numbers are nonzero.  `StructureTensor.constant` is the one
 map from c_{0,u,w} to them and the one place that knows the border class
 d = {0}; the dense (d+1) x (d+1) slice `c0` is read through it.  Every dense
 (d+1) x (d+1) array is refused with ConfigInvalid when it would exceed
-DENSE_BUDGET_BYTES.  Floats only enter when the counts are assembled into
-T and U for the analytic identities.
+DENSE_BUDGET_BYTES.  Floats only enter with the periods `eta`, the
+tensor's spectrum, and when the counts are assembled into T and U for the
+analytic identities.
 """
 
 from dataclasses import dataclass
@@ -16,9 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import periods
 from .errors import ConfigInvalid, DimensionMismatch
 from .field_core import FieldContext
-from .periods import PeriodVector
 
 # Largest dense (d+1) x (d+1) array (the c0 slice, U, T and the products in
 # verify_identities) that may be allocated, checked from the shape first.
@@ -78,7 +79,8 @@ class StructureTensor:
     """The structure constants of (p, d), held as sparse cyclotomic numbers.
 
     keys (ascending) and counts list the nonzero (i, j)_d, key i*d + j;
-    `constant` reads any c_{0,u,w} off them.
+    `constant` reads any c_{0,u,w} off them.  The periods `eta` of the same
+    (p, d) are computed on first read and cached.
     """
 
     ctx: FieldContext
@@ -114,14 +116,6 @@ class StructureTensor:
         border = np.where(u == d, w == 0, (u == self.ctx.alpha) * self.ctx.k)
         return np.where((u == d) | (w == d), border, found)
 
-    def check_periods(self, pv: PeriodVector) -> None:
-        """Raise DimensionMismatch unless pv holds the periods of this
-        tensor's p and d."""
-        if (pv.ctx.p, pv.ctx.d) != (self.ctx.p, self.ctx.d):
-            raise DimensionMismatch(
-                f"periods of (p,d)=({pv.ctx.p},{pv.ctx.d}) do not match the "
-                f"tensor of ({self.ctx.p},{self.ctx.d})")
-
     @cached_property
     def c0(self) -> np.ndarray:
         """Dense read-only (d+1) x (d+1) slice c_{0,j,n}, 0 <= j, n <= d,
@@ -131,6 +125,12 @@ class StructureTensor:
         c0 = self.constant(*np.indices((d + 1, d + 1), sparse=True))
         c0.flags.writeable = False
         return c0
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        """The d Gaussian periods of this tensor's (p, d): with k they are
+        the spectrum of T, TU = U diag(eta, k)."""
+        return periods.compute_periods(self.ctx)
 
 
 def zero_sum_counts(tensor: StructureTensor, n: int) -> list[int]:
@@ -158,7 +158,9 @@ def zero_sum_counts(tensor: StructureTensor, n: int) -> list[int]:
 class SupercharMatrices:
     U: np.ndarray  # (d+1) x (d+1) complex, symmetric unitary
     T: np.ndarray  # (d+1) x (d+1) real
-    spectrum: np.ndarray  # d+1 complex: eta, then k; TU = U diag(spectrum)
+    # (d+1) x (d+1) complex sigma[i, l] = sigma_i(X_l): eta_{i+l}, k on
+    # X_d = {0}, 1 for i = d; row 0 is the spectrum, TU = U diag(sigma[0])
+    sigma: np.ndarray
 
 
 def build_tensor(ctx: FieldContext) -> StructureTensor:
@@ -167,23 +169,24 @@ def build_tensor(ctx: FieldContext) -> StructureTensor:
     return StructureTensor(ctx=ctx, keys=keys, counts=counts)
 
 
-def build_matrices(tensor: StructureTensor, pv: PeriodVector) -> SupercharMatrices:
-    """Assemble U from the periods and T from the counts, beside the spectrum."""
-    tensor.check_periods(pv)
+def build_matrices(tensor: StructureTensor) -> SupercharMatrices:
+    """Gather the period circulant sigma once, and derive U from it and T
+    from the counts."""
     d, p, k = tensor.ctx.d, tensor.ctx.p, tensor.ctx.k
     check_dense_budget(d, complex)
 
-    U = np.empty((d + 1, d + 1), dtype=np.complex128)
-    U[:d, :d] = pv.eta[np.add.outer(np.arange(d), np.arange(d)) % d]
+    sigma = np.ones((d + 1, d + 1), dtype=np.complex128)
+    sigma[:d, :d] = tensor.eta[np.add.outer(np.arange(d), np.arange(d)) % d]
+    sigma[:d, d] = k
+    U = sigma.copy()
     U[:d, d] = U[d, :d] = np.sqrt(k)
-    U[d, d] = 1.0
     U /= np.sqrt(p)
 
     sizes = np.array([k] * d + [1], dtype=np.float64)
     scale = np.sqrt(sizes[None, :] / sizes[:, None])
     T = tensor.c0.astype(np.float64) * scale
 
-    return SupercharMatrices(U=U, T=T, spectrum=np.append(pv.eta, k))
+    return SupercharMatrices(U=U, T=T, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -194,14 +197,14 @@ class CheckResult:
     detail: str = ""
 
 
-def verify_identities(tensor: StructureTensor, pv: PeriodVector) -> list[CheckResult]:
+def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     """Assemble the matrices (`build_matrices`) and run every algebraic check.
 
     Failures are reported, never raised.  UNITARY_TOL bounds the residuals of
     U; SCALED_TOL * p bounds those that grow with the matrix entries (TU = UD,
     the product identity, traces).
     """
-    m = build_matrices(tensor, pv)
+    m = build_matrices(tensor)
     ctx = tensor.ctx
     d, p, k = ctx.d, ctx.p, ctx.k
     tol_p = SCALED_TOL * p
@@ -214,7 +217,7 @@ def verify_identities(tensor: StructureTensor, pv: PeriodVector) -> list[CheckRe
     out.append(CheckResult("U_symmetric", True, err < UNITARY_TOL, f"max_err={err:.3g}"))
 
     # T u_l = lambda_l u_l for every column u_l of U
-    err = np.abs(m.T @ m.U - m.U * m.spectrum).max()
+    err = np.abs(m.T @ m.U - m.U * m.sigma[0]).max()
     out.append(CheckResult("TU_eq_UD", True, err < tol_p, f"max_err={err:.3g}"))
 
     # normality of T, exact on the counting block
@@ -222,17 +225,13 @@ def verify_identities(tensor: StructureTensor, pv: PeriodVector) -> list[CheckRe
     err = np.abs(m.T @ m.T.T - TtT).max()
     out.append(CheckResult("T_normal", True, err < tol_p, f"max_err={err:.3g}"))
 
-    # product identity: sigma_i(X_l) sigma_j(X_l) = sum_n c_{i,j,n} sigma_n(X_l),
-    # sigma_i(X_l) = eta_{i+l} off the border, k on X_d = {0}, 1 for i = d.
+    # product identity: sigma_i(X_l) sigma_j(X_l) = sum_n c_{i,j,n} sigma_n(X_l).
     # c_{i,j,n} = c_{0,j-i,n-i} and sigma_i(X_l) = sigma_0(X_{l+i}) (classes
     # shifted mod d, the border d staying put), so the equations of row i < d
     # are those of row 0; row d (c_{d,j,n} = [j = n], sigma_d = 1) holds
     # exactly.  Row 0 holds every equation that can fail.
-    sigma = np.ones((d + 1, d + 1), dtype=np.complex128)
-    sigma[:d, :d] = pv.eta[np.add.outer(np.arange(d), np.arange(d)) % d]
-    sigma[:d, d] = k
-    err = tensor.c0.astype(np.complex128) @ sigma
-    err -= sigma[0] * sigma
+    err = tensor.c0.astype(np.complex128) @ m.sigma
+    err -= m.sigma[0] * m.sigma
     err = float(np.abs(err).max())
     out.append(CheckResult("product_identity", True, err < tol_p,
                            f"max_err={err:.3g}"))
@@ -267,7 +266,7 @@ def verify_identities(tensor: StructureTensor, pv: PeriodVector) -> list[CheckRe
 
     # trace of T*T against the spectrum
     tr = float(np.trace(TtT))
-    v2 = float(np.sum(np.abs(pv.eta) ** 2))
+    v2 = float(np.sum(np.abs(tensor.eta) ** 2))
     expected = v2 + ((p - 1) / d) ** 2
     out.append(CheckResult("trace_identity", True, abs(tr - expected) < tol_p,
                            f"tr={tr:.6g} expected={expected:.6g}"))

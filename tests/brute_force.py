@@ -225,20 +225,20 @@ def _rounded(value: complex) -> int:
     return round(value.real)
 
 
-def fermat_count_from_periods(ctx, pv, n: int) -> int:
+def fermat_count_from_periods(ctx, eta, n: int) -> int:
     """#{x in F_p^n : x_1^d + ... + x_n^d = 0} as
     p^(n-1) + (p-1)/(p d) sum_a (1 + d eta_a)^n, rounded; trustworthy while
     the count is far below 2^52."""
     p, d = ctx.p, ctx.d
-    total = complex(np.sum((1 + d * pv.eta) ** n))
+    total = complex(np.sum((1 + d * eta) ** n))
     return _rounded(p ** (n - 1) + (p - 1) / (p * d) * total)
 
 
-def hurwitz_count_from_periods(ctx, pv) -> int:
+def hurwitz_count_from_periods(ctx, eta) -> int:
     """#{x, y, z nonzero : x^d + y^d + z^d = 0} as
     ((p-1)^3 + (p-1) d^2 sum_a eta_a^3) / p, rounded."""
     p, d = ctx.p, ctx.d
-    s3 = complex(np.sum(pv.eta ** 3))
+    s3 = complex(np.sum(eta ** 3))
     return _rounded(((p - 1) ** 3 + (p - 1) * d * d * s3) / p)
 
 

@@ -42,7 +42,7 @@ def test_criterion_1_d3_exact_v4():
         value, _ = v4_d3(tensor)
         if value != v4_exact_from_counts(tensor):
             failures.append(("exact", p))
-        oracle = power_sum_direct(compute_periods(tensor.ctx), 4)
+        oracle = power_sum_direct(tensor.eta, 4)
         if abs(float(value) - oracle) > 1e-6 * abs(oracle):
             failures.append(("float", p))
         count += 1
@@ -73,7 +73,7 @@ def test_criterion_3_bound_containment():
             elif d == 4:
                 bounds = v4_d4(tensor)[1]
             elif d == 5:
-                bounds = v4_d5_bounds(tensor.ctx)
+                bounds = v4_d5_bounds(p, d)
             else:
                 bounds = v4_general_bounds(p, d)
             if not bounds.contains(exact):
@@ -94,7 +94,7 @@ def test_criterion_4_fixed_k_closed_forms():
                     failures.append(("unexpected noncircular", p, k))
                 continue
             tensor = pipeline(p, (p - 1) // k)
-            if v4_fixed_k(p, k, verdict) != v4_exact_from_counts(tensor):
+            if v4_fixed_k(verdict) != v4_exact_from_counts(tensor):
                 failures.append((p, k))
             count += 1
     if is_circular(5, 4).circular:
@@ -104,7 +104,7 @@ def test_criterion_4_fixed_k_closed_forms():
         if not (verdict.circular and verdict_2k.circular):
             continue
         tensor = pipeline(p, (p - 1) // 3)
-        if v4_fixed_k(p, 3, verdict, verdict_2k) != v4_exact_from_counts(tensor):
+        if v4_fixed_k(verdict, verdict_2k) != v4_exact_from_counts(tensor):
             failures.append((p, 3))
         count += 1
     report(4, failures, f"fixed-k closed forms on {count} circular pairs, p <= 5000")
@@ -131,11 +131,8 @@ def test_criterion_5_matrix_identities():
     failures = []
     sample = sample_contexts()
     for p, d in sample:
-        ctx = build_context(p, d)
-        tensor = build_tensor(ctx)
-        pv = compute_periods(ctx)
         wanted = {"U_unitary", "TU_eq_UD", "product_identity", "trace_identity"}
-        for r in verify_identities(tensor, pv):
+        for r in verify_identities(pipeline(p, d)):
             if r.name in wanted and not r.passed:
                 failures.append((p, d, r.name, r.detail))
     report(5, failures, f"U*U=I, TU=UD, product identity, trace on {len(sample)} "
@@ -156,12 +153,10 @@ def test_criterion_6_exact_counting_identities():
     failures = []
     contexts = sample_contexts() + [(7, 3), (13, 4), (13, 6), (29, 7), (31, 6)]
     for p, d in contexts:
-        ctx = build_context(p, d)
-        tensor = build_tensor(ctx)
-        pv = compute_periods(ctx)
+        tensor = pipeline(p, d)
         exact_names = {"column_sums", "rotation_symmetry", "T_symmetric",
                        "half_turn_symmetry", "count_square_sum"}
-        for r in verify_identities(tensor, pv):
+        for r in verify_identities(tensor):
             if r.name in exact_names and not r.passed:
                 failures.append((p, d, r.name))
         if not exact_trace_identity(tensor):
@@ -195,15 +190,15 @@ def test_criterion_7_curve_dictionary_hasse_weil():
 def test_criterion_8_solution_counts():
     failures = []
     for p in (7, 13, 19, 31):
-        ctx = build_context(p, 3)
-        pv = compute_periods(ctx)
+        tensor = pipeline(p, 3)
+        ctx = tensor.ctx
         residues = [pow(x, 3, p) for x in range(p)]
         brute = sum(1 for a in residues for b in residues for c in residues
                     if (a + b + c) % p == 0)
-        if fermat_solution_count(ctx, pv, 3) != brute:
+        if fermat_solution_count(ctx, compute_periods(ctx), 3) != brute:
             failures.append(("count", p))
-        v3 = power_sum_direct(pv, 3)
-        if v3 < ctx.k ** 2 and hurwitz_count(build_tensor(ctx)) <= 0:
+        v3 = power_sum_direct(tensor.eta, 3)
+        if v3 < ctx.k ** 2 and hurwitz_count(tensor) <= 0:
             failures.append(("positivity", p))
     report(8, failures, "diagonal-sum counts vs brute force, p in {7,13,19,31}")
 

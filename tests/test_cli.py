@@ -9,7 +9,8 @@ import re
 import pytest
 
 from brute_force import brute_projective
-from gpmoments import build_context, cli, field_core, verify_identities
+from gpmoments import (build_context, cli, field_core, periods,
+                       verify_identities)
 from gpmoments.field_core import MAX_P
 from gpmoments.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK,
                            FIXED_D_HEADER, SweepConfig, SweepMode,
@@ -305,6 +306,49 @@ def test_circular_scan_factors_each_prime_twice(tmp_path, monkeypatch):
                  "--out", str(out)]) == EXIT_OK
     primes = len(read(out).splitlines()) - 1
     assert primes == 99 and len(calls) == 2 * primes == 198
+
+
+@pytest.fixture
+def periods_calls(monkeypatch):
+    # the p of every compute_periods call: the periods are tensor.eta,
+    # computed on first read, so each command states how often it reads them
+    calls = []
+    real = periods.compute_periods
+
+    def counted(ctx):
+        calls.append(ctx.p)
+        return real(ctx)
+
+    monkeypatch.setattr(periods, "compute_periods", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode,value", [("fixed_d", 3), ("fixed_k", 4),
+                                        ("fixed_k", 3)])
+def test_sweep_computes_the_periods_once_per_prime(tmp_path, periods_calls,
+                                                   mode, value):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--mode", mode, "--value", str(value), "--to", "600",
+                 "--out", str(out), "--workers", "1"]) == EXIT_OK
+    primes = [int(line.split(",")[0]) for line in read(out).splitlines()[1:]]
+    assert len(primes) > 20 and periods_calls == primes
+
+
+@pytest.mark.parametrize("p,flag,value", [(7, "--d", "3"), (31, "--k", "3")])
+def test_verify_computes_the_periods_once(periods_calls, capsys, p, flag, value):
+    assert main(["verify", "--p", str(p), flag, value]) == EXIT_OK
+    assert "eta[0]" in capsys.readouterr().out
+    assert periods_calls == [p]
+
+
+@pytest.mark.parametrize("argv", [["circular", "--k", "4", "--to", "600"],
+                                  ["figure", "--id", "noncircular_scan",
+                                   "--to", "600"]],
+                         ids=["circular", "noncircular_scan"])
+def test_circularity_scans_compute_no_periods(tmp_path, periods_calls, argv):
+    out = tmp_path / "c.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert len(read(out).splitlines()) > 1 and periods_calls == []
 
 
 @pytest.mark.parametrize("k", ["0", "-4"])

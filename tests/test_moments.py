@@ -5,10 +5,10 @@ import pytest
 
 from brute_force import (cubic_period_power_sums, fermat_count_from_periods,
                          gauss_cubic_L, hurwitz_count_from_periods)
-from gpmoments import (NotCircular, PreconditionViolated, build_context,
-                       build_report, build_tensor, compute_periods,
-                       fermat_solution_count, hurwitz_count, power_sum_direct,
-                       primes_in_range,
+from gpmoments import (DimensionMismatch, NotCircular, PreconditionViolated,
+                       build_context, build_report, build_tensor,
+                       compute_periods, fermat_solution_count, hurwitz_count,
+                       power_sum_direct, primes_in_range,
                        v1_bounds, v2_exact, v4_d3, v4_d4,
                        v4_d5_bounds, v4_exact_from_counts, v4_fixed_k,
                        v4_general_bounds, vn_d2_closed_form)
@@ -16,8 +16,7 @@ from gpmoments.circularity import is_circular
 
 
 def pipeline(p, d):
-    ctx = build_context(p, d)
-    return build_tensor(ctx), compute_periods(ctx)
+    return build_tensor(build_context(p, d))
 
 
 def direct_v(p, d, n):
@@ -73,23 +72,23 @@ def test_d2_closed_form_vs_direct(n):
 # --------------------------------------------------- exact V4 from counts
 
 def test_v4_exact_examples():
-    assert v4_exact_from_counts(pipeline(7, 3)[0]) == 13
-    assert v4_exact_from_counts(pipeline(13, 2)[0]) == 31
-    assert v4_exact_from_counts(pipeline(13, 6)[0]) == 31
+    assert v4_exact_from_counts(pipeline(7, 3)) == 13
+    assert v4_exact_from_counts(pipeline(13, 2)) == 31
+    assert v4_exact_from_counts(pipeline(13, 6)) == 31
 
 
 @pytest.mark.parametrize("p,d", [(7, 3), (13, 4), (17, 4), (29, 7), (31, 6),
                                  (13, 12), (41, 8), (11, 5)])
 def test_v4_exact_matches_float_oracle(p, d):
-    tensor, pv = pipeline(p, d)
+    tensor = pipeline(p, d)
     assert float(v4_exact_from_counts(tensor)) == \
-        pytest.approx(power_sum_direct(pv, 4), rel=1e-9)
+        pytest.approx(power_sum_direct(tensor.eta, 4), rel=1e-9)
 
 
 # ----------------------------------------------------------------- d = 3
 
 def test_v4_d3_example_p7():
-    tensor, _ = pipeline(7, 3)
+    tensor = pipeline(7, 3)
     value, bounds = v4_d3(tensor)
     assert value == 13
     ph = 7 ** 1.5
@@ -98,14 +97,15 @@ def test_v4_d3_example_p7():
 
 
 def test_v4_d3_p13_matches_oracle():
-    tensor, pv = pipeline(13, 3)
+    tensor = pipeline(13, 3)
     value, _ = v4_d3(tensor)
-    assert float(value) == pytest.approx(power_sum_direct(pv, 4), rel=1e-6)
+    assert float(value) == \
+        pytest.approx(power_sum_direct(tensor.eta, 4), rel=1e-6)
     assert value == v4_exact_from_counts(tensor)
 
 
 def test_v4_d3_p31_t0_hasse_window():
-    tensor, _ = pipeline(31, 3)
+    tensor = pipeline(31, 3)
     t0 = int(tensor.c0[0, 0])
     p = 31
     assert (p - 2 * math.sqrt(p) - 8) / 9 <= t0 <= (p + 2 * math.sqrt(p) - 8) / 9
@@ -113,18 +113,18 @@ def test_v4_d3_p31_t0_hasse_window():
 
 def test_v4_d3_rejects_other_d():
     with pytest.raises(PreconditionViolated):
-        v4_d3(pipeline(13, 4)[0])
+        v4_d3(pipeline(13, 4))
 
 
 # ----------------------------------------------------------------- d = 4
 
 def test_v4_d4_both_branches_exact():
-    tensor, _ = pipeline(17, 4)
+    tensor = pipeline(17, 4)
     value, _, branch = v4_d4(tensor)
     assert branch == "mod8_1"
     assert value == v4_exact_from_counts(tensor)
 
-    tensor, _ = pipeline(13, 4)
+    tensor = pipeline(13, 4)
     value, bounds, branch = v4_d4(tensor)
     assert branch == "mod8_5"
     assert value == v4_exact_from_counts(tensor)
@@ -136,7 +136,7 @@ def test_v4_d4_both_branches_exact():
 
 @pytest.mark.parametrize("p", primes_in_range(17, 600, (4, 1)))
 def test_v4_d4_sweep_exact_equality(p):
-    tensor, _ = pipeline(p, 4)
+    tensor = pipeline(p, 4)
     value, bounds, _ = v4_d4(tensor)
     assert value == v4_exact_from_counts(tensor)
     if p > 16:
@@ -147,8 +147,8 @@ def test_v4_d4_sweep_exact_equality(p):
 
 @pytest.mark.parametrize("p", [11, 31, 41])
 def test_v4_d5_bounds_contain_exact(p):
-    tensor, _ = pipeline(p, 5)
-    bounds = v4_d5_bounds(tensor.ctx)
+    tensor = pipeline(p, 5)
+    bounds = v4_d5_bounds(p, 5)
     exact = v4_exact_from_counts(tensor)
     if p > 25:
         assert bounds.contains(exact)
@@ -161,17 +161,17 @@ def test_v4_d5_bounds_contain_exact(p):
 def test_general_bounds_example_7_3():
     b = v4_general_bounds(7, 3)
     assert b.lower == Fraction(225, 27)
-    assert v4_exact_from_counts(pipeline(7, 3)[0]) >= b.lower
+    assert v4_exact_from_counts(pipeline(7, 3)) >= b.lower
 
 
 def test_general_bounds_d8_sweep():
     for p in primes_in_range(65, 1500, (8, 1)):
-        tensor, _ = pipeline(p, 8)
+        tensor = pipeline(p, 8)
         assert v4_general_bounds(p, 8).contains(v4_exact_from_counts(tensor))
 
 
 def test_general_bounds_29_7():
-    tensor, _ = pipeline(29, 7)
+    tensor = pipeline(29, 7)
     assert v4_general_bounds(29, 7).lower <= v4_exact_from_counts(tensor)
 
 
@@ -183,25 +183,35 @@ def test_general_bounds_reject_small_d():
 # ------------------------------------------------------------- fixed k
 
 def test_fixed_k_even_example():
-    assert v4_fixed_k(13, 2, is_circular(13, 2)) == 31
+    assert v4_fixed_k(is_circular(13, 2)) == 31
 
 
 def test_fixed_k_odd_example():
     # (7, 6) and (13, 6) are not circular; the first qualifying prime is 31
     assert not is_circular(13, 6).circular
     assert is_circular(31, 6).circular
-    assert v4_fixed_k(31, 3, is_circular(31, 3), is_circular(31, 6)) \
+    assert v4_fixed_k(is_circular(31, 3), is_circular(31, 6)) \
         == 31 * 5 - 27 == 128
-    tensor, _ = pipeline(31, 10)
+    tensor = pipeline(31, 10)
     assert v4_exact_from_counts(tensor) == 128
     # an odd k without the verdict on (p, 2k) is refused, not decided here
     with pytest.raises(NotCircular):
-        v4_fixed_k(31, 3, is_circular(31, 3))
+        v4_fixed_k(is_circular(31, 3))
 
 
 def test_fixed_k_rejects_noncircular():
     with pytest.raises(NotCircular):
-        v4_fixed_k(5, 4, is_circular(5, 4))
+        v4_fixed_k(is_circular(5, 4))
+
+
+# the (p, 2k) verdict beside the (31, 3) one must be on (31, 6): a verdict on
+# another prime and k, on another prime with the right 2k, or on the same
+# prime with another k is refused
+@pytest.mark.parametrize("other", [(13, 4), (37, 6), (31, 5)],
+                         ids=["13-4", "37-6", "31-5"])
+def test_fixed_k_refuses_a_verdict_on_another_pair(other):
+    with pytest.raises(DimensionMismatch):
+        v4_fixed_k(is_circular(31, 3), is_circular(*other))
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -209,8 +219,8 @@ def test_fixed_k_even_sweep(k):
     for p in primes_in_range(k + 1, 400, (k, 1)):
         if not is_circular(p, k).circular:
             continue
-        tensor, _ = pipeline(p, (p - 1) // k)
-        assert v4_fixed_k(p, k, is_circular(p, k)) == \
+        tensor = pipeline(p, (p - 1) // k)
+        assert v4_fixed_k(is_circular(p, k)) == \
             v4_exact_from_counts(tensor)
 
 
@@ -233,8 +243,8 @@ def brute_nonzero(p, d):
 @pytest.mark.parametrize("p,d,n", [(7, 3, 3), (13, 3, 3), (13, 4, 2)])
 def test_solution_count_formula_matches_brute(p, d, n):
     ctx = build_context(p, d)
-    pv = compute_periods(ctx)
-    assert fermat_solution_count(ctx, pv, n) == brute_all_tuples(p, d, n)
+    assert fermat_solution_count(ctx, compute_periods(ctx), n) == \
+        brute_all_tuples(p, d, n)
 
 
 # composite d too: d^3 N_3 holds for every d
@@ -252,8 +262,7 @@ def test_hurwitz_positivity_link():
     # whenever V_3 < k^2 the all-nonzero count is positive
     for p in primes_in_range(7, 120, (3, 1)):
         ctx = build_context(p, 3)
-        pv = compute_periods(ctx)
-        v3 = power_sum_direct(pv, 3)
+        v3 = power_sum_direct(compute_periods(ctx), 3)
         if v3 < ctx.k ** 2:
             assert hurwitz_count(build_tensor(ctx)) > 0
 
@@ -264,12 +273,12 @@ def test_exact_counts_match_period_formulas(d):
     # the range where the rounded float formulas are trustworthy
     for p in primes_in_range(3, 999, (d, 1)):
         ctx = build_context(p, d)
-        pv = compute_periods(ctx)
+        eta = compute_periods(ctx)
         for n in (2, 3, 4):
-            assert fermat_solution_count(ctx, pv, n) == \
-                fermat_count_from_periods(ctx, pv, n), (p, n)
+            assert fermat_solution_count(ctx, eta, n) == \
+                fermat_count_from_periods(ctx, eta, n), (p, n)
         assert hurwitz_count(build_tensor(ctx)) == \
-            hurwitz_count_from_periods(ctx, pv), p
+            hurwitz_count_from_periods(ctx, eta), p
 
 
 @pytest.mark.parametrize("p,count", [(180001, 5832291601620001),
@@ -311,22 +320,22 @@ def test_solution_count_rejects_n1():
 # ------------------------------------------------------------- reports
 
 def test_report_7_3():
-    rpt = build_report(*pipeline(7, 3))
+    rpt = build_report(pipeline(7, 3))
     assert rpt.v4_exact == 13
     assert rpt.all_passed()
     assert "v4_d3" in rpt.formula_values
 
 
 def test_report_13_4_branch():
-    rpt = build_report(*pipeline(13, 4))
+    rpt = build_report(pipeline(13, 4))
     assert rpt.p_mod_8 == 5
     assert "v4_d4_mod8_5" in rpt.formula_values
     assert rpt.all_passed()
 
 
 def test_report_fixed_k_noncircular_skips_formula():
-    tensor, pv = pipeline(5, 1)
-    rpt = build_report(tensor, pv, fixed_k=True)
+    tensor = pipeline(5, 1)
+    rpt = build_report(tensor, fixed_k=True)
     assert not any(name.startswith("v4_fixed_k") for name in rpt.formula_values)
     assert rpt.circularity == is_circular(5, 4)
     assert not rpt.circularity.circular
@@ -334,7 +343,7 @@ def test_report_fixed_k_noncircular_skips_formula():
 
 def test_report_fixed_k_odd_circular_asserts_formula():
     # k = 3 at p = 31: (31, 3) and (31, 6) are circular
-    rpt = build_report(*pipeline(31, 10), fixed_k=True)
+    rpt = build_report(pipeline(31, 10), fixed_k=True)
     assert rpt.circularity == is_circular(31, 3)
     assert rpt.circularity.circular
     assert rpt.formula_values["v4_fixed_k_odd"] == 128
@@ -343,7 +352,7 @@ def test_report_fixed_k_odd_circular_asserts_formula():
 
 
 def test_report_json_roundtrip():
-    rpt = build_report(*pipeline(13, 4))
+    rpt = build_report(pipeline(13, 4))
     blob = rpt.to_json_dict()
     assert blob["p"] == 13
     # a fixed-d report holds no verdict, and a verdict is never serialized

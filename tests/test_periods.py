@@ -25,14 +25,14 @@ def brute_period(p, g, d, a):
 
 
 def test_periods_p5_d2_golden_ratio_values():
-    pv = compute_periods(build_context(5, 2))
-    assert pv.eta[0] == pytest.approx((-1 + math.sqrt(5)) / 2, abs=1e-12)
-    assert pv.eta[1] == pytest.approx((-1 - math.sqrt(5)) / 2, abs=1e-12)
+    eta = compute_periods(build_context(5, 2))
+    assert eta[0] == pytest.approx((-1 + math.sqrt(5)) / 2, abs=1e-12)
+    assert eta[1] == pytest.approx((-1 - math.sqrt(5)) / 2, abs=1e-12)
 
 
 def test_periods_p7_d2_complex_pair():
-    pv = compute_periods(build_context(7, 2))
-    vals = sorted(pv.eta, key=lambda z: z.imag)
+    eta = compute_periods(build_context(7, 2))
+    vals = sorted(eta, key=lambda z: z.imag)
     assert vals[0] == pytest.approx((-1 - 1j * math.sqrt(7)) / 2, abs=1e-12)
     assert vals[1] == pytest.approx((-1 + 1j * math.sqrt(7)) / 2, abs=1e-12)
 
@@ -40,9 +40,9 @@ def test_periods_p7_d2_complex_pair():
 @pytest.mark.parametrize("p,d", [(13, 3), (29, 7), (31, 5), (41, 8)])
 def test_periods_match_brute_force(p, d):
     ctx = build_context(p, d)
-    pv = compute_periods(ctx)
+    eta = compute_periods(ctx)
     for a in range(d):
-        assert pv.eta[a] == pytest.approx(brute_period(p, ctx.g, d, a), abs=1e-10)
+        assert eta[a] == pytest.approx(brute_period(p, ctx.g, d, a), abs=1e-10)
 
 
 def longdouble_periods(ctx):
@@ -74,7 +74,7 @@ def test_periods_symmetry_is_bitwise(p, d):
     # second half of the classes are the negated first half, so conjugates
     assert PERIOD_CHUNK == 4096  # the cases sit on the boundaries of this chunk
     ctx = build_context(p, d)
-    eta = compute_periods(ctx).eta
+    eta = compute_periods(ctx)
     assert eta.dtype == np.complex128
     if ctx.k % 2 == 0:
         assert not eta.imag.any()
@@ -87,7 +87,7 @@ def test_periods_are_row_sums_bit_for_bit(p, d):
     # each eta is the pairwise sum of its own row alone, one 1-D array at a
     # time: the strided cosets view and the blocks change no bit
     ctx = build_context(p, d)
-    eta = compute_periods(ctx).eta
+    eta = compute_periods(ctx)
     for a in range(d if ctx.k % 2 == 0 else d // 2):
         if ctx.k % 2 == 0:
             x = np.array(ctx.cosets[a, :ctx.k // 2])
@@ -105,7 +105,7 @@ def test_periods_as_accurate_as_per_class_sums(p, d):
     ctx = build_context(p, d)
     reference = longdouble_periods(ctx)
     baseline = max_error(periods_by_class(ctx), reference)
-    error = max_error(compute_periods(ctx).eta, reference)
+    error = max_error(compute_periods(ctx), reference)
     assert error <= 2 * max(baseline, np.finfo(np.float64).eps * ctx.k)
 
 
@@ -119,22 +119,22 @@ def contexts(draw):
 @settings(max_examples=40, deadline=None)
 @given(contexts())
 def test_period_sum_is_minus_one(ctx):
-    pv = compute_periods(ctx)
-    assert abs(sum(pv.eta) + 1) < identity_tolerance(ctx)
+    eta = compute_periods(ctx)
+    assert abs(sum(eta) + 1) < identity_tolerance(ctx)
 
 
 @settings(max_examples=40, deadline=None)
 @given(contexts())
 def test_periods_real_when_minus_one_in_subgroup(ctx):
     if (ctx.p - 1) % (2 * ctx.d) == 0:
-        assert not compute_periods(ctx).eta.imag.any()
+        assert not compute_periods(ctx).imag.any()
 
 
 @settings(max_examples=40, deadline=None)
 @given(contexts())
 def test_periods_conjugate_rows_when_k_odd(ctx):
     if ctx.k % 2 == 1:
-        eta = compute_periods(ctx).eta
+        eta = compute_periods(ctx)
         half = ctx.d // 2
         assert eta[half:].tobytes() == eta[:half].conj().tobytes()
 
@@ -142,8 +142,8 @@ def test_periods_conjugate_rows_when_k_odd(ctx):
 @settings(max_examples=40, deadline=None)
 @given(contexts())
 def test_period_modulus_bounded_by_class_size(ctx):
-    pv = compute_periods(ctx)
-    assert all(abs(e) <= ctx.k + 1e-9 for e in pv.eta)
+    eta = compute_periods(ctx)
+    assert all(abs(e) <= ctx.k + 1e-9 for e in eta)
 
 
 def test_power_sum_d2_closed_values():
@@ -163,17 +163,17 @@ def test_power_sum_p7_d3_fourth():
 
 
 def test_power_sum_rejects_n0():
-    pv = compute_periods(build_context(7, 3))
+    eta = compute_periods(build_context(7, 3))
     with pytest.raises(ValueError):
-        power_sum_direct(pv, 0)
+        power_sum_direct(eta, 0)
 
 
 @pytest.mark.parametrize("p,d", [(5, 2), (7, 3), (13, 4), (29, 7), (13, 2)])
 def test_gauss_sum_aggregate_matches_period_identity(p, d):
     ctx = build_context(p, d)
-    pv = compute_periods(ctx)
+    eta = compute_periods(ctx)
     agg = gauss_sum_aggregate(p, d)
-    assert abs(agg - (1 + d * pv.eta[0])) < 1e-9
+    assert abs(agg - (1 + d * eta[0])) < 1e-9
 
 
 def test_gauss_sum_aggregate_quadratic():
@@ -191,11 +191,11 @@ def test_period_multiset_invariant_under_shifted_summation():
     # recompute each period starting from a different coset representative
     p, d = 29, 4
     ctx = build_context(p, d)
-    pv = compute_periods(ctx)
+    eta = compute_periods(ctx)
     for a in range(d):
         shift = pow(ctx.g, d * 2, p)  # another representative of the same coset
         redone = sum(cmath.exp(2j * math.pi *
                                (pow(ctx.g, a, p) * shift * pow(ctx.g, d * j, p) % p)
                                / p)
                      for j in range(ctx.k))
-        assert redone == pytest.approx(complex(pv.eta[a]), abs=1e-9)
+        assert redone == pytest.approx(complex(eta[a]), abs=1e-9)

@@ -36,14 +36,17 @@ def test_every_error_class_is_raised():
     assert sorted(classes - raised) == []
 
 
-def _takes_context_and_tensor(tree) -> list[str]:
-    # public functions and methods with a FieldContext and a StructureTensor
-    # among their parameter annotations (a name, a string, or a union)
+def _takes_beside_the_tensor(tree, others: set[str]) -> list[str]:
+    # public functions and methods with a StructureTensor and one of `others`
+    # among their parameter annotations (a name, an attribute such as
+    # np.ndarray, a string, or a union)
     def names(annotation):
         out = set()
         for n in ast.walk(annotation) if annotation is not None else ():
             if isinstance(n, ast.Name):
                 out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 out |= names(ast.parse(n.value, mode="eval"))
         return out
@@ -55,9 +58,15 @@ def _takes_context_and_tensor(tree) -> list[str]:
             args = node.args
             params = args.posonlyargs + args.args + args.kwonlyargs
             annotated = set().union(*(names(a.annotation) for a in params))
-            if {"FieldContext", "StructureTensor"} <= annotated:
+            if "StructureTensor" in annotated and annotated & others:
                 found.append(f"{node.name}:{node.lineno}")
     return found
+
+
+def _found_in_package(others: set[str]) -> list[str]:
+    return [f"{path.name}:{hit}" for path in sorted(SRC.glob("*.py"))
+            for hit in _takes_beside_the_tensor(
+                ast.parse(path.read_text(), str(path)), others)]
 
 
 def test_no_function_takes_a_context_beside_the_tensor():
@@ -66,8 +75,18 @@ def test_no_function_takes_a_context_beside_the_tensor():
     probe = ast.parse("def f(ctx: FieldContext, t: 'StructureTensor | None'): pass\n"
                       "def _g(ctx: FieldContext, t: StructureTensor): pass\n"
                       "def h(t: StructureTensor, pv: PeriodVector): pass")
-    assert _takes_context_and_tensor(probe) == ["f:1"]
-    found = [f"{path.name}:{hit}" for path in sorted(SRC.glob("*.py"))
-             for hit in _takes_context_and_tensor(
-                 ast.parse(path.read_text(), str(path)))]
-    assert found == []
+    assert _takes_beside_the_tensor(probe, {"FieldContext"}) == ["f:1"]
+    assert _found_in_package({"FieldContext"}) == []
+
+
+def test_no_function_takes_periods_beside_the_tensor():
+    # the periods are the tensor's spectrum, read as tensor.eta; periods
+    # passed beside it could be another field's, so no public function
+    # takes both
+    periods = {"PeriodVector", "ndarray"}
+    probe = ast.parse("def f(t: StructureTensor, eta: np.ndarray): pass\n"
+                      "def g(t: 'StructureTensor', pv: 'PeriodVector | None'): pass\n"
+                      "def _h(t: StructureTensor, eta: np.ndarray): pass\n"
+                      "def i(ctx: FieldContext, eta: np.ndarray): pass")
+    assert _takes_beside_the_tensor(probe, periods) == ["f:1", "g:2"]
+    assert _found_in_package(periods) == []

@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from brute_force import class_members, cyclotomic_numbers
 import gpmoments
-from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
-                       build_matrices, build_report, build_tensor,
-                       compute_periods, primes_in_range, superchar,
+from gpmoments import (ConfigInvalid, build_context, build_matrices,
+                       build_report, build_tensor, primes_in_range, superchar,
                        verify_identities, zero_sum_counts)
 from gpmoments.superchar import (DENSE_BUDGET_BYTES, all_passed,
                                  check_dense_budget)
@@ -162,24 +161,23 @@ def test_zero_sum_counts_match_enumeration():
 
 def test_tensor_stores_only_the_cyclotomic_numbers():
     # keys/counts are the one stored form: a report reads its constants
-    # without caching a second copy, and c0 is the only cached view
-    ctx = build_context(1009, 3)
-    tensor = build_tensor(ctx)
-    build_report(tensor, compute_periods(ctx))
-    assert set(vars(tensor)) == {"ctx", "keys", "counts"}
+    # without caching a second copy, only the periods eta, and c0 is the
+    # only cached view of the constants
+    tensor = build_tensor(build_context(1009, 3))
+    build_report(tensor)
+    assert set(vars(tensor)) == {"ctx", "keys", "counts", "eta"}
     assert not tensor.c0.flags.writeable
-    assert set(vars(tensor)) == {"ctx", "keys", "counts", "c0"}
+    assert set(vars(tensor)) == {"ctx", "keys", "counts", "eta", "c0"}
 
 
 def _pipeline(p, d):
-    ctx = build_context(p, d)
-    return build_tensor(ctx), compute_periods(ctx)
+    return build_tensor(build_context(p, d))
 
 
 def test_t_structure_sqrt_row_at_alpha():
     for p, d in [(13, 4), (17, 4), (7, 3), (13, 2), (7, 2)]:
-        tensor, pv = _pipeline(p, d)
-        ctx, m = tensor.ctx, build_matrices(tensor, pv)
+        tensor = _pipeline(p, d)
+        ctx, m = tensor.ctx, build_matrices(tensor)
         root = np.sqrt(ctx.k)
         for j in range(d):
             expected = root if j == ctx.alpha else 0.0
@@ -189,40 +187,40 @@ def test_t_structure_sqrt_row_at_alpha():
 
 
 def test_identities_7_3_all_pass():
-    assert all_passed(verify_identities(*_pipeline(7, 3)))
+    assert all_passed(verify_identities(_pipeline(7, 3)))
 
 
 def test_product_identity_rejects_perturbed_constants():
     # the identity is checked on row i = 0 only, so a number (u, w)_d must be
     # caught wherever it sits: the first key, the last key, and the first key
     # of a row u != 0
-    tensor, pv = _pipeline(13, 4)
+    tensor = _pipeline(13, 4)
     row1 = int(np.flatnonzero(tensor.keys // tensor.ctx.d == 1)[0])
     for pos in (0, len(tensor.keys) - 1, row1):
         counts = tensor.counts.copy()
         counts[pos] += 1
         bad = dataclasses.replace(tensor, counts=counts)
-        results = {r.name: r for r in verify_identities(bad, pv)}
+        results = {r.name: r for r in verify_identities(bad)}
         assert not results["product_identity"].passed, int(tensor.keys[pos])
 
 
 def test_identities_13_4_symmetry_not_applicable():
-    results = {r.name: r for r in verify_identities(*_pipeline(13, 4))}
+    results = {r.name: r for r in verify_identities(_pipeline(13, 4))}
     assert not results["T_symmetric"].applicable
     assert results["T_normal"].passed
     assert all(r.passed for r in results.values())
 
 
 def test_identities_29_7_odd_d_symmetric():
-    results = {r.name: r for r in verify_identities(*_pipeline(29, 7))}
+    results = {r.name: r for r in verify_identities(_pipeline(29, 7))}
     assert results["T_symmetric"].applicable  # d odd forces 2d | p-1
     assert results["T_symmetric"].passed
 
 
 def test_eigenvalues_of_T_are_periods():
-    tensor, pv = _pipeline(13, 6)
-    eig = sorted(np.linalg.eigvals(build_matrices(tensor, pv).T).real)
-    expected = sorted(list(pv.eta.real) + [(13 - 1) / 6])
+    tensor = _pipeline(13, 6)
+    eig = sorted(np.linalg.eigvals(build_matrices(tensor).T).real)
+    expected = sorted(list(tensor.eta.real) + [(13 - 1) / 6])
     assert np.allclose(eig, expected, atol=1e-8)
 
 
@@ -232,23 +230,6 @@ def test_trace_closed_form():
         c0 = build_tensor(ctx).c0
         lhs = int((c0[:d, :d].astype(object) ** 2).sum())
         assert lhs * d * d == p * p + (d * d - 3 * d - 2) * p + 3 * d + 1
-
-
-def test_build_matrices_dimension_mismatch():
-    ctx3 = build_context(7, 3)
-    ctx2 = build_context(7, 2)
-    with pytest.raises(DimensionMismatch):
-        build_matrices(build_tensor(ctx2), compute_periods(ctx3))
-
-
-@pytest.mark.parametrize("fn", [build_matrices, build_report])
-@pytest.mark.parametrize("other", [(13, 3), (7, 2)], ids=["other_p", "other_d"])
-def test_tensor_and_periods_of_another_field_are_refused(fn, other):
-    # the (7, 3) tensor beside periods of another p with the same d, and of
-    # another d with the same p: counts and floats must describe one field
-    tensor = build_tensor(build_context(7, 3))
-    with pytest.raises(DimensionMismatch):
-        fn(tensor, compute_periods(build_context(*other)))
 
 
 @st.composite
