@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DivisorMismatch, PreconditionViolated
-from .field_core import build_context, is_prime, primes_in_range
+from .field_core import build_context, primes_in_range
 from .superchar import StructureTensor, build_tensor
 
 
@@ -34,15 +34,13 @@ def is_circular(p: int, k: int,
 
     tensor, when given, is the structure tensor of p at any multiple of d
     (the classes of order d are its coset indices mod d); otherwise one is
-    built, and only then is p tested for primality.  The witness comes from
-    the first largest number (i, j)_d: n = alpha - i, m = j - i (mod d) and
+    built, and only then is p tested for primality (build_context raises
+    CompositeInput unless p is an odd prime).  The witness comes from the
+    first largest number (i, j)_d: n = alpha - i, m = j - i (mod d) and
     t = g^n.
     """
     if tensor is not None and tensor.ctx.p != p:
         raise DimensionMismatch(f"tensor of p={tensor.ctx.p} cannot decide p={p}")
-    # a tensor's context has proved p an odd prime in find_primitive_root
-    if tensor is None and (not is_prime(p) or p == 2):
-        raise DivisorMismatch(f"{p} is not an odd prime")
     if k < 1 or (p - 1) % k != 0:
         raise DivisorMismatch(f"k={k} does not divide p-1={p - 1}")
     d = (p - 1) // k

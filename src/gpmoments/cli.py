@@ -1,9 +1,9 @@
 """Command-line front end: prime sweeps, single-prime verification, figure
 data emission, and circularity scans.
 
-Output rows are buffered, sorted by p, and written to a temporary file that
-is renamed into place, so runs are byte-identical regardless of worker count
-and a cancelled run leaves no partial file.
+Output rows are buffered in task order, ascending p, and written to a
+temporary file that is renamed into place, so runs are byte-identical
+regardless of worker count and a cancelled run leaves no partial file.
 """
 
 import argparse
@@ -83,20 +83,16 @@ def _fmt_value(v) -> str:
 
 
 def _pick_formula(rpt: MomentReport) -> tuple[str, str]:
-    # a fixed-d report holds no fixed-k form, a fixed-k one may hold both kinds
-    for name in ("v4_fixed_k_even", "v4_fixed_k_odd", "v4_d2", "v4_d3",
-                 "v4_d4_mod8_1", "v4_d4_mod8_5"):
-        if name in rpt.formula_values:
-            return name, _fmt_value(rpt.formula_values[name])
-    return "", ""
+    if not rpt.formula:
+        return "", ""
+    return rpt.formula, _fmt_value(rpt.formula_values[rpt.formula])
 
 
 def _pick_bounds(rpt: MomentReport) -> tuple[str, str]:
-    for name in ("v4_d3", "v4_d4_mod8_1", "v4_d4_mod8_5", "v4_d5", "v4_general"):
-        if name in rpt.bounds:
-            b = rpt.bounds[name]
-            return _fmt_float(float(b.lower)), _fmt_float(float(b.upper))
-    return "", ""
+    if not rpt.band:
+        return "", ""
+    b = rpt.bounds[rpt.band]
+    return _fmt_float(float(b.lower)), _fmt_float(float(b.upper))
 
 
 def _run_prime(p: int, mode: SweepMode, value: int):
@@ -107,8 +103,8 @@ def _run_prime(p: int, mode: SweepMode, value: int):
     return tensor, build_report(tensor, fixed_k=mode is SweepMode.FIXED_K)
 
 
-def _sweep_row(task: tuple[int, SweepMode, int, OutputFormat]) -> tuple[int, str, bool]:
-    """Worker: one prime -> (p, row, passed), the row a CSV line or a JSON
+def _sweep_row(task: tuple[int, SweepMode, int, OutputFormat]) -> tuple[str, bool]:
+    """Worker: one prime -> (row, passed), the row a CSV line or a JSON
     object as the task's output format asks."""
     p, mode, value, out_format = task
     rpt = _run_prime(p, mode, value)[1]
@@ -134,24 +130,16 @@ def _sweep_row(task: tuple[int, SweepMode, int, OutputFormat]) -> tuple[int, str
             str(rpt.v4_exact.numerator), str(rpt.v4_exact.denominator),
             "1" if passed else "0",
         ])
-    return p, row, passed
+    return row, passed
 
 
-def _sweep_primes(cfg: SweepConfig) -> list[int]:
-    # the fixed d or k divides p - 1 in either mode
-    return primes_in_range(max(cfg.p_lo, 3), cfg.p_hi, (cfg.value, 1))
-
-
-def _map_by_p(fn, tasks: list, workers: int) -> list[tuple]:
-    """fn over tasks, on `workers` processes when there are several, as
-    results sorted by their first field p."""
+def _map(fn, tasks: list, workers: int) -> list:
+    """fn over tasks, on `workers` processes when there are several; the
+    results come in task order."""
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, tasks, chunksize=16))
-    else:
-        results = [fn(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    return results
+            return list(pool.map(fn, tasks, chunksize=16))
+    return [fn(t) for t in tasks]
 
 
 def _atomic_write(path: str, lines: list[str]) -> None:
@@ -175,16 +163,18 @@ def _atomic_write(path: str, lines: list[str]) -> None:
 def run_sweep(cfg: SweepConfig) -> int:
     """Run the sweep and write the output file; returns the process exit code."""
     cfg.validate()
-    tasks = [(p, cfg.mode, cfg.value, cfg.out_format) for p in _sweep_primes(cfg)]
-    results = _map_by_p(_sweep_row, tasks, cfg.workers)
+    # the fixed d or k divides p - 1 in either mode
+    tasks = [(p, cfg.mode, cfg.value, cfg.out_format)
+             for p in primes_in_range(max(cfg.p_lo, 3), cfg.p_hi, (cfg.value, 1))]
+    results = _map(_sweep_row, tasks, cfg.workers)
 
     if cfg.out_format is OutputFormat.CSV:
         header = FIXED_D_HEADER if cfg.mode is SweepMode.FIXED_D else FIXED_K_HEADER
-        lines = [header] + [r[1] for r in results]
+        lines = [header] + [r[0] for r in results]
     else:
-        lines = ["[" + ",".join(r[1] for r in results) + "]"]
+        lines = ["[" + ",".join(r[0] for r in results) + "]"]
     _atomic_write(cfg.output, lines)
-    return EXIT_OK if all(r[2] for r in results) else EXIT_CHECK_FAILED
+    return EXIT_OK if all(r[1] for r in results) else EXIT_CHECK_FAILED
 
 
 def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
@@ -218,13 +208,13 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
         print(f"formula {name} = {_fmt_value(val)}", file=out)
     for name, b in rpt.bounds.items():
         print(f"bounds {name}: [{float(b.lower):.6f}, {float(b.upper):.6f}]", file=out)
-    vk = rpt.circularity
-    if vk is not None:
-        state = "circular" if vk.circular else "non-circular"
-        print(f"pair (p,k)=({p},{value}) is {state} "
-              f"(max intersection {vk.max_intersection})", file=out)
-        if not vk.circular:
-            print("fixed-k formula skipped (pair not circular)", file=out)
+    for vk in (rpt.circularity, rpt.circularity_2k):
+        if vk is not None:
+            state = "circular" if vk.circular else "non-circular"
+            print(f"pair (p,k)=({vk.p},{vk.k}) is {state} "
+                  f"(max intersection {vk.max_intersection})", file=out)
+            if not vk.circular:
+                print("fixed-k formula skipped (pair not circular)", file=out)
     for name, ok in rpt.verdicts.items():
         print(f"check {name}: {'pass' if ok else 'FAIL'}", file=out)
 
@@ -269,23 +259,22 @@ def emit_figure_data(figure_id: str, output: str, p_hi: int | None = None,
     if p_hi is None:
         p_hi = 100_000
     tasks = [(p, d) for p in primes_in_range(d * d + 1, p_hi, (d, 1))]
-    results = _map_by_p(_figure_row, tasks, workers)
     header = "p,v4_exact,lower_bound,upper_bound"
     if d == 4:
         header += ",branch"
-    lines = [header] + [r[1] for r in results]
+    lines = [header] + _map(_figure_row, tasks, workers)
     _atomic_write(output, lines)
     return EXIT_OK
 
 
-def _figure_row(task: tuple[int, int]) -> tuple[int, str]:
+def _figure_row(task: tuple[int, int]) -> str:
     p, d = task
     rpt = _run_prime(p, SweepMode.FIXED_D, d)[1]
     lo, hi = _pick_bounds(rpt)
     cols = [str(p), _fmt_value(rpt.v4_exact), lo, hi]
     if d == 4:
         cols.append(str(p % 8))
-    return p, ",".join(cols)
+    return ",".join(cols)
 
 
 def run_circular_scan(k: int, p_hi: int, output: str | None) -> int:

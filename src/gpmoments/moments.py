@@ -27,7 +27,7 @@ FLOAT_REL_TOL = 1e-6  # relative tolerance of direct float power sums
 
 @dataclass(frozen=True)
 class BoundInterval:
-    source: str
+    source: str  # the band's name: its key in MomentReport.bounds
     lower: float | Fraction
     upper: float | Fraction
 
@@ -50,8 +50,7 @@ def v2_exact(p: int, d: int) -> Fraction:
 def v1_bounds(p: int, d: int) -> BoundInterval:
     """sqrt(V_2) <= V_1 <= sqrt((d-1)p + 1)."""
     v2 = v2_exact(p, d)
-    return BoundInterval("v1_cauchy_schwarz",
-                         math.sqrt(float(v2)), math.sqrt((d - 1) * p + 1))
+    return BoundInterval("v1", math.sqrt(float(v2)), math.sqrt((d - 1) * p + 1))
 
 
 def vn_d2_closed_form(p: int, n: int) -> float:
@@ -101,8 +100,9 @@ def v4_d3(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
     return value, bounds
 
 
-def v4_d4(tensor: StructureTensor) -> tuple[Fraction, BoundInterval, str]:
-    """d = 4: exact value and band, branching on p mod 8."""
+def v4_d4(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
+    """d = 4: exact value and band, branching on p mod 8; the band's source
+    names the branch."""
     p = tensor.ctx.p
     if tensor.ctx.d != 4:
         raise PreconditionViolated("v4_d4 requires d = 4")
@@ -114,14 +114,14 @@ def v4_d4(tensor: StructureTensor) -> tuple[Fraction, BoundInterval, str]:
         bounds = BoundInterval("v4_d4_mod8_1",
                                Fraction(17 * p * p - 18 * p + 1, 64),
                                (21 * p * p + 24 * ph + 18 * p + 1) / 64)
-        return value, bounds, "mod8_1"
+        return value, bounds
     t2 = int(tensor.constant(0, 2))
     value = Fraction(p ** 3 + 71 * p * p + 256 * p * t2 * t2
                      - 32 * (p - 5) * p * t2 + 79 * p + 9, 576)
     bounds = BoundInterval("v4_d4_mod8_5",
                            Fraction(9 * p * p + 6 * p + 1, 64),
                            (13 * p * p + 8 * ph + 10 * p + 1) / 64)
-    return value, bounds, "mod8_5"
+    return value, bounds
 
 
 def v4_d5_bounds(p: int, d: int) -> BoundInterval:
@@ -191,9 +191,11 @@ def hurwitz_count(tensor: StructureTensor) -> int:
 @dataclass
 class MomentReport:
     """Per-prime verification record: direct power sums, exact V_4, the
-    applicable closed forms and bands, and pass/fail verdicts.  circularity
-    is the (p,k) verdict of a fixed-k report, None otherwise; it is not part
-    of the JSON row."""
+    applicable closed forms and bands, and pass/fail verdicts.  formula and
+    band name the row's headline: its V_4 closed form and its tightest V_4
+    band, "" when there is none.  circularity is the (p,k) verdict of a
+    fixed-k report and circularity_2k the (p,2k) one when it was decided,
+    None otherwise.  These four are not part of the JSON row."""
 
     p: int
     d: int
@@ -204,7 +206,10 @@ class MomentReport:
     formula_values: dict[str, Fraction | float] = field(default_factory=dict)
     bounds: dict[str, BoundInterval] = field(default_factory=dict)
     verdicts: dict[str, bool] = field(default_factory=dict)
+    formula: str = ""
+    band: str = ""
     circularity: CircularityVerdict | None = None
+    circularity_2k: CircularityVerdict | None = None
 
     def all_passed(self) -> bool:
         return all(self.verdicts.values())
@@ -228,8 +233,9 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
 
     With fixed_k, the circularity of (p,k) is decided from tensor and kept
     as rpt.circularity; for odd k, (p,2k) is decided too when (p,k) is
-    circular.  The fixed-k closed form is asserted when v4_fixed_k accepts
-    those verdicts.
+    circular, and kept as rpt.circularity_2k.  The fixed-k closed form is
+    asserted when v4_fixed_k accepts those verdicts, and heads the report
+    in place of a d-form.
     """
     p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
     rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8,
@@ -244,53 +250,47 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
     rpt.verdicts["v4_float_vs_exact"] = close(v4f, float(rpt.v4_exact))
 
     if d > 1:
-        rpt.formula_values["v2"] = v2_exact(p, d)
-        rpt.verdicts["v2"] = close(rpt.v_direct[2], float(v2_exact(p, d)))
+        v2 = rpt.formula_values["v2"] = v2_exact(p, d)
+        rpt.verdicts["v2"] = close(rpt.v_direct[2], float(v2))
         b1 = v1_bounds(p, d)
-        rpt.bounds["v1"] = b1
-        rpt.verdicts["v1_bounds"] = b1.contains(rpt.v_direct[1])
+        rpt.bounds[b1.source] = b1
+        rpt.verdicts[f"{b1.source}_bounds"] = b1.contains(rpt.v_direct[1])
 
+    bands = []  # the applicable V_4 bands, tightest first
     if d == 2:
+        rpt.formula = "v4_d2"
         val = vn_d2_closed_form(p, 4)
-        rpt.formula_values["v4_d2"] = val
-        rpt.verdicts["v4_d2"] = close(float(rpt.v4_exact), val)
-    elif d == 3:
-        val, bounds = v4_d3(tensor)
-        rpt.formula_values["v4_d3"] = val
-        rpt.bounds["v4_d3"] = bounds
-        rpt.verdicts["v4_d3"] = val == rpt.v4_exact
-        if p > d * d:
-            rpt.verdicts["v4_d3_bounds"] = bounds.contains(rpt.v4_exact)
-    elif d == 4:
-        val, bounds, branch = v4_d4(tensor)
-        name = f"v4_d4_{branch}"
-        rpt.formula_values[name] = val
-        rpt.bounds[name] = bounds
-        rpt.verdicts[name] = val == rpt.v4_exact
-        if p > d * d:
-            rpt.verdicts[name + "_bounds"] = bounds.contains(rpt.v4_exact)
+        rpt.formula_values[rpt.formula] = val
+        rpt.verdicts[rpt.formula] = close(float(rpt.v4_exact), val)
+    elif d in (3, 4):
+        # the exact form shares its name with its band
+        val, band = (v4_d3 if d == 3 else v4_d4)(tensor)
+        rpt.formula = band.source
+        rpt.formula_values[rpt.formula] = val
+        rpt.verdicts[rpt.formula] = val == rpt.v4_exact
+        bands.append(band)
     elif d == 5:
-        bounds = v4_d5_bounds(p, d)
-        rpt.bounds["v4_d5"] = bounds
-        if p > d * d:
-            rpt.verdicts["v4_d5_bounds"] = bounds.contains(rpt.v4_exact)
-
+        bands.append(v4_d5_bounds(p, d))
     if d > 2:
-        gb = v4_general_bounds(p, d)
-        rpt.bounds["v4_general"] = gb
+        bands.append(v4_general_bounds(p, d))
+    for band in bands:
+        rpt.bounds[band.source] = band
         if p > d * d:
-            rpt.verdicts["v4_general_bounds"] = gb.contains(rpt.v4_exact)
+            rpt.verdicts[f"{band.source}_bounds"] = band.contains(rpt.v4_exact)
+    if bands:
+        rpt.band = bands[0].source
 
     if fixed_k:
         vk = rpt.circularity = is_circular(p, k, tensor)
         # an odd k divides the even p - 1 with 2k
-        v2k = is_circular(p, 2 * k, tensor) if k % 2 and vk.circular else None
+        v2k = rpt.circularity_2k = (is_circular(p, 2 * k, tensor)
+                                    if k % 2 and vk.circular else None)
         try:
             val = v4_fixed_k(vk, v2k)
         except NotCircular:
             return rpt
-        name = "v4_fixed_k_even" if k % 2 == 0 else "v4_fixed_k_odd"
-        rpt.formula_values[name] = val
-        rpt.verdicts[name] = val == rpt.v4_exact
+        rpt.formula = "v4_fixed_k_even" if k % 2 == 0 else "v4_fixed_k_odd"
+        rpt.formula_values[rpt.formula] = val
+        rpt.verdicts[rpt.formula] = val == rpt.v4_exact
 
     return rpt

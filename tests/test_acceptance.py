@@ -54,9 +54,9 @@ def test_criterion_2_d4_both_branches():
     count = 0
     for p in primes_in_range(5, P_SWEEP, (4, 1)):
         tensor = pipeline(p, 4)
-        value, _, branch = v4_d4(tensor)
+        value, band = v4_d4(tensor)
         if value != v4_exact_from_counts(tensor):
-            failures.append((p, branch))
+            failures.append((p, band.source))
         count += 1
     report(2, failures, f"d=4 exact V4, both mod-8 branches, {count} primes")
 

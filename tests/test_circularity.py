@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 from brute_force import (circularity_by_pairs, diagonal_counts_check,
                          half_inverse_check, intersection_size,
                          replay_witness, subgroup)
-from gpmoments import (DimensionMismatch, DivisorMismatch,
+from gpmoments import (CompositeInput, DimensionMismatch, DivisorMismatch,
                        PreconditionViolated, build_context, build_tensor,
-                       circularity, is_circular, primes_in_range,
+                       field_core, is_circular, primes_in_range,
                        scan_noncircular)
 
 
@@ -33,8 +33,10 @@ def test_k2_and_k3_circular_small():
 def test_divisor_mismatch():
     with pytest.raises(DivisorMismatch):
         is_circular(13, 5)
-    with pytest.raises(DivisorMismatch):
+    with pytest.raises(CompositeInput):  # as build_context refuses 15
         is_circular(15, 2)
+    with pytest.raises(DivisorMismatch):  # 4 does not divide 14
+        is_circular(15, 4)
     with pytest.raises(DimensionMismatch):  # a tensor of another prime
         is_circular(13, 2, build_tensor(build_context(7, 3)))
     with pytest.raises(DimensionMismatch):  # order 6 does not divide d = 4
@@ -42,14 +44,15 @@ def test_divisor_mismatch():
 
 
 def test_tensor_verdict_takes_p_as_proved(monkeypatch):
-    # a tensor's context has proved p prime; only a bare p is tested again
+    # a tensor's context has proved p prime; only a bare p is tested again,
+    # by build_context
     tensor = build_tensor(build_context(1009, 252))
     expected = [is_circular(1009, k) for k in (4, 12)]
 
     def no_test(n):
         raise AssertionError("is_prime called")
 
-    monkeypatch.setattr(circularity, "is_prime", no_test)
+    monkeypatch.setattr(field_core, "is_prime", no_test)
     assert [is_circular(1009, k, tensor) for k in (4, 12)] == expected
     with pytest.raises(AssertionError):
         is_circular(1009, 4)

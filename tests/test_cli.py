@@ -167,6 +167,19 @@ def test_verify_5_k4_flags_noncircular():
     assert "fixed-k formula skipped" in text
 
 
+def test_verify_13_k3_says_why_the_odd_form_is_skipped():
+    # (13, 3) is circular but (13, 6) is not: the odd-k form needs both
+    buf = io.StringIO()
+    rc = verify_single(13, 3, SweepMode.FIXED_K, out=buf)
+    lines = buf.getvalue().splitlines()
+    assert rc == EXIT_OK
+    i = lines.index("pair (p,k)=(13,3) is circular (max intersection 2)")
+    assert lines[i + 1:i + 3] == [
+        "pair (p,k)=(13,6) is non-circular (max intersection 3)",
+        "fixed-k formula skipped (pair not circular)"]
+    assert not any(line.startswith("formula v4_fixed_k") for line in lines)
+
+
 def test_verify_13_d4_branch():
     buf = io.StringIO()
     verify_single(13, 4, SweepMode.FIXED_D, out=buf)

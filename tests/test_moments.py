@@ -120,13 +120,13 @@ def test_v4_d3_rejects_other_d():
 
 def test_v4_d4_both_branches_exact():
     tensor = pipeline(17, 4)
-    value, _, branch = v4_d4(tensor)
-    assert branch == "mod8_1"
+    value, band = v4_d4(tensor)
+    assert band.source == "v4_d4_mod8_1"
     assert value == v4_exact_from_counts(tensor)
 
     tensor = pipeline(13, 4)
-    value, bounds, branch = v4_d4(tensor)
-    assert branch == "mod8_5"
+    value, bounds = v4_d4(tensor)
+    assert bounds.source == "v4_d4_mod8_5"
     assert value == v4_exact_from_counts(tensor)
     p = 13
     assert float(bounds.lower) == pytest.approx((9 * 169 + 78 + 1) / 64)
@@ -137,7 +137,7 @@ def test_v4_d4_both_branches_exact():
 @pytest.mark.parametrize("p", primes_in_range(17, 600, (4, 1)))
 def test_v4_d4_sweep_exact_equality(p):
     tensor = pipeline(p, 4)
-    value, bounds, _ = v4_d4(tensor)
+    value, bounds = v4_d4(tensor)
     assert value == v4_exact_from_counts(tensor)
     if p > 16:
         assert bounds.contains(value)
@@ -346,9 +346,24 @@ def test_report_fixed_k_odd_circular_asserts_formula():
     rpt = build_report(pipeline(31, 10), fixed_k=True)
     assert rpt.circularity == is_circular(31, 3)
     assert rpt.circularity.circular
+    assert rpt.circularity_2k == is_circular(31, 6)
     assert rpt.formula_values["v4_fixed_k_odd"] == 128
     assert rpt.verdicts["v4_fixed_k_odd"]
     assert rpt.all_passed()
+
+
+def test_report_fixed_k_odd_keeps_the_2k_verdict():
+    # (13, 3) is circular but (13, 6) is not, so the odd-k form is skipped
+    rpt = build_report(pipeline(13, 4), fixed_k=True)
+    assert rpt.circularity.circular
+    assert rpt.circularity_2k == is_circular(13, 6)
+    assert not rpt.circularity_2k.circular
+    assert rpt.formula == "v4_d4_mod8_5"
+    # an even k, or an odd k whose pair is not circular, needs no 2k verdict
+    assert build_report(pipeline(13, 3), fixed_k=True).circularity_2k is None
+    rpt = build_report(pipeline(43, 6), fixed_k=True)  # k = 7
+    assert not rpt.circularity.circular
+    assert rpt.circularity_2k is None
 
 
 def test_report_json_roundtrip():
@@ -359,3 +374,31 @@ def test_report_json_roundtrip():
     assert rpt.circularity is None
     assert "circularity" not in blob
     assert blob["v4_exact"] == [38, 1]
+    # the headline names are read off formula_values and bounds, not stored
+    assert not {"formula", "band", "circularity_2k"} & blob.keys()
+
+
+# the ranked names from which the CSV and figure rows picked their headline
+# before the report named it: the first one present in the report heads it
+FORMULA_RANKING = ("v4_fixed_k_even", "v4_fixed_k_odd", "v4_d2", "v4_d3",
+                   "v4_d4_mod8_1", "v4_d4_mod8_5")
+BAND_RANKING = ("v4_d3", "v4_d4_mod8_1", "v4_d4_mod8_5", "v4_d5", "v4_general")
+
+
+def _first_present(names, held):
+    return next((name for name in names if name in held), "")
+
+
+@pytest.mark.parametrize("fixed_k, value",
+                         [(False, d) for d in (1, 2, 3, 4, 5, 6, 12)]
+                         + [(True, k) for k in (2, 3, 4, 5, 6, 12)])
+def test_report_headline_matches_the_ranked_names(fixed_k, value):
+    checked = 0
+    for p in primes_in_range(3, 1999, (value, 1)):
+        d = (p - 1) // value if fixed_k else value
+        rpt = build_report(pipeline(p, d), fixed_k=fixed_k)
+        assert (rpt.formula, rpt.band) == (
+            _first_present(FORMULA_RANKING, rpt.formula_values),
+            _first_present(BAND_RANKING, rpt.bounds)), p
+        checked += 1
+    assert checked > 20

@@ -90,3 +90,21 @@ def test_no_function_takes_periods_beside_the_tensor():
                       "def i(ctx: FieldContext, eta: np.ndarray): pass")
     assert _takes_beside_the_tensor(probe, periods) == ["f:1", "g:2"]
     assert _found_in_package(periods) == []
+
+
+def _literals_starting(tree, prefix: str) -> list[str]:
+    return [f"{node.lineno}:{node.value}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith(prefix)]
+
+
+def test_cli_names_no_v4_form():
+    # moments names and ranks the V_4 closed forms and bands (a band's
+    # source is its name, rpt.formula and rpt.band the row's headline); the
+    # CLI only formats the report, so it spells no "v4_" name of its own
+    probe = ast.parse('HEADER = ("p," "v4_exact")\n'
+                      'for name in ("v4_d3", "v1"): pass\n'
+                      'x = f"v4_d4_{b}"')
+    assert _literals_starting(probe, "v4_") == ["2:v4_d3", "3:v4_d4_"]
+    cli = SRC / "cli.py"
+    assert _literals_starting(ast.parse(cli.read_text(), str(cli)), "v4_") == []
