@@ -215,10 +215,14 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
                   f"(max intersection {vk.max_intersection})", file=out)
             if not vk.circular:
                 print("fixed-k formula skipped (pair not circular)", file=out)
-    for name, ok in rpt.verdicts.items():
-        print(f"check {name}: {'pass' if ok else 'FAIL'}", file=out)
-
+    # the exact count checks are verdicts of the report too; they print
+    # once, as identities with their detail
     identities = verify_identities(tensor)
+    shown = {res.name for res in identities}
+    for name, ok in rpt.verdicts.items():
+        if name not in shown:
+            print(f"check {name}: {'pass' if ok else 'FAIL'}", file=out)
+
     for res in identities:
         tag = "pass" if res.passed else "FAIL"
         if not res.applicable:

@@ -16,13 +16,14 @@ from .circularity import CircularityVerdict, is_circular
 from .errors import (DimensionMismatch, InconsistentCounts, NotCircular,
                      PreconditionViolated)
 from .field_core import FieldContext
-from .periods import power_sum_direct
-from .superchar import StructureTensor, build_tensor, zero_sum_counts
+from .periods import power_sums
+from .superchar import (StructureTensor, build_tensor, count_checks,
+                        zero_sum_counts)
 
 # Float tolerances (exact values are compared exactly; verify_identities has
 # its own, superchar.UNITARY_TOL and superchar.SCALED_TOL):
 HALF_POWER_SLACK = 1e-9  # relative slack on bound endpoints containing p^(3/2)
-FLOAT_REL_TOL = 1e-6  # relative tolerance of direct float power sums
+FLOAT_REL_TOL = 1e-6  # relative tolerance of float power sums
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,13 @@ def v1_bounds(p: int, d: int) -> BoundInterval:
     return BoundInterval("v1", math.sqrt(float(v2)), math.sqrt((d - 1) * p + 1))
 
 
-def vn_d2_closed_form(p: int, n: int) -> float:
-    """Closed form for d = 2, branching on p mod 4."""
-    if n < 1:
-        raise PreconditionViolated("n must be >= 1")
+def v4_d2(p: int) -> Fraction:
+    """d = 2: the periods are (-1 +- sqrt(p))/2 for p = 1 (mod 4) and
+    (-1 +- i sqrt(p))/2 for p = 3 (mod 4), so V_4 is (p^2 + 6p + 1)/8 or
+    (p + 1)^2/8."""
     if p % 4 == 1:
-        total = sum(math.comb(n, 2 * j) * p ** (n / 2 - j)
-                    for j in range(n // 2 + 1))
-        return 2.0 ** (1 - n) * total
-    return 2.0 ** (1 - n) * (p + 1) ** (n / 2)
+        return Fraction(p * p + 6 * p + 1, 8)
+    return Fraction((p + 1) ** 2, 8)
 
 
 def v4_exact_from_counts(tensor: StructureTensor) -> Fraction:
@@ -72,9 +71,12 @@ def v4_exact_from_counts(tensor: StructureTensor) -> Fraction:
     raised if they differ.
     """
     p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
-    classes = np.arange(d)
-    col = tensor.constant(classes, 0)
-    row = tensor.constant(0, classes)
+    keys, counts = tensor.keys, tensor.counts
+    # the stored (u, 0)_d, keys u*d, and (0, w)_d, the keys below d, read in
+    # O(nnz) rather than by d lookups; a number not stored is 0 and adds
+    # nothing to a sum of squares
+    col = counts[keys // d * d == keys]
+    row = counts[:np.searchsorted(keys, d)]
     # exact in int64: each of col and row sums to at most k, so its sum of
     # squares is at most k^2 <= MAX_P^2 = 10^14 < 2^63
     va = Fraction(p * k + p * int(col @ col) - k ** 3)
@@ -190,7 +192,7 @@ def hurwitz_count(tensor: StructureTensor) -> int:
 
 @dataclass
 class MomentReport:
-    """Per-prime verification record: direct power sums, exact V_4, the
+    """Per-prime verification record: float power sums, exact V_4, the
     applicable closed forms and bands, and pass/fail verdicts.  formula and
     band name the row's headline: its V_4 closed form and its tightest V_4
     band, "" when there is none.  circularity is the (p,k) verdict of a
@@ -229,7 +231,9 @@ class MomentReport:
 
 def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport:
     """Evaluate every applicable formula and bound for the tensor's context,
-    the direct power sums from its periods `tensor.eta`.
+    the float power sums V_1..V_4 from its periods `tensor.spectrum`, and
+    the exact checks of its counts (`count_checks`), which stay independent
+    of the periods when these are read off T.
 
     With fixed_k, the circularity of (p,k) is decided from tensor and kept
     as rpt.circularity; for odd k, (p,2k) is decided too when (p,k) is
@@ -239,8 +243,7 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
     """
     p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
     rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8,
-                       v_direct={n: power_sum_direct(tensor.eta, n)
-                                 for n in (1, 2, 3, 4)})
+                       v_direct=power_sums(tensor.spectrum, (1, 2, 3, 4)))
     rpt.v4_exact = v4_exact_from_counts(tensor)
     v4f = rpt.v_direct[4]
 
@@ -248,6 +251,8 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
         return math.isclose(a, b, rel_tol=FLOAT_REL_TOL, abs_tol=1e-9)
 
     rpt.verdicts["v4_float_vs_exact"] = close(v4f, float(rpt.v4_exact))
+    for check in count_checks(tensor):
+        rpt.verdicts[check.name] = check.passed
 
     if d > 1:
         v2 = rpt.formula_values["v2"] = v2_exact(p, d)
@@ -259,9 +264,10 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
     bands = []  # the applicable V_4 bands, tightest first
     if d == 2:
         rpt.formula = "v4_d2"
-        val = vn_d2_closed_form(p, 4)
-        rpt.formula_values[rpt.formula] = val
-        rpt.verdicts[rpt.formula] = close(float(rpt.v4_exact), val)
+        val = v4_d2(p)
+        # rows print the form as a float; the verdict compares it exactly
+        rpt.formula_values[rpt.formula] = float(val)
+        rpt.verdicts[rpt.formula] = val == rpt.v4_exact
     elif d in (3, 4):
         # the exact form shares its name with its band
         val, band = (v4_d3 if d == 3 else v4_d4)(tensor)

@@ -2,7 +2,9 @@
 
 eta[a] sums e^(2 pi i x / p) over the coset g^a <g^d>, giving d complex
 numbers whose absolute n-th powers are summed into the power sums checked
-against the exact formulas in `moments`.
+against the exact formulas in `moments`.  This direct O(p) sum is the
+periods' source when d^3 > p; below, a report reads them off the
+eigenvalues of T (`StructureTensor.spectrum`) and this sum is their oracle.
 """
 
 import numpy as np
@@ -62,8 +64,15 @@ def compute_periods(ctx: FieldContext) -> np.ndarray:
     return eta
 
 
+def power_sums(eta: np.ndarray, ns) -> dict[int, float]:
+    """n -> sum of |eta|^n over the d classes for each n in ns, via
+    floating-point moduli taken once."""
+    if min(ns) < 1:
+        raise ValueError("n must be >= 1")
+    moduli = np.abs(eta)
+    return {n: float(np.sum(moduli ** n)) for n in ns}
+
+
 def power_sum_direct(eta: np.ndarray, n: int) -> float:
     """Sum of |eta|^n over the d classes, via floating-point moduli."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return float(np.sum(np.abs(eta) ** n))
+    return power_sums(eta, (n,))[n]

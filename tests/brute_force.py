@@ -18,7 +18,8 @@ read off the structure constants, with subgroup_projective.
 fermat_count_from_periods and hurwitz_count_from_periods are the period
 formulas for the diagonal solution counts, rounded from complex floats;
 gauss_cubic_L and cubic_period_power_sums give the exact power sums of the
-d = 3 periods from Gauss's period polynomial, with no table at all.
+d = 3 periods from Gauss's period polynomial, with no table at all;
+vn_d2_closed_form is V_n at d = 2 from the two quadratic periods, in floats.
 """
 
 import cmath
@@ -264,3 +265,15 @@ def cubic_period_power_sums(p: int, n: int) -> list[Fraction]:
     while len(s) <= n:
         s.append(e1 * s[-1] - e2 * s[-2] + e3 * s[-3])
     return s[:n + 1]
+
+
+def vn_d2_closed_form(p: int, n: int) -> float:
+    """V_n at d = 2 in floats, branching on p mod 4: the periods are
+    (-1 +- sqrt(p))/2 or (-1 +- i sqrt(p))/2."""
+    if n < 1:
+        raise PreconditionViolated("n must be >= 1")
+    if p % 4 == 1:
+        total = sum(math.comb(n, 2 * j) * p ** (n / 2 - j)
+                    for j in range(n // 2 + 1))
+        return 2.0 ** (1 - n) * total
+    return 2.0 ** (1 - n) * (p + 1) ** (n / 2)

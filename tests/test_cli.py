@@ -6,6 +6,7 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from brute_force import brute_projective
@@ -340,11 +341,64 @@ def periods_calls(monkeypatch):
                                         ("fixed_k", 3)])
 def test_sweep_computes_the_periods_once_per_prime(tmp_path, periods_calls,
                                                    mode, value):
+    # a row with d^3 <= p reads its periods off the eigenvalues of T and
+    # sums none; every other row sums them once
     out = tmp_path / "s.csv"
     assert main(["sweep", "--mode", mode, "--value", str(value), "--to", "600",
                  "--out", str(out), "--workers", "1"]) == EXIT_OK
-    primes = [int(line.split(",")[0]) for line in read(out).splitlines()[1:]]
-    assert len(primes) > 20 and periods_calls == primes
+    rows = [line.split(",") for line in read(out).splitlines()[1:]]
+    summed = [int(r[0]) for r in rows if int(r[1]) ** 3 > int(r[0])]
+    assert len(rows) > 20 and periods_calls == summed
+
+
+def test_sweep_sums_the_periods_only_above_d_cubed(tmp_path, periods_calls):
+    # 211 < 6^3 = 216 < 223, the primes = 1 (mod 6) on either side
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--mode", "fixed_d", "--value", "6", "--from", "211",
+                 "--to", "223", "--out", str(out), "--workers", "1"]) == EXIT_OK
+    rows = [line.split(",") for line in read(out).splitlines()[1:]]
+    assert [r[0] for r in rows] == ["211", "223"]
+    assert all(r[-1] == "1" for r in rows) and periods_calls == [211]
+
+
+def _perturbed_counts(change):
+    # build_tensor with one count of column 1 changed: (1,1)_3 and (2,1)_3
+    # lie off row 0 and column 0, which V_4 from the counts and the d = 3
+    # form read, so only the exact count checks are sure to see it
+    real = cli.build_tensor
+
+    def build(ctx):
+        tensor = real(ctx)
+        pos = np.searchsorted(tensor.keys, [ctx.d + 1, 2 * ctx.d + 1])
+        assert tensor.keys[pos].tolist() == [ctx.d + 1, 2 * ctx.d + 1]
+        counts = tensor.counts.copy()
+        if change == "move":  # within the column: its sum stays k
+            small, large = sorted(pos, key=lambda i: counts[i])
+            counts[small] -= 1
+            counts[large] += 1
+        else:
+            counts[pos[0]] -= 1
+        return dataclasses.replace(tensor, counts=counts)
+    return build
+
+
+@pytest.mark.parametrize("change,broken", [("move", "count_square_sum"),
+                                           ("drop", "column_sums")])
+def test_sweep_fails_rows_with_perturbed_counts(tmp_path, monkeypatch, change,
+                                                broken):
+    # rows with d^3 <= p take their power sums from T itself, so the exact
+    # count checks are what ties them to an independent truth
+    monkeypatch.setattr(cli, "build_tensor", _perturbed_counts(change))
+    argv = ["sweep", "--mode", "fixed_d", "--value", "3", "--from", "1000",
+            "--to", "1100", "--workers", "1", "--out"]
+    csv_out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
+    assert main(argv + [str(csv_out)]) == EXIT_CHECK_FAILED
+    rows = [line.split(",") for line in read(csv_out).splitlines()[1:]]
+    assert len(rows) > 5 and all(r[-1] == "0" for r in rows)
+    assert main(argv + [str(json_out), "--format", "json"]) == EXIT_CHECK_FAILED
+    reports = json.loads(read(json_out))
+    assert all(r["d"] ** 3 <= r["p"] and not r["verdicts"][broken]
+               for r in reports)
 
 
 @pytest.mark.parametrize("p,flag,value", [(7, "--d", "3"), (31, "--k", "3")])

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from brute_force import (cubic_period_power_sums, fermat_count_from_periods,
-                         gauss_cubic_L, hurwitz_count_from_periods)
+                         gauss_cubic_L, hurwitz_count_from_periods,
+                         vn_d2_closed_form)
 from gpmoments import (DimensionMismatch, NotCircular, PreconditionViolated,
                        build_context, build_report, build_tensor,
                        compute_periods, fermat_solution_count, hurwitz_count,
                        power_sum_direct, primes_in_range,
-                       v1_bounds, v2_exact, v4_d3, v4_d4,
+                       v1_bounds, v2_exact, v4_d2, v4_d3, v4_d4,
                        v4_d5_bounds, v4_exact_from_counts, v4_fixed_k,
-                       v4_general_bounds, vn_d2_closed_form)
+                       v4_general_bounds)
 from gpmoments.circularity import is_circular
 
 
@@ -67,6 +68,18 @@ def test_d2_closed_form_examples():
 def test_d2_closed_form_vs_direct(n):
     for p in primes_in_range(5, 120):
         assert vn_d2_closed_form(p, n) == pytest.approx(direct_v(p, 2, n), rel=1e-9)
+
+
+def test_v4_d2_is_exact_and_rounds_to_the_float_form():
+    # both branches of p mod 4; the Fraction's float is the float form's,
+    # bit for bit, so JSON rows keep their digits
+    primes = primes_in_range(3, 3000)
+    assert {p % 4 for p in primes} == {1, 3}
+    for p in primes:
+        value = v4_d2(p)
+        assert value == v4_exact_from_counts(pipeline(p, 2)), p
+        assert float(value) == vn_d2_closed_form(p, 4), p
+    assert (v4_d2(13), v4_d2(7)) == (31, 8)
 
 
 # --------------------------------------------------- exact V4 from counts

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from brute_force import class_members, cyclotomic_numbers
 import gpmoments
 from gpmoments import (ConfigInvalid, build_context, build_matrices,
-                       build_report, build_tensor, primes_in_range, superchar,
-                       verify_identities, zero_sum_counts)
+                       build_report, build_tensor, compute_periods,
+                       primes_in_range, superchar, verify_identities,
+                       zero_sum_counts)
 from gpmoments.superchar import (DENSE_BUDGET_BYTES, all_passed,
                                  check_dense_budget)
 
@@ -160,14 +162,20 @@ def test_zero_sum_counts_match_enumeration():
 
 
 def test_tensor_stores_only_the_cyclotomic_numbers():
-    # keys/counts are the one stored form: a report reads its constants
-    # without caching a second copy, only the periods eta, and c0 is the
-    # only cached view of the constants
+    # keys/counts are the one stored form: a report caches only its periods,
+    # the spectrum, and with d^3 <= p the dense c0 and T it reads them off;
+    # c0 and T are the only cached views of the constants
+    stored = {"ctx", "keys", "counts"}
     tensor = build_tensor(build_context(1009, 3))
     build_report(tensor)
-    assert set(vars(tensor)) == {"ctx", "keys", "counts", "eta"}
+    assert set(vars(tensor)) == stored | {"c0", "T", "spectrum"}
+    assert not tensor.c0.flags.writeable and not tensor.T.flags.writeable
+    tensor = build_tensor(build_context(1009, 12))
+    build_report(tensor)
+    assert set(vars(tensor)) == stored | {"eta", "spectrum"}
+    assert tensor.spectrum is tensor.eta
     assert not tensor.c0.flags.writeable
-    assert set(vars(tensor)) == {"ctx", "keys", "counts", "eta", "c0"}
+    assert set(vars(tensor)) == stored | {"eta", "spectrum", "c0"}
 
 
 def _pipeline(p, d):
@@ -222,6 +230,28 @@ def test_eigenvalues_of_T_are_periods():
     eig = sorted(np.linalg.eigvals(build_matrices(tensor).T).real)
     expected = sorted(list(tensor.eta.real) + [(13 - 1) / 6])
     assert np.allclose(eig, expected, atol=1e-8)
+
+
+def test_spectrum_is_the_periods_as_a_multiset():
+    # every p < 3000 and every d | p - 1 with d^3 <= p, where the spectrum
+    # comes from the eigenvalues of T: d = 1, d = 2 with real (p = 1 mod 4)
+    # and complex (p = 3 mod 4) periods, even and odd k
+    kinds = set()
+    for p in primes_in_range(3, 3000):
+        for d in range(1, math.isqrt(p) + 1):
+            if (p - 1) % d or d ** 3 > p:
+                continue
+            tensor = _pipeline(p, d)
+            left = list(tensor.spectrum)
+            assert "eta" not in vars(tensor) and len(left) == d
+            eta = compute_periods(tensor.ctx)
+            tol = 1e-12 * np.abs(eta).max()
+            for value in eta:
+                i = int(np.argmin(np.abs(np.array(left) - value)))
+                assert abs(left.pop(i) - value) <= tol, (p, d)
+            kinds.add((d, p % 4 if d == 2 else None, tensor.ctx.k % 2))
+    assert {(1, None, 0), (2, 1, 0), (2, 3, 1), (3, None, 0),
+            (4, None, 1)} <= kinds
 
 
 def test_trace_closed_form():
