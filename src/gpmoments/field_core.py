@@ -51,7 +51,7 @@ def find_primitive_root(p: int) -> int:
     raise CompositeInput(f"no generator found for {p}")  # unreachable for prime p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldContext:
     """Immutable description of the coset partition of F_p under <g^d>.
 
@@ -62,6 +62,8 @@ class FieldContext:
     summation order used by the period computation; it views the (p-1,)
     power table g^0, ..., g^(p-2), so its rows are strided.  These two
     read-only tables are the whole context; the class d = {0} has no row.
+    Equality is identity, so a context hashes: fieldwise == would compare
+    the arrays and raise.
     """
 
     p: int

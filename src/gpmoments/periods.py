@@ -1,10 +1,12 @@
 """Gaussian periods and their absolute power sums (floating point path).
 
-eta[a] sums e^(2 pi i x / p) over the coset g^a <g^d>, giving d complex
-numbers whose absolute n-th powers are summed into the power sums checked
-against the exact formulas in `moments`.  This direct O(p) sum is the
-periods' source when d^3 > p; below, a report reads them off the
-eigenvalues of T (`StructureTensor.spectrum`) and this sum is their oracle.
+eta[a] sums e(x/p) = e^(2 pi i x / p) over the coset g^a <g^d>, giving d
+complex numbers whose absolute n-th powers are summed into the power sums
+checked against the exact formulas in `moments`.  Each term is a product of
+two unit roots read from tables of about sqrt(p) entries, so the O(p) sum
+evaluates no cosine or exponential per term.  This sum is the periods'
+source when d^3 > p; below, a report reads them off the eigenvalues of T
+(`StructureTensor.spectrum`) and this sum is their oracle.
 """
 
 import numpy as np
@@ -12,21 +14,42 @@ import numpy as np
 from .field_core import FieldContext
 
 
-# Largest number of unit-root terms evaluated at once (64 KiB of complex128):
-# compute_periods takes max(1, PERIOD_CHUNK // columns) whole rows per block,
-# so its temporaries stay bounded while tiny cosets share one numpy call.  It
-# also copies the rows it sums in column strips of about this many elements.
-PERIOD_CHUNK = 4096
+# Largest number of terms computed at once: compute_periods takes
+# max(1, PERIOD_CHUNK // columns) whole rows per block and fills them in
+# column strips of at most this many terms, so its scratch stays at 640 KiB
+# (two complex128 strips and one int64 strip) while tiny cosets share one
+# numpy call.  Only the float64 rows being summed are larger.
+PERIOD_CHUNK = 16384
+
+_TWO_PI = 2 * np.arccos(np.longdouble(-1))  # to long double precision
+
+
+def _unit_root_tables(p: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(s, low, high) with low[r] = e(r/p) for r < 2^s and high[q] =
+    e(q 2^s / p) for q <= (p - 1) >> s, where s = ceil(bits(p) / 2): both
+    about sqrt(p) long.  Each cosine and sine is computed in long double
+    and rounded once to float64, so for x = q 2^s + r in 1..p-1,
+    e(x/p) = high[q] * low[r] up to a few float64 roundings."""
+    s = (p.bit_length() + 1) // 2
+    # q 2^s <= x <= p - 1, so every angle is below 2 pi
+    x = np.concatenate((np.arange(1 << s), np.arange(((p - 1) >> s) + 1) << s))
+    theta = _TWO_PI * x.astype(np.longdouble) / p
+    roots = np.empty(len(x), dtype=np.complex128)
+    roots.real = np.cos(theta)
+    roots.imag = np.sin(theta)
+    return s, roots[:1 << s], roots[1 << s:]
 
 
 def compute_periods(ctx: FieldContext) -> np.ndarray:
     """The d periods eta, summed directly over the (d, k) coset array: half
     of the p - 1 terms.
 
-    The rows are summed from a C-contiguous copy, so every eta is the
-    pairwise sum of one contiguous row whatever the strides of ctx.cosets:
-    the summation order, and so the bits, are fixed.  Past the first float
-    temporary of a block, the arithmetic runs in place.
+    Term x = q 2^s + r is high[q] * low[r] from `_unit_root_tables`, taken as
+    cos = Re h Re l - Im h Im l and, for odd k, sin = Im h Re l + Re h Im l.
+    q = x >> s and r = x & (2^s - 1) are read straight off the strided
+    ctx.cosets view, PERIOD_CHUNK terms at a time, and the terms land in a
+    buffer of whole rows: every eta is the pairwise sum of one contiguous
+    row, so the summation order, and so the bits, are fixed.
 
     -1 = g^(dk/2) halves the work.  For even k it lies in the subgroup, so in
     the power order of ctx.cosets entry j + k/2 of every row is minus entry
@@ -34,33 +57,43 @@ def compute_periods(ctx: FieldContext) -> np.ndarray:
     For odd k, d is even and -X_a = X_(a + d/2), so only rows 0 .. d/2 - 1
     are summed and the other half are their conjugates, bit for bit.
     """
-    p, d, k = ctx.p, ctx.d, ctx.k
-    eta = np.empty(d, dtype=np.complex128)
-    # the summed part of ctx.cosets, copied C-contiguous in column strips:
-    # each strip is one short stretch of the power table that ctx.cosets
-    # views, so the table is read once rather than once per row.  int32
-    # holds every p <= MAX_P < 2^31 and converts to the same floats.
+    d, k = ctx.d, ctx.k
+    s, low, high = _unit_root_tables(ctx.p)
     view = ctx.cosets[:, :k // 2] if k % 2 == 0 else ctx.cosets[:d // 2]
-    x = np.empty(view.shape, dtype=np.int32)
-    cols = max(1, PERIOD_CHUNK // len(view))
-    for c in range(0, view.shape[1], cols):
-        x[:, c:c + cols] = view[:, c:c + cols]
-    rows = max(1, PERIOD_CHUNK // view.shape[1])
-    if k % 2 == 0:
-        for a in range(0, d, rows):
-            block = x[a:a + rows]
-            # min(x, p - x) keeps the angle in [0, pi]; for x <= p/2 it is
-            # the same float as the complex path's fl(fl(2 pi x) * fl(1/p))
-            theta = np.minimum(block, p - block) * (2 * np.pi)
-            theta *= 1.0 / p
-            eta[a:a + rows] = 2 * np.cos(theta, out=theta).sum(axis=1)
-    else:
-        out = eta[:d // 2]
-        for a in range(0, d // 2, rows):
-            z = 2j * np.pi * x[a:a + rows]
-            z /= p
-            out[a:a + rows] = np.exp(z, out=z).sum(axis=1)
-        eta[d // 2:] = out.conj()
+    n_rows, cols = view.shape
+    rows = max(1, PERIOD_CHUNK // cols)
+    width = PERIOD_CHUNK // rows
+    # the gathered roots of a strip, and its indices, whose memory then holds
+    # a product.  Chunk-sized at every p: the same few allocations on every
+    # call let the allocator reuse its pages instead of faulting in new ones.
+    h, l = np.empty((2, PERIOD_CHUNK), dtype=np.complex128)
+    idx = np.empty(PERIOD_CHUNK, dtype=np.int64)
+    prod = idx.view(np.float64)
+    # the cos (and, for odd k, sin) of the terms of one block of rows
+    parts = np.empty((1 + k % 2, min(rows, n_rows), cols))
+    eta = np.empty(d, dtype=np.complex128)
+    for a in range(0, n_rows, rows):
+        n = min(rows, n_rows - a)
+        for c in range(0, cols, width):
+            x = view[a:a + n, c:c + width]
+            ix, hs, ls, ps = (buf[:x.size].reshape(x.shape)
+                              for buf in (idx, h, l, prod))
+            # every index is in range: "clip" only skips the buffered
+            # bounds check of the default mode
+            high.take(np.right_shift(x, s, out=ix), out=hs, mode="clip")
+            low.take(np.bitwise_and(x, (1 << s) - 1, out=ix), out=ls, mode="clip")
+            cos = np.multiply(hs.real, ls.real, out=parts[0, :n, c:c + width])
+            cos -= np.multiply(hs.imag, ls.imag, out=ps)
+            if k % 2:
+                sin = np.multiply(hs.imag, ls.real, out=parts[1, :n, c:c + width])
+                sin += np.multiply(hs.real, ls.imag, out=ps)
+        sums = parts[:, :n].sum(axis=2)
+        if k % 2 == 0:
+            eta[a:a + n] = 2 * sums[0]
+        else:
+            eta.real[a:a + n], eta.imag[a:a + n] = sums
+    if k % 2:
+        eta[d // 2:] = eta[:d // 2].conj()
     return eta
 
 

@@ -82,14 +82,15 @@ def _cyclotomic_numbers(ctx: FieldContext, e: int) -> tuple[np.ndarray, np.ndarr
     return keys.astype(np.int64), counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureTensor:
     """The structure constants of (p, d), held as sparse cyclotomic numbers.
 
     keys (ascending) and counts list the nonzero (i, j)_d, key i*d + j;
     `constant` reads any c_{0,u,w} off them.  The dense slice `c0`, the
     matrix `T`, the periods `spectrum` and the labelled periods `eta` of the
-    same (p, d) are computed on first read and cached.
+    same (p, d) are computed on first read and cached.  Equality is
+    identity, as for the context.
     """
 
     ctx: FieldContext
@@ -157,8 +158,10 @@ class StructureTensor:
 
         When d^3 <= p they are the eigenvalues of T less the one nearest k
         (eigvalsh for even k, where T is symmetric): O(d^3) in place of the
-        O(p) sum of `eta`, which they match to about 1e-13 relative and which
-        costs less from about d^3 = 3p on.  Otherwise they are `eta`.
+        O(p) sum of `eta`, which they match to about 1e-13 relative.  The sum
+        costs less from about d^3 = 1.5p on for odd k, and for even k from
+        about d^3 = p at d = 30 to beyond 6p at d >= 100.  Otherwise they are
+        `eta`.
         """
         p, d, k = self.ctx.p, self.ctx.d, self.ctx.k
         if d ** 3 > p:
@@ -210,8 +213,9 @@ def zero_sum_counts(tensor: StructureTensor, n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupercharMatrices:
+    # equality is identity, as for the context: the fields are arrays
     U: np.ndarray  # (d+1) x (d+1) complex, symmetric unitary
     T: np.ndarray  # (d+1) x (d+1) real
     # (d+1) x (d+1) complex sigma[i, l] = sigma_i(X_l): eta_{i+l}, k on

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from brute_force import gauss_sum_aggregate, periods_by_class
 from gpmoments import (build_context, compute_periods, power_sum_direct,
                        primes_in_range)
-from gpmoments.periods import PERIOD_CHUNK
+from gpmoments.periods import PERIOD_CHUNK, _unit_root_tables
 
 
 def identity_tolerance(ctx):
@@ -59,20 +60,26 @@ def max_error(eta, reference):
 
 
 # block boundaries of compute_periods, which sums k/2 columns of every row
-# for even k and k columns of the first d/2 rows for odd k: one row per block
-# just under the chunk, two rows of 2048 columns, several rows per block with
-# a partial last block, a single partial block, k = 1 and 2, and the sizes of
-# the benchmark's primes near 5e4 and 1e6
-BLOCK_CASES = [(8191, 2), (12289, 3), (4099, 2), (12289, 6), (8191, 6),
-               (9973, 2493), (2731, 2), (13, 12), (3, 1), (3, 2), (7, 1),
-               (7, 6), (5, 4), (49999, 3), (1000003, 3), (1000117, 12)]
+# for even k and k columns of the first d/2 rows for odd k, in blocks of
+# max(1, PERIOD_CHUNK // columns) rows filled PERIOD_CHUNK terms at a time:
+# one row per block just under the chunk, exactly the chunk, one term over
+# it (a strip of one term), two rows of 8192 columns, one row just over half
+# the chunk, several rows per block with a partial last block (for 2048
+# columns, and for k = 4 and 3), a single partial block (even k, k = 4, and
+# odd k of 4095, 2049 and 1365 columns), k = 1 and 2, and the sizes of the
+# benchmark's primes near 5e4 and 1e6
+BLOCK_CASES = [(98299, 6), (65537, 2), (32771, 1), (32771, 2), (65537, 4),
+               (49171, 3), (40961, 10), (40961, 10240), (32779, 10926),
+               (12289, 3), (12289, 6), (9973, 2493), (8191, 2), (4099, 2),
+               (8191, 6), (2731, 2), (13, 12), (3, 1), (3, 2), (7, 1), (7, 6),
+               (5, 4), (49999, 3), (1000003, 3), (1000033, 4), (1000117, 12)]
 
 
 @pytest.mark.parametrize("p,d", BLOCK_CASES)
 def test_periods_symmetry_is_bitwise(p, d):
     # even k: -1 is in the subgroup and eta is exactly real; odd k: the
     # second half of the classes are the negated first half, so conjugates
-    assert PERIOD_CHUNK == 4096  # the cases sit on the boundaries of this chunk
+    assert PERIOD_CHUNK == 16384  # the cases sit on the boundaries of this chunk
     ctx = build_context(p, d)
     eta = compute_periods(ctx)
     assert eta.dtype == np.complex128
@@ -82,21 +89,38 @@ def test_periods_symmetry_is_bitwise(p, d):
         assert eta[d // 2:].tobytes() == eta[:d // 2].conj().tobytes()
 
 
+def row_period(ctx, a):
+    # eta[a] alone from the same unit-root tables, its terms one 1-D array
+    s, low, high = _unit_root_tables(ctx.p)
+    x = np.array(ctx.cosets[a, :ctx.k // 2] if ctx.k % 2 == 0 else ctx.cosets[a])
+    h, l = high[x >> s], low[x & ((1 << s) - 1)]
+    cos = h.real * l.real - h.imag * l.imag
+    if ctx.k % 2 == 0:
+        return complex(2 * cos.sum())
+    return complex(cos.sum(), (h.imag * l.real + h.real * l.imag).sum())
+
+
 @pytest.mark.parametrize("p,d", BLOCK_CASES)
 def test_periods_are_row_sums_bit_for_bit(p, d):
     # each eta is the pairwise sum of its own row alone, one 1-D array at a
-    # time: the strided cosets view and the blocks change no bit
+    # time: the strided cosets view, the blocks and the strips change no bit
     ctx = build_context(p, d)
     eta = compute_periods(ctx)
     for a in range(d if ctx.k % 2 == 0 else d // 2):
-        if ctx.k % 2 == 0:
-            x = np.array(ctx.cosets[a, :ctx.k // 2])
-            theta = np.minimum(x, p - x) * (2 * np.pi) * (1.0 / p)
-            expected = complex(2 * np.cos(theta).sum())
-        else:
-            x = np.array(ctx.cosets[a])
-            expected = complex(np.exp(2j * np.pi * x / p).sum())
-        assert eta[a] == expected, a
+        assert eta[a] == row_period(ctx, a), a
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 8191, 65537, 1000003])
+def test_unit_root_tables_cover_every_term(p):
+    # x = q 2^s + r for every x in 1..p-1, each product within a few
+    # roundings of e(x/p), the tables about sqrt(p) long
+    s, low, high = _unit_root_tables(p)
+    assert len(low) == 1 << s and len(high) == ((p - 1) >> s) + 1
+    assert len(low) + len(high) <= 3 * math.isqrt(p) + 3
+    x = np.arange(1, p)
+    z = high[x >> s] * low[x & ((1 << s) - 1)]
+    theta = 2 * np.arccos(np.longdouble(-1)) * x.astype(np.longdouble) / p
+    assert np.max(np.hypot(z.real - np.cos(theta), z.imag - np.sin(theta))) < 1e-15
 
 
 @pytest.mark.parametrize("p,d", BLOCK_CASES)
@@ -107,6 +131,57 @@ def test_periods_as_accurate_as_per_class_sums(p, d):
     baseline = max_error(periods_by_class(ctx), reference)
     error = max_error(compute_periods(ctx), reference)
     assert error <= 2 * max(baseline, np.finfo(np.float64).eps * ctx.k)
+
+
+@pytest.mark.parametrize("p", [1000003, 1000033, 9999973, 9999991])
+@pytest.mark.parametrize("d", [1, 2])
+def test_periods_match_exact_values(p, d):
+    # d = 1: the one period is -1.  d = 2: eta[0] sums over the squares, so
+    # it is (-1 + G)/2 and eta[1] = (-1 - G)/2, with the quadratic Gauss sum
+    # G = sqrt(p) for p = 1 (mod 4) and i sqrt(p) for p = 3 (mod 4)
+    assert np.finfo(np.longdouble).eps < 1e-18  # the reference must be finer
+    eta = compute_periods(build_context(p, d))
+    half = np.sqrt(np.longdouble(p)) / 2
+    if d == 1:
+        re, im = np.array([-1], dtype=np.longdouble), np.zeros(1, np.longdouble)
+    elif p % 4 == 1:
+        re, im = np.array([-0.5 + half, -0.5 - half]), np.zeros(2, np.longdouble)
+    else:
+        re, im = np.full(2, np.longdouble(-0.5)), np.array([half, -half])
+    assert max_error(eta, (re, im)) <= 2e-11
+
+
+def counted_unit_roots(monkeypatch):
+    # elements passed to np.cos, np.sin and np.exp from now on
+    count = [0]
+    for name in ("cos", "sin", "exp"):
+        def counted(x, *args, real=getattr(np, name), **kwargs):
+            count[0] += np.size(x)
+            return real(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("p,d", [(1000003, 3), (1000117, 12)])
+def test_periods_evaluate_sqrt_p_unit_roots(monkeypatch, p, d):
+    # the (p - 1)/2 terms come from tables: no cosine or exponential per term
+    ctx = build_context(p, d)
+    count = counted_unit_roots(monkeypatch)
+    compute_periods(ctx)
+    assert 0 < count[0] <= 5 * math.ceil(math.sqrt(p)) + 16
+
+
+@pytest.mark.parametrize("p,d", [(1000003, 3), (1000033, 4), (1000117, 12)])
+def test_periods_peak_memory(p, d):
+    # the rows being summed and PERIOD_CHUNK-term scratch, no O(p) copy
+    ctx = build_context(p, d)
+    tracemalloc.start()
+    try:
+        compute_periods(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 10**6
 
 
 @st.composite

@@ -336,3 +336,15 @@ def test_cross_checks_survive_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:1] == ["variant check raised"]
+
+
+def test_array_dataclasses_compare_by_identity():
+    # fieldwise == would compare the arrays and raise, and hash() would fail
+    ctx = build_context(13, 3)
+    tensor = build_tensor(ctx)
+    mats = build_matrices(tensor)
+    for obj, twin in [(ctx, build_context(13, 3)), (tensor, build_tensor(ctx)),
+                      (mats, build_matrices(tensor))]:
+        assert obj == obj and obj != twin
+        assert len({obj, twin, obj}) == 2
+        assert hash(obj) == hash(obj)
