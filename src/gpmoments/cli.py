@@ -8,6 +8,7 @@ regardless of worker count and a cancelled run leaves no partial file.
 
 import argparse
 import enum
+import functools
 import json
 import os
 import sys
@@ -362,6 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call rather than at import: parsing
+# leaves it unchanged, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def _sweep_config_from_args(args) -> SweepConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
 
@@ -392,20 +398,35 @@ def _sweep_config_from_args(args) -> SweepConfig:
     )
 
 
+def _run_command(args) -> int:
+    if args.command == "sweep":
+        return run_sweep(_sweep_config_from_args(args))
+    if args.command == "verify":
+        mode = SweepMode.FIXED_D if args.d is not None else SweepMode.FIXED_K
+        return verify_single(args.p, args.d if args.d is not None else args.k, mode)
+    if args.command == "figure":
+        workers = _default_workers() if args.workers is None else args.workers
+        return emit_figure_data(args.id, args.out, args.p_hi, workers)
+    if args.command == "circular":
+        return run_circular_scan(args.k, args.p_hi, args.out)
+    raise ConfigInvalid(f"unknown command {args.command}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return run_sweep(_sweep_config_from_args(args))
-        if args.command == "verify":
-            mode = SweepMode.FIXED_D if args.d is not None else SweepMode.FIXED_K
-            return verify_single(args.p, args.d if args.d is not None else args.k, mode)
-        if args.command == "figure":
-            workers = _default_workers() if args.workers is None else args.workers
-            return emit_figure_data(args.id, args.out, args.p_hi, workers)
-        if args.command == "circular":
-            return run_circular_scan(args.k, args.p_hi, args.out)
-        raise ConfigInvalid(f"unknown command {args.command}")
+        code = _run_command(args)
+        # a closed pipe shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (e.g. `| head`): an I/O error.  The
+        # unwritten rest goes to the null device, so the flush at exit
+        # raises nothing more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CONFIG_ERROR
     except (ConfigInvalid, UnknownFigure, IoFailure, DivisorMismatch,
             CompositeInput) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,19 +39,26 @@ class BoundInterval:
         return lo - slack <= v <= hi + slack
 
 
-def v2_exact(p: int, d: int) -> Fraction:
-    """((d-1)p + 1)/d, valid for d > 1."""
+def _check_v2_domain(p: int, d: int) -> None:
     if d <= 1:
         raise PreconditionViolated("v2_exact requires d > 1")
     if (p - 1) % d != 0:
         raise PreconditionViolated(f"d={d} must divide p-1")
+
+
+def v2_exact(p: int, d: int) -> Fraction:
+    """((d-1)p + 1)/d, valid for d > 1."""
+    _check_v2_domain(p, d)
     return Fraction((d - 1) * p + 1, d)
 
 
 def v1_bounds(p: int, d: int) -> BoundInterval:
-    """sqrt(V_2) <= V_1 <= sqrt((d-1)p + 1)."""
-    v2 = v2_exact(p, d)
-    return BoundInterval("v1", math.sqrt(float(v2)), math.sqrt((d - 1) * p + 1))
+    """sqrt(V_2) <= V_1 <= sqrt(d V_2) = sqrt((d-1)p + 1), on the domain of
+    v2_exact.  V_2 is not formed: the true quotient ((d-1)p + 1)/d is the
+    float of v2_exact(p, d), so a report forms V_2 once."""
+    _check_v2_domain(p, d)
+    n = (d - 1) * p + 1
+    return BoundInterval("v1", math.sqrt(n / d), math.sqrt(n))
 
 
 def v4_d2(p: int) -> Fraction:
@@ -76,25 +83,26 @@ def v4_exact_from_counts(tensor: StructureTensor) -> Fraction:
     # O(nnz) rather than by d lookups; a number not stored is 0 and adds
     # nothing to a sum of squares
     col = counts[keys // d * d == keys]
-    row = counts[:np.searchsorted(keys, d)]
+    row = counts[:keys.searchsorted(d)]
     # exact in int64: each of col and row sums to at most k, so its sum of
     # squares is at most k^2 <= MAX_P^2 = 10^14 < 2^63
-    va = Fraction(p * k + p * int(col @ col) - k ** 3)
+    va = p * k + p * int(col @ col) - k ** 3
     delta_alpha = 1 if (p - 1) % (2 * d) == 0 else 0
-    vb = Fraction(p * k * delta_alpha + p * int(row @ row) - k ** 3)
+    vb = p * k * delta_alpha + p * int(row @ row) - k ** 3
     if va != vb:
         raise InconsistentCounts(
             f"count variants disagree at (p,d)=({p},{d}): {va} vs {vb}")
-    return va
+    return Fraction(va)
 
 
 def v4_d3(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
-    """d = 3: exact value from t_0 = c_{0,0,0} plus the tight p^(3/2) band."""
+    """d = 3: exact value from t_0 = c_{0,0,0}, read off the cached c0,
+    plus the tight p^(3/2) band."""
     p = tensor.ctx.p
     if tensor.ctx.d != 3:
         raise PreconditionViolated("v4_d3 requires d = 3")
-    t0 = int(tensor.constant(0, 0))
-    value = Fraction(10 * p * p - 20 * p + 1, 27) - Fraction(4, 3) * p * t0
+    t0 = int(tensor.c0[0, 0])
+    value = Fraction(10 * p * p - 20 * p + 1 - 36 * p * t0, 27)
     ph = p ** 1.5
     bounds = BoundInterval("v4_d3",
                            (6 * p * p - 8 * ph + 12 * p + 1) / 27,
@@ -104,20 +112,21 @@ def v4_d3(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
 
 def v4_d4(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
     """d = 4: exact value and band, branching on p mod 8; the band's source
-    names the branch."""
+    names the branch.  t_0 = c_{0,0,0} and t_2 = c_{0,0,2} are read off the
+    cached c0."""
     p = tensor.ctx.p
     if tensor.ctx.d != 4:
         raise PreconditionViolated("v4_d4 requires d = 4")
     ph = p ** 1.5
     if p % 8 == 1:
-        t0 = int(tensor.constant(0, 0))
+        t0 = int(tensor.c0[0, 0])
         value = Fraction(256 * p * t0 * t0 - (32 * p * p + 224 * p) * t0
                          + p ** 3 + 167 * p * p - 113 * p + 9, 576)
         bounds = BoundInterval("v4_d4_mod8_1",
                                Fraction(17 * p * p - 18 * p + 1, 64),
                                (21 * p * p + 24 * ph + 18 * p + 1) / 64)
         return value, bounds
-    t2 = int(tensor.constant(0, 2))
+    t2 = int(tensor.c0[0, 2])
     value = Fraction(p ** 3 + 71 * p * p + 256 * p * t2 * t2
                      - 32 * (p - 5) * p * t2 + 79 * p + 9, 576)
     bounds = BoundInterval("v4_d4_mod8_5",
@@ -229,6 +238,11 @@ class MomentReport:
         }
 
 
+def _close(a: float, b: float) -> bool:
+    """A float power sum against the float of an exact value."""
+    return math.isclose(a, b, rel_tol=FLOAT_REL_TOL, abs_tol=1e-9)
+
+
 def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport:
     """Evaluate every applicable formula and bound for the tensor's context,
     the float power sums V_1..V_4 from its periods `tensor.spectrum`, and
@@ -242,24 +256,21 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
     in place of a d-form.
     """
     p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
-    rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8,
-                       v_direct=power_sums(tensor.spectrum, (1, 2, 3, 4)))
-    rpt.v4_exact = v4_exact_from_counts(tensor)
-    v4f = rpt.v_direct[4]
-
-    def close(a: float, b: float) -> bool:
-        return math.isclose(a, b, rel_tol=FLOAT_REL_TOL, abs_tol=1e-9)
-
-    rpt.verdicts["v4_float_vs_exact"] = close(v4f, float(rpt.v4_exact))
+    v = power_sums(tensor.spectrum, (1, 2, 3, 4))
+    v4 = v4_exact_from_counts(tensor)
+    v4_float = float(v4)  # every float test of V_4 reads this one rounding
+    rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8, v_direct=v, v4_exact=v4)
+    verdicts = rpt.verdicts
+    verdicts["v4_float_vs_exact"] = _close(v[4], v4_float)
     for check in count_checks(tensor):
-        rpt.verdicts[check.name] = check.passed
+        verdicts[check.name] = check.passed
 
     if d > 1:
         v2 = rpt.formula_values["v2"] = v2_exact(p, d)
-        rpt.verdicts["v2"] = close(rpt.v_direct[2], float(v2))
+        verdicts["v2"] = _close(v[2], float(v2))
         b1 = v1_bounds(p, d)
         rpt.bounds[b1.source] = b1
-        rpt.verdicts[f"{b1.source}_bounds"] = b1.contains(rpt.v_direct[1])
+        verdicts[f"{b1.source}_bounds"] = b1.contains(v[1])
 
     bands = []  # the applicable V_4 bands, tightest first
     if d == 2:
@@ -267,13 +278,13 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
         val = v4_d2(p)
         # rows print the form as a float; the verdict compares it exactly
         rpt.formula_values[rpt.formula] = float(val)
-        rpt.verdicts[rpt.formula] = val == rpt.v4_exact
+        verdicts[rpt.formula] = val == v4
     elif d in (3, 4):
         # the exact form shares its name with its band
         val, band = (v4_d3 if d == 3 else v4_d4)(tensor)
         rpt.formula = band.source
         rpt.formula_values[rpt.formula] = val
-        rpt.verdicts[rpt.formula] = val == rpt.v4_exact
+        verdicts[rpt.formula] = val == v4
         bands.append(band)
     elif d == 5:
         bands.append(v4_d5_bounds(p, d))
@@ -282,7 +293,7 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
     for band in bands:
         rpt.bounds[band.source] = band
         if p > d * d:
-            rpt.verdicts[f"{band.source}_bounds"] = band.contains(rpt.v4_exact)
+            verdicts[f"{band.source}_bounds"] = band.contains(v4_float)
     if bands:
         rpt.band = bands[0].source
 
@@ -297,6 +308,6 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
             return rpt
         rpt.formula = "v4_fixed_k_even" if k % 2 == 0 else "v4_fixed_k_odd"
         rpt.formula_values[rpt.formula] = val
-        rpt.verdicts[rpt.formula] = val == rpt.v4_exact
+        verdicts[rpt.formula] = val == v4
 
     return rpt

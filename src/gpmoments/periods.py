@@ -103,7 +103,7 @@ def power_sums(eta: np.ndarray, ns) -> dict[int, float]:
     if min(ns) < 1:
         raise ValueError("n must be >= 1")
     moduli = np.abs(eta)
-    return {n: float(np.sum(moduli ** n)) for n in ns}
+    return {n: float((moduli ** n).sum()) for n in ns}
 
 
 def power_sum_direct(eta: np.ndarray, n: int) -> float:

@@ -12,10 +12,12 @@ spectrum (the periods with k) and the labelled periods `eta`, and when the
 counts are assembled into U for the analytic identities.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import periods
 from .errors import ConfigInvalid, DimensionMismatch
@@ -73,10 +75,10 @@ def _cyclotomic_numbers(ctx: FieldContext, e: int) -> tuple[np.ndarray, np.ndarr
         # so that copy stays small, or e*e at a time so that adding up the
         # histograms is at most one more pass over the keys
         step = max(COUNT_CHUNK, e * e)
-        dense = np.zeros(e * e, dtype=np.intp)
-        for a in range(0, len(key), step):
+        dense = np.bincount(key[:step], minlength=e * e)
+        for a in range(step, len(key), step):
             dense += np.bincount(key[a:a + step], minlength=e * e)
-        keys = np.flatnonzero(dense)
+        keys = dense.nonzero()[0]
         return keys, dense[keys]
     keys, counts = np.unique(key, return_counts=True)
     return keys.astype(np.int64), counts
@@ -111,7 +113,8 @@ class StructureTensor:
         classes 0..d (integers or broadcastable index arrays): the stored
         (u, w)_d, key u*d + w, for u, w < d; on row or column d, c_{0,d,0} = 1
         (y = 0 forces x = z), c_{0,alpha,d} = k (z = 0 forces y = -x, a whole
-        class) and 0 elsewhere.
+        class) and 0 elsewhere.  This is the one map from the stored keys to
+        the constants, and the one place that knows the border class.
 
         Every other constant reduces to these: x = 0 (i = d) forces y = z, so
         c_{d,j,n} = [j = n]; for i < d, dividing by x shifts the classes of
@@ -120,19 +123,26 @@ class StructureTensor:
         d = self.ctx.d
         u, w = np.asarray(u), np.asarray(w)
         want = u * d + w
-        pos = np.minimum(np.searchsorted(self.keys, want), len(self.keys) - 1)
-        found = np.where(self.keys[pos] == want, self.counts[pos], 0)
-        # the border rule overrides the lookup: u*d + d is the key of (u+1, 0)_d
-        border = np.where(u == d, w == 0, (u == self.ctx.alpha) * self.ctx.k)
-        return np.where((u == d) | (w == d), border, found)
+        # a want past the last stored key is clipped onto that key, which
+        # differs from it, so it finds nothing
+        pos = self.keys.searchsorted(want)
+        found = self.counts.take(pos, mode="clip")
+        found *= self.keys.take(pos, mode="clip") == want
+        # the border rule.  Row d finds no key, each being below d*d, and
+        # c_{0,d,0} = 1 is the one want equal to d*d off column d.  Column d
+        # is then overridden: u*d + d is the key of (u+1, 0)_d.
+        found += want == d * d
+        return np.where(w == d, (u == self.ctx.alpha) * self.ctx.k, found)
 
     @cached_property
     def c0(self) -> np.ndarray:
-        """Dense read-only (d+1) x (d+1) slice c_{0,j,n}, 0 <= j, n <= d,
-        read through `constant`."""
+        """Dense read-only (d+1) x (d+1) slice c_{0,j,n}, 0 <= j, n <= d: one
+        call of `constant` on the whole grid, refused above the dense budget.
+        A report reads its T and the d = 3, 4 forms' t_0, t_2 off it."""
         d = self.ctx.d
         check_dense_budget(d, np.int64)
-        c0 = self.constant(*np.indices((d + 1, d + 1), sparse=True))
+        classes = np.arange(d + 1)
+        c0 = self.constant(classes[:, None], classes)
         c0.flags.writeable = False
         return c0
 
@@ -140,9 +150,13 @@ class StructureTensor:
     def T(self) -> np.ndarray:
         """Dense read-only (d+1) x (d+1) float matrix T[j, n] =
         c_{0,j,n} sqrt(|X_n| / |X_j|), |X_d| = 1 and k elsewhere: normal,
-        and symmetric for even k."""
-        sizes = np.array([self.ctx.k] * self.ctx.d + [1], dtype=np.float64)
-        T = self.c0 * np.sqrt(sizes[None, :] / sizes[:, None])
+        and symmetric for even k.  The ratio is 1 off row and column d, so T
+        is the float c0 with row d scaled by sqrt(k) and column d above it by
+        sqrt(1/k): the same roundings as scaling every entry."""
+        d, k = self.ctx.d, self.ctx.k
+        T = self.c0.astype(np.float64)
+        T[d] *= math.sqrt(k)
+        T[:d, d] *= math.sqrt(1 / k)
         T.flags.writeable = False
         return T
 
@@ -156,18 +170,26 @@ class StructureTensor:
     def spectrum(self) -> np.ndarray:
         """The d periods as a multiset, in no fixed order.
 
-        When d^3 <= p they are the eigenvalues of T less the one nearest k
-        (eigvalsh for even k, where T is symmetric): O(d^3) in place of the
-        O(p) sum of `eta`, which they match to about 1e-13 relative.  The sum
-        costs less from about d^3 = 1.5p on for odd k, and for even k from
-        about d^3 = p at d = 30 to beyond 6p at d >= 100.  Otherwise they are
-        `eta`.
+        When d^3 <= p they are the eigenvalues of T less the one nearest k:
+        O(d^3) in place of the O(p) sum of `eta`, which they match to about
+        1e-13 relative.  For even k, T is symmetric and its eigenvalues come
+        ascending from the gufunc behind np.linalg.eigvalsh, called without
+        that wrapper's checks and errstate, which cost more than the solve
+        at these sizes (a solve that did not converge leaves NaNs, which
+        fail the report's float verdicts); as |eta| <= ((d-1)sqrt(p) + 1)/d
+        < sqrt(p) < k once d^3 <= p, the one nearest k is the last.  For odd
+        k they come from np.linalg.eigvals.  The sum costs less from about
+        d^3 = 1.5p on for odd k, and for even k from about d^3 = p at d = 30
+        to beyond 6p at d >= 100.  Otherwise they are `eta`.
         """
         p, d, k = self.ctx.p, self.ctx.d, self.ctx.k
         if d ** 3 > p:
             return self.eta
-        lam = np.linalg.eigvalsh(self.T) if k % 2 == 0 else np.linalg.eigvals(self.T)
-        return np.delete(lam, np.argmin(np.abs(lam - k)))
+        if k % 2 == 0:
+            return _umath_linalg.eigvalsh_lo(self.T, signature="d->d")[:d]
+        lam = np.linalg.eigvals(self.T)
+        i = np.abs(lam - k).argmin()
+        return np.concatenate((lam[:i], lam[i + 1:]))
 
 
 def count_checks(tensor: StructureTensor) -> list[CheckResult]:
@@ -184,7 +206,7 @@ def count_checks(tensor: StructureTensor) -> list[CheckResult]:
     cols = tensor.keys - tensor.keys // d * d
     colsums = np.bincount(cols, weights=tensor.counts, minlength=d)
     colsums[0] += 1
-    colsums_ok = bool(np.all(colsums == k))
+    colsums_ok = bool((colsums == k).all())
     lhs_sq = int(tensor.counts @ tensor.counts)
     num = p * p + (d * d - 3 * d - 2) * p + 3 * d + 1
     return [CheckResult("column_sums", True, colsums_ok, f"expected {k}"),

@@ -5,10 +5,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gpmoments
 from brute_force import brute_projective
 from gpmoments import (build_context, cli, field_core, periods,
                        verify_identities)
@@ -436,3 +439,52 @@ def test_failed_sweep_leaves_no_partial_file(tmp_path, monkeypatch):
                "--from", "5", "--to", "50", "--out", str(out)])
     assert rc == EXIT_CONFIG_ERROR
     assert not out.exists()
+
+
+def _fresh_process(argv, cwd=None, **env):
+    """gpmoments argv in a new interpreter that imports this checkout, with
+    the environment variables env set on top of this one's."""
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gpmoments.__file__)))
+    return subprocess.Popen([sys.executable, "-m", "gpmoments.cli", *argv],
+                            cwd=cwd, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_one_parser_serves_every_main_call(tmp_path, capsys, monkeypatch):
+    # sweep, verify and circular in turn through one process's parser write
+    # what each writes from a fresh process
+    runs = [["sweep", "--mode", "fixed_d", "--value", "3", "--to", "300",
+             "--out", "d3.csv"],
+            ["verify", "--p", "13", "--k", "3"],
+            ["circular", "--k", "12", "--to", "300"]]
+    cli._parser.cache_clear()
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    got = []
+    for argv in runs:
+        code = main(argv)
+        got.append((code, capsys.readouterr().out))
+    assert cli._parser.cache_info().misses == 1
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for argv, (code, out) in zip(runs, got):
+        proc = _fresh_process(argv, cwd=fresh)
+        stdout, stderr = proc.communicate(timeout=120)
+        assert (code, out) == (proc.returncode, stdout), (argv, stderr)
+    assert read(here / "d3.csv") == read(fresh / "d3.csv")
+
+
+@pytest.mark.parametrize("argv", [["circular", "--k", "12", "--to", "3000"],
+                                  ["verify", "--p", "13", "--k", "3"]])
+def test_closed_stdout_is_an_io_error_without_traceback(argv):
+    # the reader is gone before the first write, as under `| head -1` once
+    # head has its line; with or without a buffered stdout
+    for unbuffered in ("", "1"):
+        proc = _fresh_process(argv, PYTHONUNBUFFERED=unbuffered)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_CONFIG_ERROR, stderr
+        assert stderr == ""

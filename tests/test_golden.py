@@ -23,6 +23,8 @@ GOLDEN = {
     "sweep_fixed_d3_to1500.json":
         ["sweep", "--mode", "fixed_d", "--value", "3", "--to", "1500",
          "--format", "json"],
+    "sweep_fixed_d4_to3000.csv":
+        ["sweep", "--mode", "fixed_d", "--value", "4", "--to", "3000"],
     "circular_k12_to3000.csv": ["circular", "--k", "12", "--to", "3000"],
 }
 

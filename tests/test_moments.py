@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from gpmoments import (DimensionMismatch, NotCircular, PreconditionViolated,
                        v1_bounds, v2_exact, v4_d2, v4_d3, v4_d4,
                        v4_d5_bounds, v4_exact_from_counts, v4_fixed_k,
                        v4_general_bounds)
+from gpmoments import moments
 from gpmoments.circularity import is_circular
+from gpmoments.superchar import StructureTensor
 
 
 def pipeline(p, d):
@@ -42,6 +45,11 @@ def test_v2_matches_direct_oracle(p, d):
 def test_v2_rejects_d1():
     with pytest.raises(PreconditionViolated):
         v2_exact(7, 1)
+    # v1_bounds has the same domain
+    with pytest.raises(PreconditionViolated):
+        v1_bounds(7, 1)
+    with pytest.raises(PreconditionViolated):
+        v1_bounds(13, 5)
 
 
 def test_v1_bounds_examples():
@@ -53,6 +61,9 @@ def test_v1_bounds_examples():
     assert (float(b.lower), float(b.upper)) == \
         pytest.approx((math.sqrt(5), math.sqrt(15)))
     assert b.contains(direct_v(7, 3, 1))
+    # the lower end is the root of the float of the exact V_2, bit for bit
+    for p, d in [(31, 3), (29, 4), (9973, 12), (999983, 2), (1000003, 3)]:
+        assert v1_bounds(p, d).lower == math.sqrt(float(v2_exact(p, d)))
 
 
 # ----------------------------------------------------------------- d = 2
@@ -344,6 +355,28 @@ def test_report_13_4_branch():
     assert rpt.p_mod_8 == 5
     assert "v4_d4_mod8_5" in rpt.formula_values
     assert rpt.all_passed()
+
+
+# d^3 <= p in each, so the periods come off T: d = 3, and d = 4 with
+# p = 1 and 5 (mod 8)
+@pytest.mark.parametrize("p,d", [(31, 3), (73, 4), (101, 4)])
+def test_report_reads_the_constants_once_and_forms_v2_once(monkeypatch, p, d):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(StructureTensor, "constant",
+                        counted("constant", StructureTensor.constant))
+    monkeypatch.setattr(moments, "v2_exact", counted("v2_exact", v2_exact))
+    rpt = build_report(pipeline(p, d))
+    assert rpt.all_passed()
+    # the c0 grid, read by T and by the d = 3, 4 forms; V_2 for its verdict
+    # only, as v1_bounds forms none
+    assert calls == {"constant": 1, "v2_exact": 1}
 
 
 def test_report_fixed_k_noncircular_skips_formula():

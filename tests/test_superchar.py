@@ -192,6 +192,10 @@ def test_t_structure_sqrt_row_at_alpha():
             assert m.T[j, d] == pytest.approx(expected)
         assert m.T[d, 0] == pytest.approx(root)
         assert np.all(m.T[d, 1:] == 0)
+        # bit for bit the definition, every entry scaled by its own ratio
+        sizes = np.array([ctx.k] * d + [1], dtype=np.float64)
+        assert np.array_equal(
+            m.T, tensor.c0 * np.sqrt(sizes[None, :] / sizes[:, None]))
 
 
 def test_identities_7_3_all_pass():
