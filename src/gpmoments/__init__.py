@@ -12,7 +12,7 @@ from .moments import (BoundInterval, MomentReport, build_report,
                       fermat_solution_count, hurwitz_count, v1_bounds, v2_exact,
                       v4_d2, v4_d3, v4_d4, v4_d5_bounds, v4_exact_from_counts,
                       v4_fixed_k, v4_general_bounds)
-from .periods import compute_periods, power_sum_direct, power_sums
+from .periods import compute_periods, power_sums
 from .superchar import (StructureTensor, SupercharMatrices, build_matrices,
                         build_tensor, count_checks, verify_identities,
                         zero_sum_counts)

@@ -62,9 +62,8 @@ def is_circular(p: int, k: int,
 
 def circularity_verdicts(k: int, p_max: int) -> list[CircularityVerdict]:
     """Verdicts on (p, k) for the primes 3 <= p <= p_max with k | (p-1),
-    ascending, each from a tensor built here: the sieved p is tested once."""
-    return [is_circular(p, k, build_tensor(build_context(p, (p - 1) // k)))
-            for p in primes_in_range(3, p_max, (k, 1))]
+    ascending."""
+    return [is_circular(p, k) for p in primes_in_range(3, p_max, (k, 1))]
 
 
 def scan_noncircular(k: int, p_max: int) -> list[int]:

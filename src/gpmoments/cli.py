@@ -23,8 +23,7 @@ from .errors import (CompositeInput, ConfigInvalid, DivisorMismatch, GpmError,
 from .fermat_curves import PowerTable
 from .field_core import build_context, primes_in_range
 from .moments import MomentReport, build_report
-from .superchar import (all_passed, build_tensor, check_dense_budget,
-                        verify_identities)
+from .superchar import build_tensor, check_dense_budget, verify_identities
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -135,9 +134,11 @@ def _sweep_row(task: tuple[int, SweepMode, int, OutputFormat]) -> tuple[str, boo
 
 
 def _map(fn, tasks: list, workers: int) -> list:
-    """fn over tasks, on `workers` processes when there are several; the
+    """fn over tasks, on up to `workers` processes but no more than there
+    are tasks or CPUs (the pool starts all of its processes at once); the
     results come in task order."""
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=16))
     return [fn(t) for t in tasks]
@@ -149,6 +150,11 @@ def _atomic_write(path: str, lines: list[str]) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gpm_tmp_")
         try:
             with os.fdopen(fd, "w") as fh:
+                # mkstemp made the file 0600; give it the mode open(path,
+                # "w") would, which os.replace keeps
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
                 fh.write("\n".join(lines))
                 if lines:
                     fh.write("\n")
@@ -238,14 +244,16 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
               f"min HW margin {table.hw_margin[j, kk]:.4f} at (0,{j},{kk})",
               file=out)
 
-    ok = rpt.all_passed() and all_passed(identities)
+    ok = rpt.all_passed() and all(res.passed for res in identities)
     print("RESULT:", "pass" if ok else "FAIL", file=out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def emit_figure_data(figure_id: str, output: str, p_hi: int | None = None,
                      workers: int = 1) -> int:
-    """Emit the data behind one of the published scatter plots."""
+    """Emit the data behind one of the published scatter plots; returns the
+    process exit code, EXIT_CHECK_FAILED when a d-figure row's report fails
+    (the file is written all the same)."""
     if figure_id not in FIGURE_IDS:
         raise UnknownFigure(f"unknown figure id {figure_id!r}")
     if workers < 1:
@@ -267,19 +275,20 @@ def emit_figure_data(figure_id: str, output: str, p_hi: int | None = None,
     header = "p,v4_exact,lower_bound,upper_bound"
     if d == 4:
         header += ",branch"
-    lines = [header] + _map(_figure_row, tasks, workers)
-    _atomic_write(output, lines)
-    return EXIT_OK
+    results = _map(_figure_row, tasks, workers)
+    _atomic_write(output, [header] + [r[0] for r in results])
+    return EXIT_OK if all(r[1] for r in results) else EXIT_CHECK_FAILED
 
 
-def _figure_row(task: tuple[int, int]) -> str:
+def _figure_row(task: tuple[int, int]) -> tuple[str, bool]:
+    """Worker: one prime -> (row, passed)."""
     p, d = task
     rpt = _run_prime(p, SweepMode.FIXED_D, d)[1]
     lo, hi = _pick_bounds(rpt)
     cols = [str(p), _fmt_value(rpt.v4_exact), lo, hi]
     if d == 4:
         cols.append(str(p % 8))
-    return ",".join(cols)
+    return ",".join(cols), rpt.all_passed()
 
 
 def run_circular_scan(k: int, p_hi: int, output: str | None) -> int:

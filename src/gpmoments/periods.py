@@ -104,8 +104,3 @@ def power_sums(eta: np.ndarray, ns) -> dict[int, float]:
         raise ValueError("n must be >= 1")
     moduli = np.abs(eta)
     return {n: float((moduli ** n).sum()) for n in ns}
-
-
-def power_sum_direct(eta: np.ndarray, n: int) -> float:
-    """Sum of |eta|^n over the d classes, via floating-point moduli."""
-    return power_sums(eta, (n,))[n]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import periods
 from .errors import ConfigInvalid, DimensionMismatch
@@ -172,13 +171,10 @@ class StructureTensor:
 
         When d^3 <= p they are the eigenvalues of T less the one nearest k:
         O(d^3) in place of the O(p) sum of `eta`, which they match to about
-        1e-13 relative.  For even k, T is symmetric and its eigenvalues come
-        ascending from the gufunc behind np.linalg.eigvalsh, called without
-        that wrapper's checks and errstate, which cost more than the solve
-        at these sizes (a solve that did not converge leaves NaNs, which
-        fail the report's float verdicts); as |eta| <= ((d-1)sqrt(p) + 1)/d
-        < sqrt(p) < k once d^3 <= p, the one nearest k is the last.  For odd
-        k they come from np.linalg.eigvals.  The sum costs less from about
+        1e-13 relative.  For even k, T is symmetric and np.linalg.eigvalsh
+        returns them ascending; as |eta| <= ((d-1)sqrt(p) + 1)/d < sqrt(p)
+        < k once d^3 <= p, the one nearest k is the last.  For odd k they
+        come from np.linalg.eigvals.  The sum costs less from about
         d^3 = 1.5p on for odd k, and for even k from about d^3 = p at d = 30
         to beyond 6p at d >= 100.  Otherwise they are `eta`.
         """
@@ -186,7 +182,7 @@ class StructureTensor:
         if d ** 3 > p:
             return self.eta
         if k % 2 == 0:
-            return _umath_linalg.eigvalsh_lo(self.T, signature="d->d")[:d]
+            return np.linalg.eigvalsh(self.T)[:d]
         lam = np.linalg.eigvals(self.T)
         i = np.abs(lam - k).argmin()
         return np.concatenate((lam[:i], lam[i + 1:]))
@@ -341,7 +337,3 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
 
     out.append(count_square_sum)
     return out
-
-
-def all_passed(results: list[CheckResult]) -> bool:
-    return all(r.passed for r in results)

@@ -13,7 +13,7 @@ import pytest
 
 import gpmoments
 from brute_force import brute_projective
-from gpmoments import (build_context, cli, field_core, periods,
+from gpmoments import (build_context, cli, field_core, moments, periods,
                        verify_identities)
 from gpmoments.field_core import MAX_P
 from gpmoments.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK,
@@ -49,6 +49,59 @@ def test_sweep_deterministic_across_workers(tmp_path):
                  "--from", "5", "--to", "400", "--out", str(out2),
                  "--workers", "4"]) == EXIT_OK
     assert read(out1) == read(out2)
+
+
+def test_pool_is_no_larger_than_the_tasks_or_cpus(tmp_path, monkeypatch):
+    # the pool forks all its processes at the first submit, so a large
+    # --workers must not ask for more than there is work or CPUs for
+    sizes = []
+
+    class SerialPool:
+        # stands in for ProcessPoolExecutor: records its size, starts no
+        # process and maps in this one
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    out = tmp_path / "s.csv"
+    # 7, 13, 19: three primes = 1 (mod 3) below 30
+    assert main(["sweep", "--mode", "fixed_d", "--value", "3", "--to", "30",
+                 "--out", str(out), "--workers", "500"]) == EXIT_OK
+    assert len(read(out).splitlines()) == 4
+    assert main(["figure", "--id", "d3", "--to", "200", "--out", str(out),
+                 "--workers", "500"]) == EXIT_OK
+    assert sizes == [3, 8]
+    # one CPU, or one task, runs in this process without a pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(["sweep", "--mode", "fixed_d", "--value", "3", "--to", "30",
+                 "--out", str(out), "--workers", "500"]) == EXIT_OK
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert main(["sweep", "--mode", "fixed_d", "--value", "3", "--to", "10",
+                 "--out", str(out), "--workers", "500"]) == EXIT_OK
+    assert sizes == [3, 8]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_file_mode_follows_the_umask(tmp_path, umask, mode):
+    # the mode open(path, "w") gives, not mkstemp's 0600
+    out = tmp_path / "s.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["sweep", "--mode", "fixed_d", "--value", "3", "--to", "30",
+                     "--out", str(out)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
 
 
 def test_sweep_fixed_k_mode(tmp_path):
@@ -284,6 +337,25 @@ def test_figure_to_zero_writes_only_the_header(tmp_path):
     assert main(["figure", "--id", "noncircular_scan", "--out", str(out),
                  "--to", "0"]) == EXIT_OK
     assert read(out) == "k,p\n"
+
+
+def test_figure_exit_code_follows_the_row_verdicts(tmp_path, monkeypatch):
+    # a d-figure row whose report fails fails the run, as in sweep, and the
+    # file is still written; its columns do not read the d = 3 form
+    out = tmp_path / "d3.csv"
+    assert main(["figure", "--id", "d3", "--to", "2000",
+                 "--out", str(out)]) == EXIT_OK
+    good = read(out)
+    out.unlink()
+    real = moments.v4_d3
+
+    def one_off(tensor):
+        value, band = real(tensor)
+        return value + 1, band
+    monkeypatch.setattr(moments, "v4_d3", one_off)
+    assert main(["figure", "--id", "d3", "--to", "2000",
+                 "--out", str(out)]) == EXIT_CHECK_FAILED
+    assert read(out) == good and len(good.splitlines()) > 100
 
 
 def test_figure_workers_below_one_exit_code(tmp_path):

@@ -10,7 +10,7 @@ from brute_force import (cubic_period_power_sums, fermat_count_from_periods,
 from gpmoments import (DimensionMismatch, NotCircular, PreconditionViolated,
                        build_context, build_report, build_tensor,
                        compute_periods, fermat_solution_count, hurwitz_count,
-                       power_sum_direct, primes_in_range,
+                       power_sums, primes_in_range,
                        v1_bounds, v2_exact, v4_d2, v4_d3, v4_d4,
                        v4_d5_bounds, v4_exact_from_counts, v4_fixed_k,
                        v4_general_bounds)
@@ -25,7 +25,7 @@ def pipeline(p, d):
 
 def direct_v(p, d, n):
     ctx = build_context(p, d)
-    return power_sum_direct(compute_periods(ctx), n)
+    return power_sums(compute_periods(ctx), (n,))[n]
 
 
 # ---------------------------------------------------------------- v2 and v1
@@ -106,7 +106,7 @@ def test_v4_exact_examples():
 def test_v4_exact_matches_float_oracle(p, d):
     tensor = pipeline(p, d)
     assert float(v4_exact_from_counts(tensor)) == \
-        pytest.approx(power_sum_direct(tensor.eta, 4), rel=1e-9)
+        pytest.approx(power_sums(tensor.eta, (4,))[4], rel=1e-9)
 
 
 # ----------------------------------------------------------------- d = 3
@@ -124,7 +124,7 @@ def test_v4_d3_p13_matches_oracle():
     tensor = pipeline(13, 3)
     value, _ = v4_d3(tensor)
     assert float(value) == \
-        pytest.approx(power_sum_direct(tensor.eta, 4), rel=1e-6)
+        pytest.approx(power_sums(tensor.eta, (4,))[4], rel=1e-6)
     assert value == v4_exact_from_counts(tensor)
 
 
@@ -286,7 +286,7 @@ def test_hurwitz_positivity_link():
     # whenever V_3 < k^2 the all-nonzero count is positive
     for p in primes_in_range(7, 120, (3, 1)):
         ctx = build_context(p, 3)
-        v3 = power_sum_direct(compute_periods(ctx), 3)
+        v3 = power_sums(compute_periods(ctx), (3,))[3]
         if v3 < ctx.k ** 2:
             assert hurwitz_count(build_tensor(ctx)) > 0
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brute_force import gauss_sum_aggregate, periods_by_class
-from gpmoments import (build_context, compute_periods, power_sum_direct,
+from gpmoments import (build_context, compute_periods, power_sums,
                        primes_in_range)
 from gpmoments.periods import PERIOD_CHUNK, _unit_root_tables
 
@@ -222,9 +222,9 @@ def test_period_modulus_bounded_by_class_size(ctx):
 
 
 def test_power_sum_d2_closed_values():
-    assert power_sum_direct(compute_periods(build_context(13, 2)), 1) == \
+    assert power_sums(compute_periods(build_context(13, 2)), (1,))[1] == \
         pytest.approx(math.sqrt(13), abs=1e-10)
-    assert power_sum_direct(compute_periods(build_context(7, 2)), 1) == \
+    assert power_sums(compute_periods(build_context(7, 2)), (1,))[1] == \
         pytest.approx(math.sqrt(8), abs=1e-10)
 
 
@@ -233,14 +233,14 @@ def test_power_sum_p7_d3_fourth():
     ctx = build_context(7, 3)
     oracle = sum(abs(brute_period(7, ctx.g, 3, a)) ** 4 for a in range(3))
     assert oracle == pytest.approx(13.0, abs=1e-9)
-    assert power_sum_direct(compute_periods(ctx), 4) == \
+    assert power_sums(compute_periods(ctx), (4,))[4] == \
         pytest.approx(13.0, abs=1e-6)
 
 
 def test_power_sum_rejects_n0():
     eta = compute_periods(build_context(7, 3))
     with pytest.raises(ValueError):
-        power_sum_direct(eta, 0)
+        power_sums(eta, (0,))
 
 
 @pytest.mark.parametrize("p,d", [(5, 2), (7, 3), (13, 4), (29, 7), (13, 2)])

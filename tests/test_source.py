@@ -18,6 +18,39 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _private_imports(tree) -> list[str]:
+    # absolute imports naming a module with a dotted component that starts
+    # with "_"; relative imports (level > 0) are the package's own
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"{node.lineno}:{m}" for m in modules
+                  if any(part.startswith("_") for part in m.split("."))]
+    return found
+
+
+def test_package_imports_no_private_module():
+    # a private module of another package may change or vanish in any
+    # release; the package calls public names only
+    probe = ast.parse("from numpy.fft import _pocketfft\n"
+                      "import numpy._core.umath\n"
+                      "from . import _local\n"
+                      "from numpy.linalg import eigvalsh, LinAlgError\n"
+                      "import numpy as np")
+    assert _private_imports(probe) == ["1:numpy.fft._pocketfft",
+                                       "2:numpy._core.umath"]
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert [f"{path.name}:{hit}" for path in files
+            for hit in _private_imports(ast.parse(path.read_text(), str(path)))
+            ] == []
+
+
 def test_every_error_class_is_raised():
     # an error class that nothing raises is dead code: each GpmError subclass
     # of errors.py is the target of some `raise` in the package

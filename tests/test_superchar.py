@@ -16,8 +16,7 @@ from gpmoments import (ConfigInvalid, build_context, build_matrices,
                        build_report, build_tensor, compute_periods,
                        primes_in_range, superchar, verify_identities,
                        zero_sum_counts)
-from gpmoments.superchar import (DENSE_BUDGET_BYTES, all_passed,
-                                 check_dense_budget)
+from gpmoments.superchar import DENSE_BUDGET_BYTES, check_dense_budget
 
 # d^2 > p counts with np.unique, d^2 <= p with np.bincount; (101, 10) and
 # (37, 6) sit on the boundary d^2 = p - 1, (41, 40) has d = p - 1
@@ -199,7 +198,7 @@ def test_t_structure_sqrt_row_at_alpha():
 
 
 def test_identities_7_3_all_pass():
-    assert all_passed(verify_identities(_pipeline(7, 3)))
+    assert all(r.passed for r in verify_identities(_pipeline(7, 3)))
 
 
 def test_product_identity_rejects_perturbed_constants():
