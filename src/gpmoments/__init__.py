@@ -3,8 +3,8 @@ identities and bounds that govern them."""
 
 from .circularity import CircularityVerdict, is_circular, scan_noncircular
 from .errors import (CompositeInput, ConfigInvalid, DimensionMismatch,
-                     DivisorMismatch, GpmError, InconsistentCounts, IoFailure,
-                     NotCircular, PreconditionViolated, UnknownFigure)
+                     DivisorMismatch, GpmError, IoFailure, NotCircular,
+                     PreconditionViolated, UnknownFigure)
 from .fermat_curves import CurveCount, PowerTable, count_projective
 from .field_core import (FieldContext, build_context, find_primitive_root,
                          is_prime, primes_in_range)

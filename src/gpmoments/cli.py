@@ -145,16 +145,21 @@ def _map(fn, tasks: list, workers: int) -> list:
 
 
 def _atomic_write(path: str, lines: list[str]) -> None:
+    """Write lines to path through a temporary file renamed into place, with
+    the mode of the file it replaces, else the one open(path, "w") gives (not
+    mkstemp's 0600, which os.replace would keep).  IoFailure names path."""
     try:
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gpm_tmp_")
+        try:
+            mode = os.stat(path).st_mode & 0o777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".gpm_tmp_")
         try:
             with os.fdopen(fd, "w") as fh:
-                # mkstemp made the file 0600; give it the mode open(path,
-                # "w") would, which os.replace keeps
-                umask = os.umask(0)
-                os.umask(umask)
-                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                os.fchmod(fh.fileno(), mode)
                 fh.write("\n".join(lines))
                 if lines:
                     fh.write("\n")
@@ -164,7 +169,7 @@ def _atomic_write(path: str, lines: list[str]) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        raise IoFailure(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def run_sweep(cfg: SweepConfig) -> int:

@@ -25,10 +25,6 @@ class NotCircular(GpmError):
     """A fixed-k formula was requested for a non-circular pair."""
 
 
-class InconsistentCounts(GpmError):
-    """Two exact computations of the same count disagree."""
-
-
 class UnknownFigure(GpmError):
     """Unrecognized figure identifier."""
 

@@ -13,8 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circularity import CircularityVerdict, is_circular
-from .errors import (DimensionMismatch, InconsistentCounts, NotCircular,
-                     PreconditionViolated)
+from .errors import DimensionMismatch, NotCircular, PreconditionViolated
 from .field_core import FieldContext
 from .periods import power_sums
 from .superchar import (StructureTensor, build_tensor, count_checks,
@@ -71,28 +70,15 @@ def v4_d2(p: int) -> Fraction:
 
 
 def v4_exact_from_counts(tensor: StructureTensor) -> Fraction:
-    """Exact V_4 from integer counts, computed both ways and cross-checked.
-
-    Variant (a) uses the first column of the counting slice; variant (b) uses
-    the first row plus an indicator for 2d | (p-1).  InconsistentCounts is
-    raised if they differ.
-    """
+    """Exact V_4 = p(k[2d | p-1] + sum_w (0, w)_d^2) - k^3, read off the
+    first row of the counting slice, the stored keys below d; its read off
+    the first column is the `count_checks` verdict v4_row_vs_column."""
     p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
-    keys, counts = tensor.keys, tensor.counts
-    # the stored (u, 0)_d, keys u*d, and (0, w)_d, the keys below d, read in
-    # O(nnz) rather than by d lookups; a number not stored is 0 and adds
-    # nothing to a sum of squares
-    col = counts[keys // d * d == keys]
-    row = counts[:keys.searchsorted(d)]
-    # exact in int64: each of col and row sums to at most k, so its sum of
-    # squares is at most k^2 <= MAX_P^2 = 10^14 < 2^63
-    va = p * k + p * int(col @ col) - k ** 3
+    # exact in int64: the row sums to at most k, so its sum of squares is at
+    # most k^2 <= MAX_P^2 = 10^14 < 2^63
+    row = tensor.counts[:tensor.keys.searchsorted(d)]
     delta_alpha = 1 if (p - 1) % (2 * d) == 0 else 0
-    vb = p * k * delta_alpha + p * int(row @ row) - k ** 3
-    if va != vb:
-        raise InconsistentCounts(
-            f"count variants disagree at (p,d)=({p},{d}): {va} vs {vb}")
-    return Fraction(va)
+    return Fraction(p * (k * delta_alpha + int(row @ row)) - k ** 3)
 
 
 def v4_d3(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:

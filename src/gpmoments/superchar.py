@@ -190,24 +190,33 @@ class StructureTensor:
 
 def count_checks(tensor: StructureTensor) -> list[CheckResult]:
     """The exact checks of the stored counts, in O(nnz) integer arithmetic:
-    every column of the counting slice sums to k (c_{0,d,0} = 1 included),
-    and d^2 times the sum of the squared (u, w)_d is p^2 + (d^2 - 3d - 2)p
-    + 3d + 1.  Neither reads the periods, so they stay independent of them."""
+    every column of the counting slice sums to k (c_{0,d,0} = 1 included);
+    d^2 times the sum of the squared (u, w)_d is p^2 + (d^2 - 3d - 2)p
+    + 3d + 1; and V_4 read off the first column equals its read off the
+    first row, k + sum_u (u, 0)_d^2 = k[2d | p-1] + sum_w (0, w)_d^2.  None
+    reads the periods, so they stay independent of them."""
     ctx = tensor.ctx
     d, p, k = ctx.d, ctx.p, ctx.k
+    keys, counts = tensor.keys, tensor.counts
     # exact in float64 and int64: a column sums to at most p - 2 < 2^53, and
     # the squares to at most (p - 2)^2 < 2^63.  The column of key i*d + j is
     # taken as key - (key // d) * d: numpy divides by a scalar several times
     # faster than it takes a remainder, and fixed-k rows have ~p keys
-    cols = tensor.keys - tensor.keys // d * d
-    colsums = np.bincount(cols, weights=tensor.counts, minlength=d)
+    cols = keys - keys // d * d
+    colsums = np.bincount(cols, weights=counts, minlength=d)
     colsums[0] += 1
     colsums_ok = bool((colsums == k).all())
-    lhs_sq = int(tensor.counts @ tensor.counts)
+    lhs_sq = int(counts @ counts)
     num = p * p + (d * d - 3 * d - 2) * p + 3 * d + 1
+    # the (u, 0)_d and the (0, w)_d, keys below d; each sums to at most k
+    col0, row0 = counts[cols == 0], counts[:keys.searchsorted(d)]
+    col_side = k + int(col0 @ col0)
+    row_side = k * ((p - 1) % (2 * d) == 0) + int(row0 @ row0)
     return [CheckResult("column_sums", True, colsums_ok, f"expected {k}"),
             CheckResult("count_square_sum", True, lhs_sq * d * d == num,
-                        f"lhs={lhs_sq} rhs={num}/{d * d}")]
+                        f"lhs={lhs_sq} rhs={num}/{d * d}"),
+            CheckResult("v4_row_vs_column", True, col_side == row_side,
+                        f"column={col_side} row={row_side}")]
 
 
 def zero_sum_counts(tensor: StructureTensor, n: int) -> list[int]:
@@ -301,7 +310,8 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     out.append(CheckResult("product_identity", True, err < tol_p,
                            f"max_err={err:.3g}"))
 
-    column_sums, count_square_sum = count_checks(tensor)
+    # column_sums prints here, the other count checks last
+    column_sums, *count_rest = count_checks(tensor)
     out.append(column_sums)
 
     # rotation symmetry c_{0,m,n} = c_{0,-m,n-m}
@@ -335,5 +345,5 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     out.append(CheckResult("trace_identity", True, abs(tr - expected) < tol_p,
                            f"tr={tr:.6g} expected={expected:.6g}"))
 
-    out.append(count_square_sum)
+    out.extend(count_rest)
     return out

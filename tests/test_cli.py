@@ -104,6 +104,35 @@ def test_output_file_mode_follows_the_umask(tmp_path, umask, mode):
     assert out.stat().st_mode & 0o777 == mode
 
 
+@pytest.mark.parametrize("mode", [0o600, 0o640], ids=["0600", "0640"])
+def test_overwritten_output_keeps_its_mode(tmp_path, mode):
+    # as open(path, "w") would: a restricted file stays restricted
+    out = tmp_path / "m.csv"
+    out.write_text("old\n")
+    out.chmod(mode)
+    old = os.umask(0o022)
+    try:
+        assert main(["sweep", "--mode", "fixed_d", "--value", "3", "--to", "30",
+                     "--out", str(out)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
+    assert read(out).startswith(FIXED_D_HEADER)
+
+
+@pytest.mark.parametrize("target", ["nodir/x.csv", "outdir"],
+                         ids=["missing_directory", "existing_directory"])
+def test_output_errors_name_the_given_path(tmp_path, capsys, target):
+    (tmp_path / "outdir").mkdir()
+    out = tmp_path / target
+    assert main(["sweep", "--mode", "fixed_d", "--value", "3", "--to", "30",
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert f"cannot write {out}: " in err and ".gpm_tmp_" not in err
+    assert [f for where in (tmp_path, tmp_path / "outdir")
+            for f in os.listdir(where) if f.startswith(".gpm_tmp_")] == []
+
+
 def test_sweep_fixed_k_mode(tmp_path):
     out = tmp_path / "k2.csv"
     rc = main(["sweep", "--mode", "fixed_k", "--value", "2",
@@ -437,43 +466,76 @@ def test_sweep_sums_the_periods_only_above_d_cubed(tmp_path, periods_calls):
 
 
 def _perturbed_counts(change):
-    # build_tensor with one count of column 1 changed: (1,1)_3 and (2,1)_3
-    # lie off row 0 and column 0, which V_4 from the counts and the d = 3
-    # form read, so only the exact count checks are sure to see it
+    """cli.build_tensor with some stored counts changed: change(c), c(u, w)
+    reading (u, w)_d off the real tensor, maps stored (u, w) to the amounts
+    added to them.  Any count may change, in row 0 and column 0 as well:
+    every check of the counts is a verdict, so a row fails by name."""
     real = cli.build_tensor
 
     def build(ctx):
         tensor = real(ctx)
-        pos = np.searchsorted(tensor.keys, [ctx.d + 1, 2 * ctx.d + 1])
-        assert tensor.keys[pos].tolist() == [ctx.d + 1, 2 * ctx.d + 1]
+        edits = change(lambda u, w: int(tensor.constant(u, w)))
+        want = [u * ctx.d + w for u, w in edits]
+        pos = tensor.keys.searchsorted(want)
+        assert tensor.keys[pos].tolist() == want
         counts = tensor.counts.copy()
-        if change == "move":  # within the column: its sum stays k
-            small, large = sorted(pos, key=lambda i: counts[i])
-            counts[small] -= 1
-            counts[large] += 1
-        else:
-            counts[pos[0]] -= 1
+        counts[pos] += list(edits.values())
         return dataclasses.replace(tensor, counts=counts)
     return build
 
 
-@pytest.mark.parametrize("change,broken", [("move", "count_square_sum"),
-                                           ("drop", "column_sums")])
+def _move_in_column_1(c):
+    # (1,1)_3 to (2,1)_3 or back: the column sum stays k
+    small, large = sorted([(1, 1), (2, 1)], key=lambda uw: c(*uw))
+    return {small: -1, large: 1}
+
+
+@pytest.mark.parametrize("change,broken", [
+    pytest.param(_move_in_column_1, "count_square_sum",
+                 id="move-count_square_sum"),
+    pytest.param(lambda c: {(1, 1): -1}, "column_sums", id="drop-column_sums"),
+    *(pytest.param(lambda c, uw=uw, by=by: {uw: by}, "v4_row_vs_column",
+                   id=f"{where}{by:+d}-v4_row_vs_column")
+      for where, uw in [("row_0", (0, 1)), ("column_0", (1, 0))]
+      for by in (1, -1))])
 def test_sweep_fails_rows_with_perturbed_counts(tmp_path, monkeypatch, change,
                                                 broken):
     # rows with d^3 <= p take their power sums from T itself, so the exact
-    # count checks are what ties them to an independent truth
+    # count checks are what ties them to an independent truth; a failed
+    # check fails its row, and the sweep still writes every row
     monkeypatch.setattr(cli, "build_tensor", _perturbed_counts(change))
     argv = ["sweep", "--mode", "fixed_d", "--value", "3", "--from", "1000",
             "--to", "1100", "--workers", "1", "--out"]
+    primes = field_core.primes_in_range(1000, 1100, (3, 1))
     csv_out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
     assert main(argv + [str(csv_out)]) == EXIT_CHECK_FAILED
     rows = [line.split(",") for line in read(csv_out).splitlines()[1:]]
-    assert len(rows) > 5 and all(r[-1] == "0" for r in rows)
+    assert [int(r[0]) for r in rows] == primes and len(rows) > 5
+    assert all(r[-1] == "0" for r in rows)
     assert main(argv + [str(json_out), "--format", "json"]) == EXIT_CHECK_FAILED
     reports = json.loads(read(json_out))
+    assert [r["p"] for r in reports] == primes
     assert all(r["d"] ** 3 <= r["p"] and not r["verdicts"][broken]
                for r in reports)
+
+
+def test_verify_reports_a_count_moved_off_row_0(monkeypatch, capsys):
+    # 1 moved from (0,0)_3 to (1,0)_3 = (0,0)_3 - 1 at p = 19 keeps the column
+    # sums and the sum of squares; the row/column read of V_4 sees it, and
+    # verify still prints the whole report
+    def move(c):
+        assert c(1, 0) == c(0, 0) - 1
+        return {(0, 0): -1, (1, 0): 1}
+
+    monkeypatch.setattr(cli, "build_tensor", _perturbed_counts(move))
+    assert main(["verify", "--p", "19", "--d", "3"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert "identity column_sums: pass expected 6" in lines
+    assert any(line.startswith("identity count_square_sum: pass")
+               for line in lines)
+    assert any(line.startswith("identity v4_row_vs_column: FAIL")
+               for line in lines)
+    assert lines[-2].startswith("curve counts:") and lines[-1] == "RESULT: FAIL"
 
 
 @pytest.mark.parametrize("p,flag,value", [(7, "--d", "3"), (31, "--k", "3")])

@@ -3,9 +3,12 @@
 Each golden file is the output of the command beside it.  A refactor must
 leave every file unchanged, down to the last printed float digit; a
 deliberate output change regenerates them with the same commands
-(``gpmoments <args> --out tests/golden/<name>``) and says so.
+(``gpmoments <args> --out tests/golden/<name>``) and says so.  A mismatch
+names the first row that differs: the CSV line, or the JSON array element
+with its p and the keys that differ.
 """
 
+import json
 import os
 
 import pytest
@@ -29,9 +32,72 @@ GOLDEN = {
 }
 
 
+def _differing_keys(got: dict, want: dict, prefix: str = "") -> list[str]:
+    """The keys whose values differ, nested dicts entered as key.subkey."""
+    out = []
+    for key in sorted(got.keys() | want.keys()):
+        a, b = got.get(key), want.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            out += _differing_keys(a, b, f"{prefix}{key}.")
+        elif a != b:
+            out.append(prefix + key)
+    return out
+
+
+def first_difference(name: str, got: bytes, want: bytes) -> str:
+    """Where the output got of golden file name first differs from want."""
+    if name.endswith(".json"):
+        rows, golden = json.loads(got), json.loads(want)
+        for i, (a, b) in enumerate(zip(rows, golden)):
+            if a != b:
+                return (f"{name}: element {i} (p={b.get('p')}) differs in "
+                        + ", ".join(_differing_keys(a, b)))
+        if len(rows) != len(golden):
+            return f"{name}: {len(rows)} elements, golden has {len(golden)}"
+        return f"{name}: equal elements, different bytes"
+    lines, golden = got.decode().splitlines(), want.decode().splitlines()
+    for i, (a, b) in enumerate(zip(lines, golden), 1):
+        if a != b:
+            return f"{name}: line {i} differs\n  got:    {a}\n  golden: {b}"
+    if len(lines) != len(golden):
+        return f"{name}: {len(lines)} lines, golden has {len(golden)}"
+    return f"{name}: equal lines, different bytes"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert main(GOLDEN[name] + ["--out", str(out)]) == EXIT_OK
+    got = out.read_bytes()
     with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
-        assert out.read_bytes() == fh.read()
+        want = fh.read()
+    if got != want:
+        pytest.fail(first_difference(name, got, want), pytrace=False)
+
+
+def test_a_mismatch_names_the_first_differing_row(tmp_path):
+    # a deliberately altered copy of two goldens, one JSON and one CSV
+    name = "sweep_fixed_d3_to1500.json"
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+        want = fh.read()
+    rows = json.loads(want)
+    rows[5]["verdicts"]["v2"] = not rows[5]["verdicts"]["v2"]
+    rows[5]["v4_exact"][0] += 1
+    altered = tmp_path / name
+    altered.write_text(json.dumps(rows, sort_keys=True))
+    assert first_difference(name, altered.read_bytes(), want) == (
+        f"{name}: element 5 (p={rows[5]['p']}) differs in v4_exact, "
+        "verdicts.v2")
+    assert first_difference(name, want.replace(b",", b", "), want) == (
+        f"{name}: equal elements, different bytes")
+
+    name = "sweep_fixed_d4_to3000.csv"
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+        want = fh.read()
+    lines = want.decode().splitlines()
+    lines[3] = lines[3][:-1] + "0"
+    altered = tmp_path / name
+    altered.write_text("\n".join(lines) + "\n")
+    assert first_difference(name, altered.read_bytes(), want) == (
+        f"{name}: line 4 differs\n  got:    {lines[3]}\n"
+        f"  golden: {want.decode().splitlines()[3]}")

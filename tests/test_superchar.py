@@ -14,8 +14,8 @@ from brute_force import class_members, cyclotomic_numbers
 import gpmoments
 from gpmoments import (ConfigInvalid, build_context, build_matrices,
                        build_report, build_tensor, compute_periods,
-                       primes_in_range, superchar, verify_identities,
-                       zero_sum_counts)
+                       count_checks, primes_in_range, superchar,
+                       verify_identities, zero_sum_counts)
 from gpmoments.superchar import DENSE_BUDGET_BYTES, check_dense_budget
 
 # d^2 > p counts with np.unique, d^2 <= p with np.bincount; (101, 10) and
@@ -215,6 +215,42 @@ def test_product_identity_rejects_perturbed_constants():
         assert not results["product_identity"].passed, int(tensor.keys[pos])
 
 
+def move_to_column_0(tensor, u):
+    """tensor with 1 moved from (0, 0)_d to (u, 0)_d = (0, 0)_d - 1: the
+    column sums and the sum of squares stay, the first row loses 1."""
+    d = tensor.ctx.d
+    pos = tensor.keys.searchsorted([0, u * d])
+    assert tensor.keys[pos].tolist() == [0, u * d]
+    counts = tensor.counts.copy()
+    assert counts[pos[1]] == counts[pos[0]] - 1
+    counts[pos] += [-1, 1]
+    return dataclasses.replace(tensor, counts=counts)
+
+
+@pytest.mark.parametrize("p,d,u", [(19, 3, 1), (37, 6, 1)])
+def test_only_the_row_vs_column_check_sees_a_move_off_row_0(p, d, u):
+    tensor = _pipeline(p, d)
+    assert all(c.passed for c in count_checks(tensor))
+    checks = {c.name: c.passed for c in count_checks(move_to_column_0(tensor, u))}
+    assert checks == {"column_sums": True, "count_square_sum": True,
+                      "v4_row_vs_column": False}
+
+
+@pytest.mark.parametrize("p,d,fixed_k", [(1009, 3, False), (1013, 253, True),
+                                         (31, 10, True)],
+                         ids=["fixed_d", "fixed_k4", "fixed_k3"])
+def test_count_checks_are_the_one_source(p, d, fixed_k):
+    # every count check is reported once by verify_identities and by the
+    # report, with its own verdict, so none can go missing from either
+    tensor = _pipeline(p, d)
+    checks = count_checks(tensor)
+    identities = [r.name for r in verify_identities(tensor)]
+    verdicts = build_report(tensor, fixed_k=fixed_k).verdicts
+    for check in checks:
+        assert identities.count(check.name) == 1
+        assert check.passed and verdicts[check.name] == check.passed
+
+
 def test_identities_13_4_symmetry_not_applicable():
     results = {r.name: r for r in verify_identities(_pipeline(13, 4))}
     assert not results["T_symmetric"].applicable
@@ -307,18 +343,16 @@ def test_dense_budget_refuses_before_allocating():
 
 
 def test_cross_checks_survive_python_O():
-    # under -O a bare assert vanishes; the variant cross-check in
-    # v4_exact_from_counts must still reject a perturbed tensor
+    # under -O a bare assert vanishes; the row/column cross-check of V_4 in
+    # count_checks must still fail a perturbed tensor
     script = textwrap.dedent("""
         import dataclasses
         import numpy as np
-        from gpmoments import (InconsistentCounts, build_context, build_tensor,
-                               v4_exact_from_counts)
+        from gpmoments import build_context, build_tensor, count_checks
 
         assert False, "asserts must be stripped in this run"
         ctx = build_context(13, 3)
         tensor = build_tensor(ctx)
-        v4_exact_from_counts(tensor)
         # raise c_{0,1,0} = (1, 0)_d, in column 0 but not in row 0
         key = 1 * ctx.d + 0
         keys, counts = tensor.keys.copy(), tensor.counts.copy()
@@ -328,17 +362,15 @@ def test_cross_checks_survive_python_O():
             pos = np.searchsorted(keys, key)
             keys, counts = np.insert(keys, pos, key), np.insert(counts, pos, 1)
         bad = dataclasses.replace(tensor, keys=keys, counts=counts)
-        try:
-            v4_exact_from_counts(bad)
-        except InconsistentCounts:
-            print("variant check raised")
+        for t in (tensor, bad):
+            print({c.name: c.passed for c in count_checks(t)}["v4_row_vs_column"])
     """)
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(gpmoments.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:1] == ["variant check raised"]
+    assert proc.stdout.split("\n")[:2] == ["True", "False"]
 
 
 def test_array_dataclasses_compare_by_identity():
