@@ -147,23 +147,25 @@ def _map(fn, tasks: list, workers: int) -> list:
 def _atomic_write(path: str, lines: list[str]) -> None:
     """Write lines to path through a temporary file renamed into place, with
     the mode of the file it replaces, else the one open(path, "w") gives (not
-    mkstemp's 0600, which os.replace would keep).  IoFailure names path."""
+    mkstemp's 0600, which os.replace would keep).  A symlinked path is
+    written through, as open(path, "w") would: its target is replaced and
+    the link kept.  IoFailure names path."""
     try:
+        real = os.path.realpath(path)
         try:
-            mode = os.stat(path).st_mode & 0o777
+            mode = os.stat(real).st_mode & 0o777
         except FileNotFoundError:
             umask = os.umask(0)
             os.umask(umask)
             mode = 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".gpm_tmp_")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".gpm_tmp_")
         try:
             with os.fdopen(fd, "w") as fh:
                 os.fchmod(fh.fileno(), mode)
                 fh.write("\n".join(lines))
                 if lines:
                     fh.write("\n")
-            os.replace(tmp, path)
+            os.replace(tmp, real)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -17,7 +17,7 @@ from .errors import DimensionMismatch, NotCircular, PreconditionViolated
 from .field_core import FieldContext
 from .periods import power_sums
 from .superchar import (StructureTensor, build_tensor, count_checks,
-                        zero_sum_counts)
+                        v4_exact_from_counts, zero_sum_counts)
 
 # Float tolerances (exact values are compared exactly; verify_identities has
 # its own, superchar.UNITARY_TOL and superchar.SCALED_TOL):
@@ -69,21 +69,10 @@ def v4_d2(p: int) -> Fraction:
     return Fraction((p + 1) ** 2, 8)
 
 
-def v4_exact_from_counts(tensor: StructureTensor) -> Fraction:
-    """Exact V_4 = p(k[2d | p-1] + sum_w (0, w)_d^2) - k^3, read off the
-    first row of the counting slice, the stored keys below d; its read off
-    the first column is the `count_checks` verdict v4_row_vs_column."""
-    p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
-    # exact in int64: the row sums to at most k, so its sum of squares is at
-    # most k^2 <= MAX_P^2 = 10^14 < 2^63
-    row = tensor.counts[:tensor.keys.searchsorted(d)]
-    delta_alpha = 1 if (p - 1) % (2 * d) == 0 else 0
-    return Fraction(p * (k * delta_alpha + int(row @ row)) - k ** 3)
-
-
 def v4_d3(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
     """d = 3: exact value from t_0 = c_{0,0,0}, read off the cached c0,
-    plus the tight p^(3/2) band."""
+    plus the tight p^(3/2) band.  Its upper end is the general band's; only
+    its lower end is tighter."""
     p = tensor.ctx.p
     if tensor.ctx.d != 3:
         raise PreconditionViolated("v4_d3 requires d = 3")
@@ -99,7 +88,9 @@ def v4_d3(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
 def v4_d4(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
     """d = 4: exact value and band, branching on p mod 8; the band's source
     names the branch.  t_0 = c_{0,0,0} and t_2 = c_{0,0,2} are read off the
-    cached c0."""
+    cached c0.  Against the general band, mod8_1 shares the upper end and
+    tightens the lower; mod8_5 shares the lower end, (3p + 1)^2/64, and
+    tightens the upper."""
     p = tensor.ctx.p
     if tensor.ctx.d != 4:
         raise PreconditionViolated("v4_d4 requires d = 4")
@@ -121,17 +112,9 @@ def v4_d4(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
     return value, bounds
 
 
-def v4_d5_bounds(p: int, d: int) -> BoundInterval:
-    """d = 5 band."""
-    if d != 5:
-        raise PreconditionViolated("v4_d5_bounds requires d = 5")
-    return BoundInterval("v4_d5",
-                         Fraction((4 * p + 1) ** 2, 125),
-                         (52 * p * p + 48 * p ** 1.5 + 24 * p + 1) / 125)
-
-
 def v4_general_bounds(p: int, d: int) -> BoundInterval:
-    """General band for d > 2 (rational lower, float upper)."""
+    """General band for d > 2 (rational lower, float upper); the band of
+    every d > 4."""
     if d <= 2:
         raise PreconditionViolated("general bounds require d > 2")
     if (p - 1) % d != 0:
@@ -272,8 +255,6 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
         rpt.formula_values[rpt.formula] = val
         verdicts[rpt.formula] = val == v4
         bands.append(band)
-    elif d == 5:
-        bands.append(v4_d5_bounds(p, d))
     if d > 2:
         bands.append(v4_general_bounds(p, d))
     for band in bands:

@@ -14,6 +14,7 @@ counts are assembled into U for the analytic identities.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -188,12 +189,24 @@ class StructureTensor:
         return np.concatenate((lam[:i], lam[i + 1:]))
 
 
+def v4_exact_from_counts(tensor: StructureTensor) -> Fraction:
+    """Exact V_4 = p(k[2d | p-1] + sum_w (0, w)_d^2) - k^3, read off the
+    first row of the counting slice, the stored keys below d; its read off
+    the first column is the `count_checks` verdict v4_row_vs_column."""
+    p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
+    # exact in int64: the row sums to at most k, so its sum of squares is at
+    # most k^2 <= MAX_P^2 = 10^14 < 2^63
+    row = tensor.counts[:tensor.keys.searchsorted(d)]
+    delta_alpha = 1 if (p - 1) % (2 * d) == 0 else 0
+    return Fraction(p * (k * delta_alpha + int(row @ row)) - k ** 3)
+
+
 def count_checks(tensor: StructureTensor) -> list[CheckResult]:
     """The exact checks of the stored counts, in O(nnz) integer arithmetic:
     every column of the counting slice sums to k (c_{0,d,0} = 1 included);
     d^2 times the sum of the squared (u, w)_d is p^2 + (d^2 - 3d - 2)p
-    + 3d + 1; and V_4 read off the first column equals its read off the
-    first row, k + sum_u (u, 0)_d^2 = k[2d | p-1] + sum_w (0, w)_d^2.  None
+    + 3d + 1; and V_4 read off the first column, p(k + sum_u (u, 0)_d^2)
+    - k^3, equals `v4_exact_from_counts`, its read off the first row.  None
     reads the periods, so they stay independent of them."""
     ctx = tensor.ctx
     d, p, k = ctx.d, ctx.p, ctx.k
@@ -208,15 +221,15 @@ def count_checks(tensor: StructureTensor) -> list[CheckResult]:
     colsums_ok = bool((colsums == k).all())
     lhs_sq = int(counts @ counts)
     num = p * p + (d * d - 3 * d - 2) * p + 3 * d + 1
-    # the (u, 0)_d and the (0, w)_d, keys below d; each sums to at most k
-    col0, row0 = counts[cols == 0], counts[:keys.searchsorted(d)]
-    col_side = k + int(col0 @ col0)
-    row_side = k * ((p - 1) % (2 * d) == 0) + int(row0 @ row0)
+    # the (u, 0)_d; they sum to at most k
+    col0 = counts[cols == 0]
+    col_v4 = p * (k + int(col0 @ col0)) - k ** 3
+    row_v4 = v4_exact_from_counts(tensor)
     return [CheckResult("column_sums", True, colsums_ok, f"expected {k}"),
             CheckResult("count_square_sum", True, lhs_sq * d * d == num,
                         f"lhs={lhs_sq} rhs={num}/{d * d}"),
-            CheckResult("v4_row_vs_column", True, col_side == row_side,
-                        f"column={col_side} row={row_side}")]
+            CheckResult("v4_row_vs_column", True, col_v4 == row_v4,
+                        f"column={col_v4} row={row_v4}")]
 
 
 def zero_sum_counts(tensor: StructureTensor, n: int) -> list[int]:
@@ -244,7 +257,6 @@ def zero_sum_counts(tensor: StructureTensor, n: int) -> list[int]:
 class SupercharMatrices:
     # equality is identity, as for the context: the fields are arrays
     U: np.ndarray  # (d+1) x (d+1) complex, symmetric unitary
-    T: np.ndarray  # (d+1) x (d+1) real
     # (d+1) x (d+1) complex sigma[i, l] = sigma_i(X_l): eta_{i+l}, k on
     # X_d = {0}, 1 for i = d; row 0 is the spectrum, TU = U diag(sigma[0])
     sigma: np.ndarray
@@ -257,8 +269,7 @@ def build_tensor(ctx: FieldContext) -> StructureTensor:
 
 
 def build_matrices(tensor: StructureTensor) -> SupercharMatrices:
-    """Gather the period circulant sigma once and derive U from it; T is
-    the tensor's."""
+    """Gather the period circulant sigma once and derive U from it."""
     d, p, k = tensor.ctx.d, tensor.ctx.p, tensor.ctx.k
     check_dense_budget(d, complex)
 
@@ -268,7 +279,7 @@ def build_matrices(tensor: StructureTensor) -> SupercharMatrices:
     U = sigma.copy()
     U[:d, d] = U[d, :d] = np.sqrt(k)
     U /= np.sqrt(p)
-    return SupercharMatrices(U=U, T=tensor.T, sigma=sigma)
+    return SupercharMatrices(U=U, sigma=sigma)
 
 
 def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
@@ -279,6 +290,7 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     the product identity, traces).
     """
     m = build_matrices(tensor)
+    T = tensor.T
     ctx = tensor.ctx
     d, p = ctx.d, ctx.p
     tol_p = SCALED_TOL * p
@@ -291,12 +303,12 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     out.append(CheckResult("U_symmetric", True, err < UNITARY_TOL, f"max_err={err:.3g}"))
 
     # T u_l = lambda_l u_l for every column u_l of U
-    err = np.abs(m.T @ m.U - m.U * m.sigma[0]).max()
+    err = np.abs(T @ m.U - m.U * m.sigma[0]).max()
     out.append(CheckResult("TU_eq_UD", True, err < tol_p, f"max_err={err:.3g}"))
 
     # normality of T, exact on the counting block
-    TtT = m.T.T @ m.T  # read again by the trace identity
-    err = np.abs(m.T @ m.T.T - TtT).max()
+    TtT = T.T @ T  # read again by the trace identity
+    err = np.abs(T @ T.T - TtT).max()
     out.append(CheckResult("T_normal", True, err < tol_p, f"max_err={err:.3g}"))
 
     # product identity: sigma_i(X_l) sigma_j(X_l) = sum_n c_{i,j,n} sigma_n(X_l).
@@ -309,10 +321,6 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     err = float(np.abs(err).max())
     out.append(CheckResult("product_identity", True, err < tol_p,
                            f"max_err={err:.3g}"))
-
-    # column_sums prints here, the other count checks last
-    column_sums, *count_rest = count_checks(tensor)
-    out.append(column_sums)
 
     # rotation symmetry c_{0,m,n} = c_{0,-m,n-m}
     block = tensor.c0[:d, :d]
@@ -345,5 +353,5 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     out.append(CheckResult("trace_identity", True, abs(tr - expected) < tol_p,
                            f"tr={tr:.6g} expected={expected:.6g}"))
 
-    out.extend(count_rest)
+    out.extend(count_checks(tensor))
     return out

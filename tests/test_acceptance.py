@@ -14,8 +14,8 @@ import pytest
 from gpmoments import (build_context, build_tensor, compute_periods,
                        count_projective, fermat_solution_count, hurwitz_count,
                        is_circular, power_sums, primes_in_range, v2_exact,
-                       v4_d3, v4_d4, v4_d5_bounds, v4_exact_from_counts,
-                       v4_fixed_k, v4_general_bounds, verify_identities)
+                       v4_d3, v4_d4, v4_exact_from_counts, v4_fixed_k,
+                       v4_general_bounds, verify_identities)
 from gpmoments.cli import main
 
 from brute_force import (diagonal_counts_check, dictionary_check,
@@ -72,8 +72,6 @@ def test_criterion_3_bound_containment():
                 bounds = v4_d3(tensor)[1]
             elif d == 4:
                 bounds = v4_d4(tensor)[1]
-            elif d == 5:
-                bounds = v4_d5_bounds(p, d)
             else:
                 bounds = v4_general_bounds(p, d)
             if not bounds.contains(exact):

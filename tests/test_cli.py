@@ -120,11 +120,37 @@ def test_overwritten_output_keeps_its_mode(tmp_path, mode):
     assert read(out).startswith(FIXED_D_HEADER)
 
 
-@pytest.mark.parametrize("target", ["nodir/x.csv", "outdir"],
-                         ids=["missing_directory", "existing_directory"])
+@pytest.mark.parametrize("exists", [True, False], ids=["target", "dangling"])
+def test_symlinked_output_is_written_through(tmp_path, exists):
+    # as open(path, "w") would: the link stays a link and its target, in
+    # another directory, gets the rows (and keeps its mode)
+    (tmp_path / "real").mkdir()
+    real, link = tmp_path / "real" / "real.csv", tmp_path / "link.csv"
+    if exists:
+        real.write_text("old\n")
+        real.chmod(0o640)
+    link.symlink_to(real)
+    old = os.umask(0o022)
+    try:
+        assert main(["sweep", "--mode", "fixed_d", "--value", "3", "--to", "30",
+                     "--out", str(link)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert read(real).startswith(FIXED_D_HEADER)
+    assert real.stat().st_mode & 0o777 == (0o640 if exists else 0o644)
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real"]
+    assert os.listdir(tmp_path / "real") == ["real.csv"]
+
+
+@pytest.mark.parametrize("target", ["nodir/x.csv", "outdir", "link.csv"],
+                         ids=["missing_directory", "existing_directory",
+                              "link_into_missing_directory"])
 def test_output_errors_name_the_given_path(tmp_path, capsys, target):
     (tmp_path / "outdir").mkdir()
     out = tmp_path / target
+    if target == "link.csv":
+        out.symlink_to(tmp_path / "nodir" / "x.csv")
     assert main(["sweep", "--mode", "fixed_d", "--value", "3", "--to", "30",
                  "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err

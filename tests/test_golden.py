@@ -29,6 +29,7 @@ GOLDEN = {
     "sweep_fixed_d4_to3000.csv":
         ["sweep", "--mode", "fixed_d", "--value", "4", "--to", "3000"],
     "circular_k12_to3000.csv": ["circular", "--k", "12", "--to", "3000"],
+    "figure_d5_to5000.csv": ["figure", "--id", "d5", "--to", "5000"],
 }
 
 

@@ -12,8 +12,7 @@ from gpmoments import (DimensionMismatch, NotCircular, PreconditionViolated,
                        compute_periods, fermat_solution_count, hurwitz_count,
                        power_sums, primes_in_range,
                        v1_bounds, v2_exact, v4_d2, v4_d3, v4_d4,
-                       v4_d5_bounds, v4_exact_from_counts, v4_fixed_k,
-                       v4_general_bounds)
+                       v4_exact_from_counts, v4_fixed_k, v4_general_bounds)
 from gpmoments import moments
 from gpmoments.circularity import is_circular
 from gpmoments.superchar import StructureTensor
@@ -170,14 +169,29 @@ def test_v4_d4_sweep_exact_equality(p):
 # ----------------------------------------------------------------- d = 5
 
 @pytest.mark.parametrize("p", [11, 31, 41])
-def test_v4_d5_bounds_contain_exact(p):
+def test_v4_general_bounds_at_d5_contain_exact(p):
     tensor = pipeline(p, 5)
-    bounds = v4_d5_bounds(p, 5)
+    bounds = v4_general_bounds(p, 5)
     exact = v4_exact_from_counts(tensor)
     if p > 25:
         assert bounds.contains(exact)
     if p == 11:
         assert float(bounds.lower) == pytest.approx(45 ** 2 / 125)
+
+
+@pytest.mark.parametrize("p", [11, 31, 1021])
+def test_d5_report_is_headed_by_the_general_band(p):
+    # the general band is the d = 5 band: (4p + 1)^2/125 below and
+    # (52p^2 + 48p^(3/2) + 24p + 1)/125 above
+    rpt = build_report(pipeline(p, 5))
+    assert rpt.band == "v4_general" and rpt.formula == ""
+    assert set(rpt.bounds) == {"v1", "v4_general"}
+    assert set(rpt.to_json_dict()["bounds"]) == {"v1", "v4_general"}
+    band = rpt.bounds["v4_general"]
+    assert band.lower == Fraction((4 * p + 1) ** 2, 125)
+    assert band.upper == (52 * p * p + 48 * p ** 1.5 + 24 * p + 1) / 125
+    assert not any(name.startswith("v4_d") for name in rpt.verdicts)
+    assert ("v4_general_bounds" in rpt.verdicts) == (p > 25)
 
 
 # ------------------------------------------------------------- general d
@@ -197,6 +211,20 @@ def test_general_bounds_d8_sweep():
 def test_general_bounds_29_7():
     tensor = pipeline(29, 7)
     assert v4_general_bounds(29, 7).lower <= v4_exact_from_counts(tensor)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_d3_d4_bands_tighten_one_end_of_the_general_band(d):
+    # v4_d3 and v4_d4_mod8_1 share the general upper end, v4_d4_mod8_5 the
+    # general lower end (3p + 1)^2/64; the other end is strictly tighter
+    form = v4_d3 if d == 3 else v4_d4
+    for p in primes_in_range(5, 3000, (d, 1)):
+        band, general = form(pipeline(p, d))[1], v4_general_bounds(p, d)
+        if band.source == "v4_d4_mod8_5":
+            assert band.lower == general.lower == Fraction((3 * p + 1) ** 2, 64)
+            assert band.upper < general.upper, p
+        else:
+            assert band.upper == general.upper and band.lower > general.lower, p
 
 
 def test_general_bounds_reject_small_d():
@@ -428,7 +456,7 @@ def test_report_json_roundtrip():
 # before the report named it: the first one present in the report heads it
 FORMULA_RANKING = ("v4_fixed_k_even", "v4_fixed_k_odd", "v4_d2", "v4_d3",
                    "v4_d4_mod8_1", "v4_d4_mod8_5")
-BAND_RANKING = ("v4_d3", "v4_d4_mod8_1", "v4_d4_mod8_5", "v4_d5", "v4_general")
+BAND_RANKING = ("v4_d3", "v4_d4_mod8_1", "v4_d4_mod8_5", "v4_general")
 
 
 def _first_present(names, held):

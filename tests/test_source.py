@@ -141,3 +141,29 @@ def test_cli_names_no_v4_form():
     assert _literals_starting(probe, "v4_") == ["2:v4_d3", "3:v4_d4_"]
     cli = SRC / "cli.py"
     assert _literals_starting(ast.parse(cli.read_text(), str(cli)), "v4_") == []
+
+
+def _stored_count_reads(tree) -> list[str]:
+    # attribute reads of .keys or .counts that are not called: the tensor's
+    # stored arrays, where a dict's .keys() call is something else
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    return [f"{node.lineno}:{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("keys", "counts") and id(node) not in called]
+
+
+def test_only_superchar_reads_the_stored_counts():
+    # superchar owns the key format i*d + j of the stored cyclotomic
+    # numbers; every other module reads them through its functions
+    probe = ast.parse("row = tensor.counts[:tensor.keys.searchsorted(d)]\n"
+                      "names = sorted(blob.keys())\n"
+                      "keys, counts = tensor.keys, tensor.counts\n"
+                      "f(t.keys)")
+    assert sorted(_stored_count_reads(probe)) == [
+        "1:counts", "1:keys", "3:counts", "3:keys", "4:keys"]
+    files = sorted(SRC.glob("*.py"))
+    assert "superchar.py" in [path.name for path in files]
+    assert [f"{path.name}:{hit}" for path in files if path.name != "superchar.py"
+            for hit in _stored_count_reads(ast.parse(path.read_text(), str(path)))
+            ] == []

@@ -184,17 +184,17 @@ def _pipeline(p, d):
 def test_t_structure_sqrt_row_at_alpha():
     for p, d in [(13, 4), (17, 4), (7, 3), (13, 2), (7, 2)]:
         tensor = _pipeline(p, d)
-        ctx, m = tensor.ctx, build_matrices(tensor)
+        ctx, T = tensor.ctx, tensor.T
         root = np.sqrt(ctx.k)
         for j in range(d):
             expected = root if j == ctx.alpha else 0.0
-            assert m.T[j, d] == pytest.approx(expected)
-        assert m.T[d, 0] == pytest.approx(root)
-        assert np.all(m.T[d, 1:] == 0)
+            assert T[j, d] == pytest.approx(expected)
+        assert T[d, 0] == pytest.approx(root)
+        assert np.all(T[d, 1:] == 0)
         # bit for bit the definition, every entry scaled by its own ratio
         sizes = np.array([ctx.k] * d + [1], dtype=np.float64)
         assert np.array_equal(
-            m.T, tensor.c0 * np.sqrt(sizes[None, :] / sizes[:, None]))
+            T, tensor.c0 * np.sqrt(sizes[None, :] / sizes[:, None]))
 
 
 def test_identities_7_3_all_pass():
@@ -266,7 +266,7 @@ def test_identities_29_7_odd_d_symmetric():
 
 def test_eigenvalues_of_T_are_periods():
     tensor = _pipeline(13, 6)
-    eig = sorted(np.linalg.eigvals(build_matrices(tensor).T).real)
+    eig = sorted(np.linalg.eigvals(tensor.T).real)
     expected = sorted(list(tensor.eta.real) + [(13 - 1) / 6])
     assert np.allclose(eig, expected, atol=1e-8)
 
