@@ -11,8 +11,6 @@ structure tensor.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionMismatch, DivisorMismatch, PreconditionViolated
 from .field_core import build_context, primes_in_range
 from .superchar import StructureTensor, build_tensor
@@ -36,8 +34,8 @@ def is_circular(p: int, k: int,
     (the classes of order d are its coset indices mod d); otherwise one is
     built, and only then is p tested for primality (build_context raises
     CompositeInput unless p is an odd prime).  The witness comes from the
-    first largest number (i, j)_d: n = alpha - i, m = j - i (mod d) and
-    t = g^n.
+    first largest number (i, j)_d in key order (`largest_number`):
+    n = alpha - i, m = j - i (mod d) and t = g^n.
     """
     if tensor is not None and tensor.ctx.p != p:
         raise DimensionMismatch(f"tensor of p={tensor.ctx.p} cannot decide p={p}")
@@ -47,13 +45,9 @@ def is_circular(p: int, k: int,
     if tensor is None:
         tensor = build_tensor(build_context(p, d))
     ctx = tensor.ctx
-    keys, counts = tensor.numbers_of_order(d)
-
-    best = int(np.argmax(counts))
-    max_int = int(counts[best])
+    max_int, i, j = tensor.largest_number(d)
     witness = None
     if max_int >= 3:
-        i, j = divmod(int(keys[best]), d)
         n = (ctx.alpha - i) % d  # alpha mod d: the class of -1 at order d
         witness = ((j - i) % d, pow(ctx.g, n, p))
     return CircularityVerdict(p=p, k=k, circular=max_int <= 2,

@@ -1,9 +1,10 @@
 """Exact formulas and bounds for the absolute power sums of Gaussian periods.
 
-Everything that can be rational is kept rational (fractions.Fraction); bound
-endpoints involving p^(3/2) are the only floats, and containment checks give
-them a HALF_POWER_SLACK relative slack.  The diagonal solution counts are
-read off the structure constants exactly.
+Everything that can be rational is kept rational (fractions.Fraction).  The
+float bound endpoints are the square roots of the V_1 band and the V_4 ends
+involving p^(3/2); `BoundInterval.contains` widens every band, rational ends
+included, by a HALF_POWER_SLACK relative slack.  The diagonal solution counts
+are read off the structure constants exactly.
 """
 
 import math
@@ -21,7 +22,7 @@ from .superchar import (StructureTensor, build_tensor, count_checks,
 
 # Float tolerances (exact values are compared exactly; verify_identities has
 # its own, superchar.UNITARY_TOL and superchar.SCALED_TOL):
-HALF_POWER_SLACK = 1e-9  # relative slack on bound endpoints containing p^(3/2)
+HALF_POWER_SLACK = 1e-9  # relative slack on both ends of every band
 FLOAT_REL_TOL = 1e-6  # relative tolerance of float power sums
 
 
@@ -182,7 +183,7 @@ class MomentReport:
     k: int
     p_mod_8: int
     v_direct: dict[int, float]
-    v4_exact: Fraction | None = None
+    v4_exact: Fraction
     formula_values: dict[str, Fraction | float] = field(default_factory=dict)
     bounds: dict[str, BoundInterval] = field(default_factory=dict)
     verdicts: dict[str, bool] = field(default_factory=dict)
@@ -198,8 +199,7 @@ class MomentReport:
         return {
             "p": self.p, "d": self.d, "k": self.k, "p_mod_8": self.p_mod_8,
             "v_direct": dict(self.v_direct),
-            "v4_exact": [self.v4_exact.numerator, self.v4_exact.denominator]
-            if self.v4_exact is not None else None,
+            "v4_exact": [self.v4_exact.numerator, self.v4_exact.denominator],
             "formula_values": {k_: float(v) for k_, v in self.formula_values.items()},
             "bounds": {k_: [float(b.lower), float(b.upper)]
                        for k_, b in self.bounds.items()},

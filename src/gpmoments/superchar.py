@@ -3,13 +3,19 @@
 Every structure constant is a re-indexing of the cyclotomic numbers
 (i, j)_d = #{v in X_i : v + 1 in X_j}, which one O(p) pass over the
 class-index table counts exactly.  They are stored once, sparsely: at most
-p - 2 of the d^2 numbers are nonzero.  `StructureTensor.constant` is the one
-map from c_{0,u,w} to them and the one place that knows the border class
-d = {0}; the dense (d+1) x (d+1) slice `c0` is read through it.  Every dense
-(d+1) x (d+1) array is refused with ConfigInvalid when it would exceed
-DENSE_BUDGET_BYTES.  Floats only enter with the scaled matrix T, its
-spectrum (the periods with k) and the labelled periods `eta`, and when the
-counts are assembled into U for the analytic identities.
+p - 2 of the d^2 numbers are nonzero, and no other module reads them.
+`StructureTensor.constant` maps c_{0,u,w} to them and applies the border
+rule of the class d = {0}; the dense (d+1) x (d+1) slice `c0` and the two
+border terms of the `zero_sum_counts` walk are read through it.  The exact
+checks of every report row write their border terms out instead:
+`count_checks` adds c_{0,d,0} = 1 to column 0 and to its column read of V_4,
+and `v4_exact_from_counts` adds k[2d | p-1], from c_{0,0,d}.  A scalar
+`constant` call costs about 10 us (2-core x86-64), so the three would add
+some 5% to a fixed-d row near p = 3*10^4.  Every dense (d+1) x (d+1) array
+is refused with ConfigInvalid when it would exceed DENSE_BUDGET_BYTES.
+Floats only enter with the scaled matrix T, its spectrum (the periods with
+k) and the labelled periods `eta`, and when the counts are assembled into U
+for the analytic identities.
 """
 
 import math
@@ -99,22 +105,26 @@ class StructureTensor:
     keys: np.ndarray
     counts: np.ndarray
 
-    def numbers_of_order(self, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, counts) of the cyclotomic numbers of order e, a divisor of
-        d: the stored ones for e = d, else recounted from this context."""
+    def largest_number(self, e: int) -> tuple[int, int, int]:
+        """(n, i, j): the largest cyclotomic number n = (i, j)_e of order e, a
+        divisor of d, and the first classes (i, j) in key order reaching it.
+        The stored numbers for e = d, else recounted from this context."""
         if self.ctx.d % e != 0:
             raise DimensionMismatch(f"order {e} does not divide d={self.ctx.d}")
-        if e == self.ctx.d:
-            return self.keys, self.counts
-        return _cyclotomic_numbers(self.ctx, e)
+        keys, counts = ((self.keys, self.counts) if e == self.ctx.d
+                        else _cyclotomic_numbers(self.ctx, e))
+        best = int(counts.argmax())
+        return (int(counts[best]), *divmod(int(keys[best]), e))
 
     def constant(self, u, w) -> np.ndarray:
         """c_{0,u,w} = #{(x, y) in X_0 x X_u : x + y = z} for a z in X_w, for
         classes 0..d (integers or broadcastable index arrays): the stored
         (u, w)_d, key u*d + w, for u, w < d; on row or column d, c_{0,d,0} = 1
         (y = 0 forces x = z), c_{0,alpha,d} = k (z = 0 forces y = -x, a whole
-        class) and 0 elsewhere.  This is the one map from the stored keys to
-        the constants, and the one place that knows the border class.
+        class) and 0 elsewhere.  `c0` and the walk of `zero_sum_counts` read
+        the border here; `count_checks` and `v4_exact_from_counts` write
+        their border terms out, as scalar calls here would cost a report row
+        some 5% (see the module docstring).
 
         Every other constant reduces to these: x = 0 (i = d) forces y = z, so
         c_{d,j,n} = [j = n]; for i < d, dividing by x shifts the classes of
@@ -236,30 +246,22 @@ def zero_sum_counts(tensor: StructureTensor, n: int) -> list[int]:
     """N_m = #{(x_1, ..., x_m) in X_0^m : x_1 + ... + x_m = 0}, m = 0..n, in
     Python ints.  r_m[w], the number of m-tuples of X_0 summing to a z in
     class w, walks from r_0 = e_d (the empty tuple) by r_{m+1}[w] =
-    sum_u c_{0,u,w} r_m[u]: the stored (u, w)_d plus the border constants
-    c_{0,d,0} = 1 and c_{0,alpha,d} = k.  So r_1 = e_0 and N_m = r_m[d]."""
-    ctx, d = tensor.ctx, tensor.ctx.d
+    sum_u c_{0,u,w} r_m[u] over the nonzero constants: the stored (u, w)_d
+    and the border's c_{0,d,0} and c_{0,alpha,d}, read through `constant`.
+    So r_1 = e_0 and N_m = r_m[d]."""
+    d, alpha = tensor.ctx.d, tensor.ctx.alpha
     terms = [(*divmod(key, d), c)
              for key, c in zip(tensor.keys.tolist(), tensor.counts.tolist())]
+    terms += [(u, w, int(tensor.constant(u, w)))
+              for u, w in ((d, 0), (alpha, d))]
     r, out = [0] * d + [1], [1]
     for _ in range(n):
         nxt = [0] * (d + 1)
         for u, w, c in terms:
             nxt[w] += c * r[u]
-        nxt[0] += r[d]
-        nxt[d] = ctx.k * r[ctx.alpha]
         r = nxt
         out.append(r[d])
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class SupercharMatrices:
-    # equality is identity, as for the context: the fields are arrays
-    U: np.ndarray  # (d+1) x (d+1) complex, symmetric unitary
-    # (d+1) x (d+1) complex sigma[i, l] = sigma_i(X_l): eta_{i+l}, k on
-    # X_d = {0}, 1 for i = d; row 0 is the spectrum, TU = U diag(sigma[0])
-    sigma: np.ndarray
 
 
 def build_tensor(ctx: FieldContext) -> StructureTensor:
@@ -268,8 +270,11 @@ def build_tensor(ctx: FieldContext) -> StructureTensor:
     return StructureTensor(ctx=ctx, keys=keys, counts=counts)
 
 
-def build_matrices(tensor: StructureTensor) -> SupercharMatrices:
-    """Gather the period circulant sigma once and derive U from it."""
+def build_matrices(tensor: StructureTensor) -> tuple[np.ndarray, np.ndarray]:
+    """(U, sigma), both (d+1) x (d+1) complex: the period circulant
+    sigma[i, l] = sigma_i(X_l), which is eta_{i+l}, k on X_d = {0} and 1 for
+    i = d (row 0 is the spectrum, TU = U diag(sigma[0])), gathered once, and
+    the symmetric unitary U derived from it."""
     d, p, k = tensor.ctx.d, tensor.ctx.p, tensor.ctx.k
     check_dense_budget(d, complex)
 
@@ -279,7 +284,7 @@ def build_matrices(tensor: StructureTensor) -> SupercharMatrices:
     U = sigma.copy()
     U[:d, d] = U[d, :d] = np.sqrt(k)
     U /= np.sqrt(p)
-    return SupercharMatrices(U=U, sigma=sigma)
+    return U, sigma
 
 
 def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
@@ -289,21 +294,21 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     U; SCALED_TOL * p bounds those that grow with the matrix entries (TU = UD,
     the product identity, traces).
     """
-    m = build_matrices(tensor)
+    U, sigma = build_matrices(tensor)
     T = tensor.T
     ctx = tensor.ctx
     d, p = ctx.d, ctx.p
     tol_p = SCALED_TOL * p
     out = []
 
-    err = np.abs(m.U.conj().T @ m.U - np.eye(d + 1)).max()
+    err = np.abs(U.conj().T @ U - np.eye(d + 1)).max()
     out.append(CheckResult("U_unitary", True, err < UNITARY_TOL, f"max_err={err:.3g}"))
 
-    err = np.abs(m.U - m.U.T).max()
+    err = np.abs(U - U.T).max()
     out.append(CheckResult("U_symmetric", True, err < UNITARY_TOL, f"max_err={err:.3g}"))
 
     # T u_l = lambda_l u_l for every column u_l of U
-    err = np.abs(T @ m.U - m.U * m.sigma[0]).max()
+    err = np.abs(T @ U - U * sigma[0]).max()
     out.append(CheckResult("TU_eq_UD", True, err < tol_p, f"max_err={err:.3g}"))
 
     # normality of T, exact on the counting block
@@ -316,8 +321,8 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     # shifted mod d, the border d staying put), so the equations of row i < d
     # are those of row 0; row d (c_{d,j,n} = [j = n], sigma_d = 1) holds
     # exactly.  Row 0 holds every equation that can fail.
-    err = tensor.c0.astype(np.complex128) @ m.sigma
-    err -= m.sigma[0] * m.sigma
+    err = tensor.c0.astype(np.complex128) @ sigma
+    err -= sigma[0] * sigma
     err = float(np.abs(err).max())
     out.append(CheckResult("product_identity", True, err < tol_p,
                            f"max_err={err:.3g}"))

@@ -6,10 +6,15 @@ deliberate output change regenerates them with the same commands
 (``gpmoments <args> --out tests/golden/<name>``) and says so.  A mismatch
 names the first row that differs: the CSV line, or the JSON array element
 with its p and the keys that differ.
+
+The `verify` reports (``gpmoments <args> > tests/golden/<name>``) are
+compared line by line with every ``max_err=`` value masked: those are BLAS
+residuals, which differ between builds.
 """
 
 import json
 import os
+import re
 
 import pytest
 
@@ -30,6 +35,15 @@ GOLDEN = {
         ["sweep", "--mode", "fixed_d", "--value", "4", "--to", "3000"],
     "circular_k12_to3000.csv": ["circular", "--k", "12", "--to", "3000"],
     "figure_d5_to5000.csv": ["figure", "--id", "d5", "--to", "5000"],
+}
+
+# odd k = 253 at (1013, d4) takes the eigvals path of the spectrum
+VERIFY_GOLDEN = {
+    "verify_p1009_d3.txt": ["verify", "--p", "1009", "--d", "3"],
+    "verify_p1013_d4.txt": ["verify", "--p", "1013", "--d", "4"],
+    "verify_p1021_d5.txt": ["verify", "--p", "1021", "--d", "5"],
+    "verify_p13_k3.txt": ["verify", "--p", "13", "--k", "3"],
+    "verify_p31_k3.txt": ["verify", "--p", "31", "--k", "3"],
 }
 
 
@@ -74,6 +88,21 @@ def test_output_matches_golden(name, tmp_path):
         want = fh.read()
     if got != want:
         pytest.fail(first_difference(name, got, want), pytrace=False)
+
+
+def _mask_residuals(text: str) -> list[str]:
+    return re.sub(r"max_err=\S+", "max_err=*", text).splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_GOLDEN))
+def test_verify_report_matches_golden(name, capsys):
+    assert main(VERIFY_GOLDEN[name]) == EXIT_OK
+    got = _mask_residuals(capsys.readouterr().out)
+    with open(os.path.join(GOLDEN_DIR, name)) as fh:
+        want = _mask_residuals(fh.read())
+    for i, (a, b) in enumerate(zip(got, want), 1):
+        assert a == b, f"{name}: line {i} differs"
+    assert len(got) == len(want), name
 
 
 def test_a_mismatch_names_the_first_differing_row(tmp_path):

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "gpmoments"
 
 
@@ -167,3 +169,17 @@ def test_only_superchar_reads_the_stored_counts():
     assert [f"{path.name}:{hit}" for path in files if path.name != "superchar.py"
             for hit in _stored_count_reads(ast.parse(path.read_text(), str(path)))
             ] == []
+
+
+def test_package_parses_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10; this holds the
+    # grammar to it (except* of 3.11 is refused), not the use of names the
+    # standard library added later
+    probe = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(probe, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(probe, feature_version=(3, 10))
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

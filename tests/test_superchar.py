@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from brute_force import class_members, cyclotomic_numbers
 import gpmoments
-from gpmoments import (ConfigInvalid, build_context, build_matrices,
+from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
                        build_report, build_tensor, compute_periods,
                        count_checks, primes_in_range, superchar,
                        verify_identities, zero_sum_counts)
@@ -82,7 +82,7 @@ def test_tensor_matches_oracle_at_index_dtype_edges(p, d, orders):
     tensor = build_tensor(ctx)
     assert _numbers(tensor.keys, tensor.counts) == cyclotomic_numbers(p, ctx.g, d)
     for e in orders:
-        assert _numbers(*tensor.numbers_of_order(e)) == \
+        assert _numbers(*superchar._cyclotomic_numbers(ctx, e)) == \
             cyclotomic_numbers(p, ctx.g, e)
 
 
@@ -91,10 +91,25 @@ def test_bincount_chunks_match_oracle(monkeypatch):
     # orders 51 and up count with np.unique
     monkeypatch.setattr(superchar, "COUNT_CHUNK", 100)
     ctx = build_context(1021, 255)
-    tensor = build_tensor(ctx)
     for e in (1, 3, 5, 15, 17, 51, 85, 255):
-        assert _numbers(*tensor.numbers_of_order(e)) == \
+        assert _numbers(*superchar._cyclotomic_numbers(ctx, e)) == \
             cyclotomic_numbers(1021, ctx.g, e), e
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (13, 4), (37, 6), (97, 12),
+                                 (101, 10), (257, 16), (1021, 20)])
+def test_largest_number_is_the_first_largest_in_key_order(p, d):
+    # at the stored order d and at the recounted order d/2 (the (p, 2k)
+    # verdict of an odd k); an order that does not divide d is refused
+    ctx = build_context(p, d)
+    tensor = build_tensor(ctx)
+    for e in (d, d // 2):
+        numbers = cyclotomic_numbers(p, ctx.g, e)
+        n = max(numbers.values())
+        key = min(key for key, count in numbers.items() if count == n)
+        assert tensor.largest_number(e) == (n, *divmod(key, e)), (p, d, e)
+    with pytest.raises(DimensionMismatch):
+        tensor.largest_number(d + 1)
 
 
 def test_tensor_d1_count():
@@ -377,9 +392,7 @@ def test_array_dataclasses_compare_by_identity():
     # fieldwise == would compare the arrays and raise, and hash() would fail
     ctx = build_context(13, 3)
     tensor = build_tensor(ctx)
-    mats = build_matrices(tensor)
-    for obj, twin in [(ctx, build_context(13, 3)), (tensor, build_tensor(ctx)),
-                      (mats, build_matrices(tensor))]:
+    for obj, twin in [(ctx, build_context(13, 3)), (tensor, build_tensor(ctx))]:
         assert obj == obj and obj != twin
         assert len({obj, twin, obj}) == 2
         assert hash(obj) == hash(obj)
