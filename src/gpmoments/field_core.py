@@ -15,6 +15,12 @@ from .errors import CompositeInput, ConfigInvalid, DivisorMismatch
 # ones are refused before any allocation.  is_prime is sized for this range.
 MAX_P = 10**7
 
+# Exponents of the power table filled at once by build_context.  Its scratch
+# is two int64 blocks (512 KiB) and a label pattern at every p, and a block
+# is long enough that numpy's per-call cost stays small beside the
+# per-element work.
+POWER_BLOCK = 1 << 15
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial division; intended for desk-scale n (<= MAX_P)."""
@@ -60,10 +66,11 @@ class FieldContext:
     up to d = 255).  cosets is a (d, k) view whose row i lists X_i in
     ascending power order g^i, g^{i+d}, g^{i+2d}, ..., which fixes the
     summation order used by the period computation; it views the (p-1,)
-    power table g^0, ..., g^(p-2), so its rows are strided.  These two
-    read-only tables are the whole context; the class d = {0} has no row.
-    Equality is identity, so a context hashes: fieldwise == would compare
-    the arrays and raise.
+    int32 power table g^0, ..., g^(p-2), so its rows are strided.  These two
+    read-only tables are the whole context, 4 + coset_index.itemsize bytes
+    per element of F_p; the class d = {0} has no row.  Equality is
+    identity, so a context hashes: fieldwise == would compare the arrays and
+    raise.
     """
 
     p: int
@@ -76,7 +83,12 @@ class FieldContext:
 
 
 def build_context(p: int, d: int) -> FieldContext:
-    """Build the class-index and coset tables for (p, d)."""
+    """Build the class-index and coset tables for (p, d).
+
+    Both are filled POWER_BLOCK exponents at a time, so the build holds
+    only block-sized scratch beside them: at p ~ 1e6 and d <= 255 it peaks
+    at about 5.6 bytes per element of F_p, of which it keeps 4 + 1.
+    """
     if p > MAX_P:
         raise ConfigInvalid(f"p={p} is above the table limit {MAX_P}")
     g = find_primitive_root(p)  # raises CompositeInput unless p is an odd prime
@@ -84,35 +96,74 @@ def build_context(p: int, d: int) -> FieldContext:
         raise DivisorMismatch(f"d={d} does not divide p-1={p - 1}")
     k = (p - 1) // d
 
-    # power table g^e for e = 0..p-2.  The first half by doubling: the powers
-    # found so far, times g^done, are the next ones; products stay below
-    # p^2 < 2^63.  The second half from -1 = g^half: g^(e + half) = p - g^e.
+    # The power table g^e, e = 0 .. p-2, is int32, exact since p <= MAX_P <
+    # 2^31.  It and the class index are filled a block of m exponents at a
+    # time, each block scattered into the index with the classes e mod d of
+    # its exponents, read off a label pattern; no p-long temporary is made.
     half = (p - 1) // 2
-    g_pows = np.empty(p - 1, dtype=np.int64)
-    g_pows[0] = 1
-    done = 1
-    while done < half:
-        step = g_pows[done:min(2 * done, half)]
-        np.multiply(g_pows[:len(step)], pow(g, done, p), out=step)
-        step %= p
-        done += len(step)
-    np.subtract(p, g_pows[:half], out=g_pows[half:])
-    g_pows.flags.writeable = False
-
-    # X_i in ascending power order g^i, g^{i+d}, ...: a read-only view of the
-    # power table.  Every class label is < d + 1, so the index is the
-    # narrowest unsigned type holding d, filled by one scatter of the labels
-    # 0, 1, ..., d-1 repeated k times in power order.
-    cosets = g_pows.reshape(k, d).T
+    m = min(half, POWER_BLOCK)
     dt = np.min_scalar_type(d)
+    g_pows = np.empty(p - 1, dtype=np.int32)
     coset_index = np.empty(p, dtype=dt)
-    coset_index[g_pows] = np.tile(np.arange(d, dtype=dt), k)
+    # 0, 1, ..., d-1 repeated so that any m consecutive classes are one slice
+    # (for d > m, _labels makes a ramp instead).  One repeat is a few µs
+    # cheaper than np.tile, which shows at fixed k; made before the scratch
+    # below, its arange(d) is freed before the peak.
+    pattern = (np.arange(d, dtype=dt)[None].repeat((m - 1) // d + 2, axis=0)
+               .ravel() if d <= m else None)
+
+    # The baby powers g^0 .. g^(m-1), by doubling: the n powers known so far,
+    # times c = g^done, are the next ones.  Products stay below p^2 < 2^63.
+    x = np.empty(m, dtype=np.int64)
+    x[0] = 1
+    done, c = 1, g
+    while done < m:
+        n = min(done, m - done)
+        step = np.multiply(x[:n], c, out=x[done:done + n])
+        step %= p
+        done += n
+        c = c * c % p
+
+    # Exponents s .. s+n-1 are the baby powers times g^s, reduced as
+    # b - (b // p) p: numpy divides by a scalar faster than it takes a
+    # remainder.  -1 = g^half gives the second half: g^(e + half) = p - g^e.
+    q = np.empty(min(m, half - m), dtype=np.int64)  # blocks after the first
+    for s in range(0, half, m):
+        n = min(m, half - s)
+        b = x[:n]
+        if s:
+            np.multiply(g_pows[:n], pow(g, s, p), out=b, dtype=np.int64)
+            r = np.floor_divide(b, p, out=q[:n])
+            r *= p
+            b -= r
+        g_pows[s:s + n] = b
+        coset_index[b] = _labels(s, n, d, pattern)
+        np.subtract(p, b, out=b)
+        g_pows[half + s:half + s + n] = b
+        coset_index[b] = _labels(half + s, n, d, pattern)
     coset_index[0] = d
+    g_pows.flags.writeable = False
     coset_index.flags.writeable = False
 
+    # X_i in ascending power order g^i, g^{i+d}, ...: a read-only view of the
+    # power table
+    cosets = g_pows.reshape(k, d).T
     alpha = ((p - 1) // 2) % d
     return FieldContext(p=p, g=g, d=d, k=k, alpha=alpha,
                         coset_index=coset_index, cosets=cosets)
+
+
+def _labels(e: int, n: int, d: int, pattern: np.ndarray | None) -> np.ndarray:
+    """The classes (e + i) mod d of the n exponents e, ..., e + n - 1, n at
+    most the block: a slice of the pattern when there is one, else a ramp
+    from e mod d that wraps at most once, since then n < d.  Neither is
+    O(d) or O(p) long."""
+    r = e % d
+    if pattern is not None:
+        return pattern[r:r + n]
+    lab = np.arange(r, r + n, dtype=np.int32)  # below d + n < 2^31
+    lab[d - r:] -= d
+    return lab
 
 
 def primes_in_range(lo: int, hi: int,

@@ -8,7 +8,7 @@ from brute_force import class_members, discrete_log
 from gpmoments import (CompositeInput, ConfigInvalid, DivisorMismatch,
                        build_context, find_primitive_root, is_prime,
                        primes_in_range)
-from gpmoments.field_core import MAX_P
+from gpmoments.field_core import MAX_P, POWER_BLOCK
 
 SMALL_PRIMES = primes_in_range(3, 200)
 
@@ -110,15 +110,16 @@ def test_context_invariants(params):
 @pytest.mark.parametrize("p,d", [(7, 3), (11, 1), (13, 12), (1009, 12),
                                  (10007, 2), (65537, 1)])
 def test_context_holds_two_tables(p, d):
-    # the class index and a (d, k) coset view of the one (p-1,) power table;
-    # no other table, and no view that keeps a larger buffer alive
+    # the class index and a (d, k) coset view of the one (p-1,) int32 power
+    # table; no other table, and no view that keeps a larger buffer alive
     ctx = build_context(p, d)
     assert ctx.cosets.shape == (d, ctx.k)
+    assert ctx.cosets.dtype == np.int32
     assert ctx.cosets.base.shape == (p - 1,)
     assert ctx.cosets.base.nbytes == ctx.cosets.nbytes
     tables = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
     assert sum(t.nbytes for t in tables) <= \
-        (8 + ctx.coset_index.itemsize) * p + 64
+        (4 + ctx.coset_index.itemsize) * p + 64
 
 
 def test_context_tables_are_read_only():
@@ -145,33 +146,64 @@ def test_coset_index_is_discrete_log_in_narrowest_dtype(p, d, dtype):
     assert np.array_equal(ctx.coset_index, expected)
 
 
-@pytest.mark.parametrize("p,d", [(1000003, 3), (1000117, 12)])
-def test_context_peak_memory_is_about_ten_bytes_per_element(p, d):
-    # the int64 power table plus the one-byte index and its labels: no
-    # transposed copy and no int64 index
+@pytest.mark.parametrize("p,d,itemsize,bytes_per_element",
+                         [(1000003, 3, 1, 6.5), (1000117, 12, 1, 6.5),
+                          (200017, 50004, 2, 12.5),
+                          (1000033, 250008, 4, 17.0),
+                          (65537, 65536, 4, 20.0)])
+def test_context_peak_memory_per_element(p, d, itemsize, bytes_per_element):
+    # the int32 power table and the index, 4 + itemsize bytes per element,
+    # plus a few blocks of scratch: no O(p) temporary, and for d above the
+    # block no O(d) one.  The scratch has a fixed size, so it weighs more per
+    # element at the smaller p.  The bounds of the wider indexes are the peaks
+    # an int64 power table had, which the build must not exceed at any d
     tracemalloc.start()
     try:
         ctx = build_context(p, d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ctx.coset_index.itemsize == 1
-    assert peak <= 11 * p
+    assert ctx.coset_index.itemsize == itemsize
+    assert peak <= bytes_per_element * p
 
 
 @pytest.mark.parametrize("p,d,step", [(3, 1, 1), (3, 2, 1), (5, 2, 1),
                                       (5, 4, 1), (65537, 1, 1),
                                       (65537, 256, 1), (1000003, 3, 997),
-                                      (1000117, 12, 991)])
+                                      (1000117, 12, 991), (786433, 3, 997),
+                                      (65539, 65538, 1), (200017, 50004, 1),
+                                      (9999991, 3, 99991)])
 def test_cosets_match_modular_powers(p, d, step):
-    # entry (i, j) of the coset array is g^(i + j*d); the doubling fills the
-    # first half of the power table, -1 = g^((p-1)/2) the second.  It stops
-    # at once for p = 3 and after one step for p = 5; p - 1 = 2^16 ends the
-    # first half exactly on a doubling, the others part-way through one
+    # entry (i, j) of the coset array is g^(i + j*d), and the class of g^e is
+    # e mod d.  The first half of the power table is built in blocks of
+    # POWER_BLOCK exponents, the first by doubling; -1 = g^((p-1)/2) gives
+    # the second half.  The doubling stops at once for p = 3 and after one
+    # step for p = 5, whose half is below one block.  The half is exactly one
+    # block for 65537 and twelve for 786433; the last block is partial for
+    # 1000003, 1000117 and 200017; d is above the block with two blocks
+    # (65539, the second of one exponent) and four (200017); and 9999991 is
+    # the largest p below MAX_P.  The exponents on both sides of every block
+    # boundary are checked, in both halves
+    assert POWER_BLOCK == 1 << 15  # the cases sit on the boundaries of this block
     ctx = build_context(p, d)
-    exponents = list(range(0, p - 1, step)) + [p - 2]
-    assert ctx.cosets.T.ravel()[exponents].tolist() == \
-        [pow(ctx.g, e, p) for e in exponents]
+    half = (p - 1) // 2
+    edges = {b + t for s in range(0, half + 1, POWER_BLOCK)
+             for b in (s, half + s) for t in (-1, 0)}
+    exponents = sorted({e for e in edges if 0 <= e < p - 1}
+                       | set(range(0, p - 1, step)) | {p - 2})
+    powers = [pow(ctx.g, e, p) for e in exponents]
+    assert ctx.cosets.T.ravel()[exponents].tolist() == powers
+    assert ctx.coset_index[powers].tolist() == [e % d for e in exponents]
+    assert ctx.coset_index[0] == d
+
+
+def test_table_limit_keeps_tables_exact():
+    # every residue below MAX_P fits the int32 power table, as does every
+    # label of build_context's int32 ramps (below d + POWER_BLOCK), and a
+    # block product of two residues is exact in int64: raising MAX_P past
+    # either bound fails here instead of corrupting a table
+    assert MAX_P + POWER_BLOCK < 2**31
+    assert (MAX_P - 1) ** 2 < 2**63
 
 
 def test_table_limit_refused_before_allocating():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -108,6 +109,21 @@ def test_periods_are_row_sums_bit_for_bit(p, d):
     eta = compute_periods(ctx)
     for a in range(d if ctx.k % 2 == 0 else d // 2):
         assert eta[a] == row_period(ctx, a), a
+
+
+@pytest.mark.parametrize("p,d", [(1013, 4), (9973, 2493), (9973, 3324),
+                                 (10007, 1), (1000003, 3), (1000117, 12)])
+def test_periods_do_not_depend_on_table_dtype(p, d):
+    # the int32 power table and an int64 copy of it under the same class
+    # index give the same bits: odd k (1013, 1000117), fixed k = 4 and 3
+    # (9973), d = 1, and even k near 1e6
+    ctx = build_context(p, d)
+    table = ctx.cosets.base.astype(np.int64)
+    wide = dataclasses.replace(ctx, cosets=table.reshape(ctx.k, d).T)
+    assert ctx.cosets.dtype == np.int32 and wide.cosets.dtype == np.int64
+    assert wide.coset_index is ctx.coset_index
+    assert np.array_equal(compute_periods(wide).view(np.int64),
+                          compute_periods(ctx).view(np.int64))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 8191, 65537, 1000003])
