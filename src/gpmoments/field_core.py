@@ -15,10 +15,10 @@ from .errors import CompositeInput, ConfigInvalid, DivisorMismatch
 # ones are refused before any allocation.  is_prime is sized for this range.
 MAX_P = 10**7
 
-# Exponents of the power table filled at once by build_context.  Its scratch
-# is two int64 blocks (512 KiB) and a label pattern at every p, and a block
-# is long enough that numpy's per-call cost stays small beside the
-# per-element work.
+# Exponents whose powers build_context forms at once.  Its scratch is two
+# int64 blocks and an int32 one (640 KiB) and a label pattern at every p,
+# and a block is long enough that numpy's per-call cost stays small beside
+# the per-element work.
 POWER_BLOCK = 1 << 15
 
 
@@ -63,14 +63,13 @@ class FieldContext:
 
     coset_index[x] is the class of x: the exponent of x's coset for x != 0,
     and d for x = 0, held in the narrowest unsigned dtype that fits d (uint8
-    up to d = 255).  cosets is a (d, k) view whose row i lists X_i in
-    ascending power order g^i, g^{i+d}, g^{i+2d}, ..., which fixes the
-    summation order used by the period computation; it views the (p-1,)
-    int32 power table g^0, ..., g^(p-2), so its rows are strided.  These two
-    read-only tables are the whole context, 4 + coset_index.itemsize bytes
-    per element of F_p; the class d = {0} has no row.  Equality is
-    identity, so a context hashes: fieldwise == would compare the arrays and
-    raise.
+    up to d = 255).  heads[a] = g^a for a < d, int32: the first element of
+    X_a in its power order g^a, g^{a+d}, g^{a+2d}, ..., so entry j of X_a is
+    heads[a] * h^j mod p with h = g^d, which fixes the summation order used
+    by the period computation.  These two read-only tables are the whole
+    context, coset_index.itemsize * p + 4d bytes: about one byte per element
+    of F_p at d <= 255.  Equality is identity, so a context hashes:
+    fieldwise == would compare the arrays and raise.
     """
 
     p: int
@@ -79,15 +78,39 @@ class FieldContext:
     k: int
     alpha: int
     coset_index: np.ndarray = field(repr=False)
-    cosets: np.ndarray = field(repr=False)
+    heads: np.ndarray = field(repr=False)
+
+
+def powers_mod(c: int, n: int, p: int) -> np.ndarray:
+    """c^0, ..., c^(n-1) mod p as int64, n >= 1.  The first few come from a
+    Python loop, the rest by doubling: the powers known so far, times c
+    raised to their count, are the next ones.  O(log n) numpy steps, each
+    product below p^2 < 2^63."""
+    seed = [1]
+    for _ in range(min(n, 8) - 1):
+        seed.append(seed[-1] * c % p)
+    x = np.empty(n, dtype=np.int64)
+    done = len(seed)
+    x[:done] = seed
+    c = seed[-1] * c % p  # c^done
+    r = np.empty(n // 2, dtype=np.int64)
+    while done < n:
+        step = min(done, n - done)
+        y = np.multiply(x[:step], c, out=x[done:done + step])
+        # numpy divides by a scalar faster than it takes a remainder
+        y -= np.multiply(np.floor_divide(y, p, out=r[:step]), p, out=r[:step])
+        done += step
+        c = c * c % p
+    return x
 
 
 def build_context(p: int, d: int) -> FieldContext:
-    """Build the class-index and coset tables for (p, d).
+    """Build the class index and the coset heads of (p, d).
 
-    Both are filled POWER_BLOCK exponents at a time, so the build holds
-    only block-sized scratch beside them: at p ~ 1e6 and d <= 255 it peaks
-    at about 5.6 bytes per element of F_p, of which it keeps 4 + 1.
+    The powers g^e are formed POWER_BLOCK exponents at a time, scattered
+    into the class index and dropped, so the build holds only block-sized
+    scratch beside the index: at p ~ 1e6 and d <= 255 it peaks at about 1.8
+    bytes per element of F_p, of which it keeps one.
     """
     if p > MAX_P:
         raise ConfigInvalid(f"p={p} is above the table limit {MAX_P}")
@@ -96,15 +119,16 @@ def build_context(p: int, d: int) -> FieldContext:
         raise DivisorMismatch(f"d={d} does not divide p-1={p - 1}")
     k = (p - 1) // d
 
-    # The power table g^e, e = 0 .. p-2, is int32, exact since p <= MAX_P <
-    # 2^31.  It and the class index are filled a block of m exponents at a
+    # The powers g^e, e = 0 .. p-2, are formed a block of m exponents at a
     # time, each block scattered into the index with the classes e mod d of
-    # its exponents, read off a label pattern; no p-long temporary is made.
+    # its exponents, read off a label pattern, and the exponents below d
+    # copied into heads (int32, exact since p <= MAX_P < 2^31); no p-long
+    # temporary is made.
     half = (p - 1) // 2
     m = min(half, POWER_BLOCK)
     dt = np.min_scalar_type(d)
-    g_pows = np.empty(p - 1, dtype=np.int32)
     coset_index = np.empty(p, dtype=dt)
+    heads = np.empty(d, dtype=np.int32)
     # 0, 1, ..., d-1 repeated so that any m consecutive classes are one slice
     # (for d > m, _labels makes a ramp instead).  One repeat is a few µs
     # cheaper than np.tile, which shows at fixed k; made before the scratch
@@ -112,45 +136,36 @@ def build_context(p: int, d: int) -> FieldContext:
     pattern = (np.arange(d, dtype=dt)[None].repeat((m - 1) // d + 2, axis=0)
                .ravel() if d <= m else None)
 
-    # The baby powers g^0 .. g^(m-1), by doubling: the n powers known so far,
-    # times c = g^done, are the next ones.  Products stay below p^2 < 2^63.
-    x = np.empty(m, dtype=np.int64)
-    x[0] = 1
-    done, c = 1, g
-    while done < m:
-        n = min(done, m - done)
-        step = np.multiply(x[:n], c, out=x[done:done + n])
-        step %= p
-        done += n
-        c = c * c % p
-
-    # Exponents s .. s+n-1 are the baby powers times g^s, reduced as
-    # b - (b // p) p: numpy divides by a scalar faster than it takes a
-    # remainder.  -1 = g^half gives the second half: g^(e + half) = p - g^e.
-    q = np.empty(min(m, half - m), dtype=np.int64)  # blocks after the first
+    # Exponents s .. s+n-1 are the baby powers g^0 .. g^(m-1) times g^s,
+    # reduced as b - (b // p) p: numpy divides by a scalar faster than it
+    # takes a remainder.  -1 = g^half gives the second half: g^(e + half) =
+    # p - g^e.  The later blocks, at most half - m exponents each, read their
+    # baby powers off the first block: off heads when d covers them, else
+    # off an int32 copy.
+    x = powers_mod(g, m, p)
+    q = np.empty(min(m, half - m), dtype=np.int64)
+    baby = heads[:len(q)] if d >= len(q) else x[:len(q)].astype(np.int32)
     for s in range(0, half, m):
         n = min(m, half - s)
         b = x[:n]
         if s:
-            np.multiply(g_pows[:n], pow(g, s, p), out=b, dtype=np.int64)
+            np.multiply(baby[:n], pow(g, s, p), out=b, dtype=np.int64)
             r = np.floor_divide(b, p, out=q[:n])
             r *= p
             b -= r
-        g_pows[s:s + n] = b
+        if s < d:
+            heads[s:s + n] = b[:d - s]
         coset_index[b] = _labels(s, n, d, pattern)
         np.subtract(p, b, out=b)
-        g_pows[half + s:half + s + n] = b
+        if half + s < d:
+            heads[half + s:half + s + n] = b[:d - half - s]
         coset_index[b] = _labels(half + s, n, d, pattern)
     coset_index[0] = d
-    g_pows.flags.writeable = False
     coset_index.flags.writeable = False
-
-    # X_i in ascending power order g^i, g^{i+d}, ...: a read-only view of the
-    # power table
-    cosets = g_pows.reshape(k, d).T
+    heads.flags.writeable = False
     alpha = ((p - 1) // 2) % d
     return FieldContext(p=p, g=g, d=d, k=k, alpha=alpha,
-                        coset_index=coset_index, cosets=cosets)
+                        coset_index=coset_index, heads=heads)
 
 
 def _labels(e: int, n: int, d: int, pattern: np.ndarray | None) -> np.ndarray:

@@ -11,14 +11,15 @@ source when d^3 > p; below, a report reads them off the eigenvalues of T
 
 import numpy as np
 
-from .field_core import FieldContext
+from .field_core import FieldContext, powers_mod
 
 
 # Largest number of terms computed at once: compute_periods takes
 # max(1, PERIOD_CHUNK // columns) whole rows per block and fills them in
 # column strips of at most this many terms, so its scratch stays at 640 KiB
-# (two complex128 strips and one int64 strip) while tiny cosets share one
-# numpy call.  Only the float64 rows being summed are larger.
+# (two complex128 strips and one int64 strip), beside a strip's powers of
+# g^d, while tiny cosets share one numpy call.  Only the float64 rows being
+# summed are larger.
 PERIOD_CHUNK = 16384
 
 _TWO_PI = 2 * np.arccos(np.longdouble(-1))  # to long double precision
@@ -44,48 +45,71 @@ def compute_periods(ctx: FieldContext) -> np.ndarray:
     """The d periods eta, summed directly over the (d, k) coset array: half
     of the p - 1 terms.
 
-    Term x = q 2^s + r is high[q] * low[r] from `_unit_root_tables`, taken as
-    cos = Re h Re l - Im h Im l and, for odd k, sin = Im h Re l + Re h Im l.
-    q = x >> s and r = x & (2^s - 1) are read straight off the strided
-    ctx.cosets view, PERIOD_CHUNK terms at a time, and the terms land in a
-    buffer of whole rows: every eta is the pairwise sum of one contiguous
-    row, so the summation order, and so the bits, are fixed.
+    Entry j of row a is x = g^(a + dj) = heads[a] * h^j mod p, h = g^d, and
+    its term is high[q] * low[r] from `_unit_root_tables`, x = q 2^s + r,
+    taken as cos = Re h Re l - Im h Im l and, for odd k, sin = Im h Re l +
+    Re h Im l.  The residues are formed PERIOD_CHUNK at a time, a strip of
+    columns c .. c+w-1 of some rows being the row's entry c times h^0 ..
+    h^(w-1), and the terms land in a buffer of whole rows: every eta is the
+    pairwise sum of one contiguous row in power order, so the summation
+    order, and so the bits, are fixed.
 
-    -1 = g^(dk/2) halves the work.  For even k it lies in the subgroup, so in
-    the power order of ctx.cosets entry j + k/2 of every row is minus entry
-    j: each eta is 2 * sum(cos) over the first k/2 columns, exactly real.
-    For odd k, d is even and -X_a = X_(a + d/2), so only rows 0 .. d/2 - 1
-    are summed and the other half are their conjugates, bit for bit.
+    -1 = g^(dk/2) halves the work.  For even k it lies in the subgroup, so
+    entry j + k/2 of every row is minus entry j: each eta is 2 * sum(cos)
+    over the first k/2 columns, exactly real.  For odd k, d is even and
+    -X_a = X_(a + d/2), so only rows 0 .. d/2 - 1 are summed and the other
+    half are their conjugates, bit for bit.
     """
-    d, k = ctx.d, ctx.k
-    s, low, high = _unit_root_tables(ctx.p)
-    view = ctx.cosets[:, :k // 2] if k % 2 == 0 else ctx.cosets[:d // 2]
-    n_rows, cols = view.shape
+    p, d, k = ctx.p, ctx.d, ctx.k
+    s, low, high = _unit_root_tables(p)
+    n_rows, cols = (d, k // 2) if k % 2 == 0 else (d // 2, k)
     rows = max(1, PERIOD_CHUNK // cols)
-    width = PERIOD_CHUNK // rows
-    # the gathered roots of a strip, and its indices, whose memory then holds
-    # a product.  Chunk-sized at every p: the same few allocations on every
-    # call let the allocator reuse its pages instead of faulting in new ones.
-    h, l = np.empty((2, PERIOD_CHUNK), dtype=np.complex128)
+    width = min(cols, PERIOD_CHUNK // rows)
+    h = pow(ctx.g, d, p)
+    h_pows = powers_mod(h, width, p)[1:]  # h^1 .. h^(w-1) of a strip
+    # the gathered roots of a strip and its indices, whose memory then holds
+    # a product.  Before the roots are gathered, the memory of the low ones
+    # holds the strip's residues and that of the high ones the scratch of
+    # its reduction.  Chunk-sized at every p: the same few allocations on
+    # every call let the allocator reuse its pages instead of faulting in
+    # new ones.
+    hi, lo = np.empty((2, PERIOD_CHUNK), dtype=np.complex128)
     idx = np.empty(PERIOD_CHUNK, dtype=np.int64)
     prod = idx.view(np.float64)
+    res = lo.view(np.int64)[:PERIOD_CHUNK]
+    spare = hi.view(np.int64).reshape(2, PERIOD_CHUNK)
     # the cos (and, for odd k, sin) of the terms of one block of rows
     parts = np.empty((1 + k % 2, min(rows, n_rows), cols))
     eta = np.empty(d, dtype=np.complex128)
     for a in range(0, n_rows, rows):
         n = min(rows, n_rows - a)
         for c in range(0, cols, width):
-            x = view[a:a + n, c:c + width]
-            ix, hs, ls, ps = (buf[:x.size].reshape(x.shape)
-                              for buf in (idx, h, l, prod))
+            w = min(width, cols - c)
+            x, ix, hs, ls, ps = (buf[:n * w].reshape(n, w)
+                                 for buf in (res, idx, hi, lo, prod))
+            # column 0 is the rows' entry c, from heads; the others are it
+            # times h^j, reduced as y - (y // p) p.  Rows shorter than the
+            # block is tall are formed down the columns of a scratch and
+            # copied in, so numpy's loops run along the longer side
+            if c:  # then the block is one row
+                x[0, 0] = int(ctx.heads[a]) * pow(h, c, p) % p
+            else:
+                x[:, 0] = ctx.heads[a:a + n]
+            tail = x[:, 1:]
+            y, quot = ((tail, spare[1, :tail.size].reshape(tail.shape)) if w > n
+                       else (buf[:tail.size].reshape(w - 1, n).T for buf in spare))
+            np.multiply(x[:, :1], h_pows[:w - 1], out=y)
+            y -= np.multiply(np.floor_divide(y, p, out=quot), p, out=quot)
+            if w <= n:
+                tail[...] = y
             # every index is in range: "clip" only skips the buffered
             # bounds check of the default mode
             high.take(np.right_shift(x, s, out=ix), out=hs, mode="clip")
             low.take(np.bitwise_and(x, (1 << s) - 1, out=ix), out=ls, mode="clip")
-            cos = np.multiply(hs.real, ls.real, out=parts[0, :n, c:c + width])
+            cos = np.multiply(hs.real, ls.real, out=parts[0, :n, c:c + w])
             cos -= np.multiply(hs.imag, ls.imag, out=ps)
             if k % 2:
-                sin = np.multiply(hs.imag, ls.real, out=parts[1, :n, c:c + width])
+                sin = np.multiply(hs.imag, ls.real, out=parts[1, :n, c:c + w])
                 sin += np.multiply(hs.real, ls.imag, out=ps)
         sums = parts[:, :n].sum(axis=2)
         if k % 2 == 0:

@@ -72,20 +72,27 @@ def _cyclotomic_numbers(ctx: FieldContext, e: int) -> tuple[np.ndarray, np.ndarr
     if e != ctx.d:
         ci = ci % e
     # v = 1..p-2, keys in the narrowest type holding e*e - 1: ci is as narrow
-    # as d allows, and a product taken in its dtype would wrap.  Built in
-    # place to hold one O(p) temporary.
-    key = np.multiply(ci[:-1], e, dtype=np.min_scalar_type(e * e - 1))
-    key += ci[1:]
+    # as d allows, and a product taken in its dtype would wrap
+    kt = np.min_scalar_type(e * e - 1)
+    n_keys = len(ci) - 1
     if e * e <= ctx.p:
         # bincount copies its input to intp: count COUNT_CHUNK keys at a time
         # so that copy stays small, or e*e at a time so that adding up the
-        # histograms is at most one more pass over the keys
+        # histograms is at most one more pass over the keys.  Each chunk's
+        # keys are formed in one reused buffer, so no O(p) key array is made
         step = max(COUNT_CHUNK, e * e)
-        dense = np.bincount(key[:step], minlength=e * e)
-        for a in range(step, len(key), step):
-            dense += np.bincount(key[a:a + step], minlength=e * e)
+        key = np.empty(min(step, n_keys), dtype=kt)
+        dense = np.zeros(e * e, dtype=np.intp)
+        for a in range(0, n_keys, step):
+            n = min(step, n_keys - a)
+            chunk = np.multiply(ci[a:a + n], e, out=key[:n], dtype=kt)
+            chunk += ci[a + 1:a + n + 1]
+            dense += np.bincount(chunk, minlength=e * e)
         keys = dense.nonzero()[0]
         return keys, dense[keys]
+    # built in place to hold one O(p) temporary
+    key = np.multiply(ci[:-1], e, dtype=kt)
+    key += ci[1:]
     keys, counts = np.unique(key, return_counts=True)
     return keys.astype(np.int64), counts
 

@@ -1,11 +1,13 @@
 """Brute-force oracles, independent of the structure tensor.
 
 discrete_log, cyclotomic_numbers and gauss_sum_aggregate are pow loops
-over F_p that the package's tables replace; periods_by_class sums the
-periods one class at a time over all k complex exponentials, the accuracy
-baseline that the package's halved sums are measured against;
-class_members lists a class of a context, the border class d = {0}
-included, for the oracles that enumerate classes.  The circularity oracles enumerate the subgroup Gamma of order k in
+over F_p that the package's tables replace; coset_rows lists every coset
+X_i in power order with Python pow, rows the package never stores;
+periods_by_class sums the periods one class at a time over all k complex
+exponentials, the accuracy baseline that the package's halved sums are
+measured against; class_members lists a class of a context, the border
+class d = {0} included, for the oracles that enumerate classes.  The
+circularity oracles enumerate the subgroup Gamma of order k in
 F_p^x and its translated dilates directly; the package decides circularity
 from cyclotomic numbers, and the tests compare the two;
 diagonal_counts_check recounts the diagonal cyclotomic numbers of a
@@ -23,6 +25,7 @@ vn_d2_closed_form is V_n at d = 2 from the two quadratic periods, in floats.
 """
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -54,17 +57,33 @@ def cyclotomic_numbers(p: int, g: int, e: int) -> dict[int, int]:
     return out
 
 
+def coset_rows(ctx) -> np.ndarray:
+    """The read-only (d, k) int64 array whose row i is X_i in power order:
+    entry (i, j) is pow(g, i + d*j, p), in pure Python, so it owes nothing
+    to the blocks of build_context or the strips of compute_periods."""
+    return _coset_rows(ctx.p, ctx.g, ctx.d)
+
+
+@functools.lru_cache(maxsize=32)
+def _coset_rows(p: int, g: int, d: int) -> np.ndarray:
+    k = (p - 1) // d
+    rows = np.array([[pow(g, i + d * j, p) for j in range(k)] for i in range(d)],
+                    dtype=np.int64)
+    rows.flags.writeable = False
+    return rows
+
+
 def class_members(ctx, i: int) -> list[int]:
     """The elements of class i: the coset X_i for i < d, {0} for i = d."""
-    return [0] if i == ctx.d else [int(x) for x in ctx.cosets[i]]
+    return [0] if i == ctx.d else coset_rows(ctx)[i].tolist()
 
 
 def periods_by_class(ctx) -> np.ndarray:
     """eta with one numpy sum of all k exponentials per class: the accuracy
     baseline for compute_periods, which sums half of the terms."""
     eta = np.empty(ctx.d, dtype=np.complex128)
-    for a in range(ctx.d):
-        eta[a] = np.exp(2j * np.pi * ctx.cosets[a] / ctx.p).sum()
+    for a, row in enumerate(coset_rows(ctx)):
+        eta[a] = np.exp(2j * np.pi * row / ctx.p).sum()
     return eta
 
 
@@ -149,8 +168,9 @@ def diagonal_counts_check(ctx, tensor) -> list[CheckResult]:
     out = []
     for m in range(ctx.d):
         c = int(diagonal[m])
-        shifted = {(int(x) + 1) % ctx.p for x in ctx.cosets[m]}
-        direct = len(set(int(x) for x in ctx.cosets[m]) & shifted)
+        members = class_members(ctx, m)
+        shifted = {(x + 1) % ctx.p for x in members}
+        direct = len(set(members) & shifted)
         out.append(CheckResult(f"diagonal_m{m}", True,
                                c in (0, 1, 2) and c == direct,
                                f"c={c} direct={direct}"))
@@ -192,7 +212,7 @@ def subgroup_projective(ctx, i: int, j: int, k: int) -> int:
     """
     p, d = ctx.p, ctx.d
     jp, r = (j - i) % d, (k - i) % d
-    diffs = (ctx.cosets[r][0] - ctx.cosets[0]) % p
+    diffs = (pow(ctx.g, r, p) - coset_rows(ctx)[0]) % p
     w = np.bincount(ctx.coset_index[diffs], minlength=d + 1)
     m = (d if r == jp else 0) + d * (d * int(w[jp]) + int(w[d]))
     return m + (d if (ctx.alpha + jp) % d == 0 else 0)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,21 @@ def test_verify_writes_to_redirected_stdout():
     assert rc == EXIT_OK
     assert "V_4 exact = 13" in buf.getvalue()
     assert buf.getvalue().endswith("RESULT: pass\n")
+
+
+def test_verify_peak_memory():
+    # the one-byte class index, the tensor's chunked count and the periods'
+    # chunk-sized strips: a report near p = 1e6 holds no O(p) table beside
+    # the index
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        rc = verify_single(1000003, 3, SweepMode.FIXED_D, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    assert peak <= 4 * 10**6
 
 
 # (11, 1) and (13, 2) have genus 0; (31, 6) ties six curves at the minimum

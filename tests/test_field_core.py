@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import class_members, discrete_log
+from brute_force import class_members, coset_rows, discrete_log
 from gpmoments import (CompositeInput, ConfigInvalid, DivisorMismatch,
                        build_context, find_primitive_root, is_prime,
                        primes_in_range)
-from gpmoments.field_core import MAX_P, POWER_BLOCK
+from gpmoments.field_core import MAX_P, POWER_BLOCK, powers_mod
 
 SMALL_PRIMES = primes_in_range(3, 200)
 
@@ -48,15 +48,19 @@ def test_primitive_root_rejects_composite():
 def test_context_7_3_cosets():
     ctx = build_context(7, 3)
     assert ctx.g == 3
-    assert set(ctx.cosets[0]) == {1, 6}
-    assert set(ctx.cosets[1]) == {3, 4}
-    assert set(ctx.cosets[2]) == {2, 5}
+    assert ctx.heads.tolist() == [1, 3, 2]
+    assert ctx.coset_index.tolist() == [3, 0, 2, 1, 1, 2, 0]
+    assert set(class_members(ctx, 0)) == {1, 6}
+    assert set(class_members(ctx, 1)) == {3, 4}
+    assert set(class_members(ctx, 2)) == {2, 5}
     assert set(class_members(ctx, 3)) == {0}
 
 
 def test_context_d1_single_coset():
     ctx = build_context(11, 1)
-    assert set(ctx.cosets[0]) == set(range(1, 11))
+    assert ctx.heads.tolist() == [1]
+    assert set(class_members(ctx, 0)) == set(range(1, 11))
+    assert not ctx.coset_index[1:].any()
 
 
 def test_context_divisor_mismatch():
@@ -79,9 +83,8 @@ def test_context_invariants(params):
     assert ctx.d * ctx.k == p - 1
 
     # the d+1 classes partition F_p with sizes k,...,k,1
-    seen = np.concatenate([ctx.cosets.ravel(), [0]])
-    assert sorted(seen) == list(range(p))
-    assert ctx.cosets.shape == (d, ctx.k)
+    assert np.bincount(ctx.coset_index, minlength=d + 1).tolist() == \
+        [ctx.k] * d + [1]
 
     # g generates F_p^x, and the class of g^e is e mod d: the class index is
     # the discrete log mod d, multiplicative on nonzero elements
@@ -90,9 +93,11 @@ def test_context_invariants(params):
     for x, e in dlog.items():
         assert ctx.coset_index[x] == e % d
     assert ctx.coset_index[0] == d
-    # row i lists X_i in ascending power order g^i, g^{i+d}, ...
-    assert [[dlog[int(x)] for x in row] for row in ctx.cosets] == \
-        [list(range(i, p - 1, d)) for i in range(d)]
+    # heads[i] = g^i opens X_i's power order g^i, g^{i+d}, ..., and each
+    # pow-built row of that order lies in its class
+    assert [dlog[int(x)] for x in ctx.heads] == list(range(d))
+    for i, row in enumerate(coset_rows(ctx)):
+        assert (ctx.coset_index[row] == i).all()
     for a in range(1, p):
         for b in range(1, p, max(1, p // 7)):
             assert ctx.coset_index[a * b % p] == \
@@ -110,27 +115,27 @@ def test_context_invariants(params):
 @pytest.mark.parametrize("p,d", [(7, 3), (11, 1), (13, 12), (1009, 12),
                                  (10007, 2), (65537, 1)])
 def test_context_holds_two_tables(p, d):
-    # the class index and a (d, k) coset view of the one (p-1,) int32 power
-    # table; no other table, and no view that keeps a larger buffer alive
+    # the class index, p entries, and the d int32 coset heads: one table of
+    # O(p) and one of O(d), no view that keeps a larger buffer alive, and no
+    # power table
     ctx = build_context(p, d)
-    assert ctx.cosets.shape == (d, ctx.k)
-    assert ctx.cosets.dtype == np.int32
-    assert ctx.cosets.base.shape == (p - 1,)
-    assert ctx.cosets.base.nbytes == ctx.cosets.nbytes
+    assert ctx.coset_index.shape == (p,) and ctx.coset_index.base is None
+    assert ctx.heads.shape == (d,) and ctx.heads.dtype == np.int32
+    assert ctx.heads.base is None
     tables = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
-    assert sum(t.nbytes for t in tables) <= \
-        (4 + ctx.coset_index.itemsize) * p + 64
+    assert len(tables) == 2
+    nbytes = sum(t.nbytes for t in tables)
+    assert p * ctx.coset_index.itemsize + 4 * d <= nbytes <= \
+        p * ctx.coset_index.itemsize + 4 * d + 64
 
 
 def test_context_tables_are_read_only():
     ctx = build_context(13, 4)
     with pytest.raises(ValueError):
-        ctx.cosets[0, 0] = 2
-    with pytest.raises(ValueError):
-        ctx.cosets.base[0] = 2
+        ctx.heads[0] = 2
     with pytest.raises(ValueError):
         ctx.coset_index[1] = 0
-    assert ctx.cosets[0, 0] == 1 and ctx.coset_index[1] == 0
+    assert ctx.heads[0] == 1 and ctx.coset_index[1] == 0
 
 
 @pytest.mark.parametrize("p,d,dtype", [(1021, 255, np.uint8),
@@ -147,16 +152,17 @@ def test_coset_index_is_discrete_log_in_narrowest_dtype(p, d, dtype):
 
 
 @pytest.mark.parametrize("p,d,itemsize,bytes_per_element",
-                         [(1000003, 3, 1, 6.5), (1000117, 12, 1, 6.5),
-                          (200017, 50004, 2, 12.5),
-                          (1000033, 250008, 4, 17.0),
-                          (65537, 65536, 4, 20.0)])
+                         [(1000003, 3, 1, 2.0), (1000117, 12, 1, 2.0),
+                          (200017, 50004, 2, 6.38),
+                          (1000033, 250008, 4, 5.70),
+                          (65537, 65536, 4, 14.56)])
 def test_context_peak_memory_per_element(p, d, itemsize, bytes_per_element):
-    # the int32 power table and the index, 4 + itemsize bytes per element,
-    # plus a few blocks of scratch: no O(p) temporary, and for d above the
-    # block no O(d) one.  The scratch has a fixed size, so it weighs more per
-    # element at the smaller p.  The bounds of the wider indexes are the peaks
-    # an int64 power table had, which the build must not exceed at any d
+    # the index, itemsize bytes per element, the 4d bytes of heads, and a
+    # few blocks of scratch: no O(p) temporary, and for d above the block no
+    # O(d) one beyond heads.  The scratch has a fixed size, so it weighs
+    # more per element at the smaller p.  The bounds of the wider indexes
+    # are their peaks rounded up; a context that kept an int32 power table
+    # peaked at 9.38, 8.69 and 14.556 bytes per element
     tracemalloc.start()
     try:
         ctx = build_context(p, d)
@@ -174,16 +180,16 @@ def test_context_peak_memory_per_element(p, d, itemsize, bytes_per_element):
                                       (65539, 65538, 1), (200017, 50004, 1),
                                       (9999991, 3, 99991)])
 def test_cosets_match_modular_powers(p, d, step):
-    # entry (i, j) of the coset array is g^(i + j*d), and the class of g^e is
-    # e mod d.  The first half of the power table is built in blocks of
-    # POWER_BLOCK exponents, the first by doubling; -1 = g^((p-1)/2) gives
-    # the second half.  The doubling stops at once for p = 3 and after one
-    # step for p = 5, whose half is below one block.  The half is exactly one
-    # block for 65537 and twelve for 786433; the last block is partial for
-    # 1000003, 1000117 and 200017; d is above the block with two blocks
-    # (65539, the second of one exponent) and four (200017); and 9999991 is
-    # the largest p below MAX_P.  The exponents on both sides of every block
-    # boundary are checked, in both halves
+    # heads[a] = g^a for a < d, and the class of g^e is e mod d.  The powers
+    # of the first half are formed in blocks of POWER_BLOCK exponents, the
+    # first by doubling, the others from an int32 copy of the first;
+    # -1 = g^((p-1)/2) gives the second half, so for d above the half the
+    # heads come from both halves.  The half is below one block for p = 3
+    # and 5; it is exactly one block for 65537 and twelve for 786433; the
+    # last block is partial for 1000003, 1000117 and 200017; d is above the
+    # block with two blocks (65539, the second of one exponent) and four
+    # (200017); and 9999991 is the largest p below MAX_P.  The exponents on
+    # both sides of every block boundary are checked, in both halves
     assert POWER_BLOCK == 1 << 15  # the cases sit on the boundaries of this block
     ctx = build_context(p, d)
     half = (p - 1) // 2
@@ -192,9 +198,20 @@ def test_cosets_match_modular_powers(p, d, step):
     exponents = sorted({e for e in edges if 0 <= e < p - 1}
                        | set(range(0, p - 1, step)) | {p - 2})
     powers = [pow(ctx.g, e, p) for e in exponents]
-    assert ctx.cosets.T.ravel()[exponents].tolist() == powers
     assert ctx.coset_index[powers].tolist() == [e % d for e in exponents]
     assert ctx.coset_index[0] == d
+    assert ctx.heads.tolist() == [pow(ctx.g, a, p) for a in range(d)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 100, POWER_BLOCK])
+@pytest.mark.parametrize("p,c", [(3, 2), (10009, 11), (9999991, 9999990),
+                                 (9999991, 7)])
+def test_powers_mod_matches_pow(p, c, n):
+    # the first few powers from Python, the rest by doubling steps that end
+    # partial (9, 17, 100) or whole (16, POWER_BLOCK); c = -1 alternates
+    x = powers_mod(c, n, p)
+    assert x.dtype == np.int64
+    assert x.tolist() == [pow(c, j, p) for j in range(n)]
 
 
 def test_table_limit_keeps_tables_exact():

@@ -10,14 +10,20 @@ with its p and the keys that differ.
 The `verify` reports (``gpmoments <args> > tests/golden/<name>``) are
 compared line by line with every ``max_err=`` value masked: those are BLAS
 residuals, which differ between builds.
+
+eta_sha256.txt pins the bits of the periods themselves, and so their
+summation order: each line is p, d and the SHA-256 of
+``compute_periods(build_context(p, d)).tobytes()``.
 """
 
+import hashlib
 import json
 import os
 import re
 
 import pytest
 
+from gpmoments import build_context, compute_periods
 from gpmoments.cli import EXIT_OK, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -103,6 +109,20 @@ def test_verify_report_matches_golden(name, capsys):
     for i, (a, b) in enumerate(zip(got, want), 1):
         assert a == b, f"{name}: line {i} differs"
     assert len(got) == len(want), name
+
+
+def _eta_digests() -> list[tuple[int, int, str]]:
+    with open(os.path.join(GOLDEN_DIR, "eta_sha256.txt")) as fh:
+        lines = [line.split() for line in fh if not line.startswith("#")]
+    return [(int(p), int(d), digest) for p, d, digest in lines]
+
+
+# even k near 1e6 (d = 3, 4) and odd k (d = 12); fixed k = 4 and 3 near 1e4;
+# odd k = 253 (1013, 4); k = 9 (73, 8); d = 1; k = 2 and k = 1
+@pytest.mark.parametrize("p,d,digest", _eta_digests())
+def test_periods_match_golden_bits(p, d, digest):
+    eta = compute_periods(build_context(p, d))
+    assert hashlib.sha256(eta.tobytes()).hexdigest() == digest
 
 
 def test_a_mismatch_names_the_first_differing_row(tmp_path):

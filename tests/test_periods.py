@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import gauss_sum_aggregate, periods_by_class
+from brute_force import coset_rows, gauss_sum_aggregate, periods_by_class
 from gpmoments import (build_context, compute_periods, power_sums,
                        primes_in_range)
 from gpmoments.periods import PERIOD_CHUNK, _unit_root_tables
@@ -50,7 +49,7 @@ def test_periods_match_brute_force(p, d):
 def longdouble_periods(ctx):
     # reference eta in extended precision, one longdouble sum per class
     two_pi = 2 * np.arccos(np.longdouble(-1))
-    theta = two_pi * ctx.cosets.astype(np.longdouble) / ctx.p
+    theta = two_pi * coset_rows(ctx).astype(np.longdouble) / ctx.p
     return np.cos(theta).sum(axis=1), np.sin(theta).sum(axis=1)
 
 
@@ -92,8 +91,10 @@ def test_periods_symmetry_is_bitwise(p, d):
 
 def row_period(ctx, a):
     # eta[a] alone from the same unit-root tables, its terms one 1-D array
+    # of the pow-built row
     s, low, high = _unit_root_tables(ctx.p)
-    x = np.array(ctx.cosets[a, :ctx.k // 2] if ctx.k % 2 == 0 else ctx.cosets[a])
+    row = coset_rows(ctx)[a]
+    x = row[:ctx.k // 2] if ctx.k % 2 == 0 else row
     h, l = high[x >> s], low[x & ((1 << s) - 1)]
     cos = h.real * l.real - h.imag * l.imag
     if ctx.k % 2 == 0:
@@ -104,7 +105,8 @@ def row_period(ctx, a):
 @pytest.mark.parametrize("p,d", BLOCK_CASES)
 def test_periods_are_row_sums_bit_for_bit(p, d):
     # each eta is the pairwise sum of its own row alone, one 1-D array at a
-    # time: the strided cosets view, the blocks and the strips change no bit
+    # time: forming the rows from heads, the blocks and the strips change no
+    # bit
     ctx = build_context(p, d)
     eta = compute_periods(ctx)
     for a in range(d if ctx.k % 2 == 0 else d // 2):
@@ -113,17 +115,33 @@ def test_periods_are_row_sums_bit_for_bit(p, d):
 
 @pytest.mark.parametrize("p,d", [(1013, 4), (9973, 2493), (9973, 3324),
                                  (10007, 1), (1000003, 3), (1000117, 12)])
-def test_periods_do_not_depend_on_table_dtype(p, d):
-    # the int32 power table and an int64 copy of it under the same class
-    # index give the same bits: odd k (1013, 1000117), fixed k = 4 and 3
-    # (9973), d = 1, and even k near 1e6
+def test_periods_do_not_depend_on_table_dtype(monkeypatch, p, d):
+    # the strips compute_periods forms from the int32 heads, in the order it
+    # forms them, tile the int64 pow-built rows it sums, bit for bit: odd k
+    # (1013, 1000117), fixed k = 4 and 3 (9973), d = 1, and even k near 1e6
     ctx = build_context(p, d)
-    table = ctx.cosets.base.astype(np.int64)
-    wide = dataclasses.replace(ctx, cosets=table.reshape(ctx.k, d).T)
-    assert ctx.cosets.dtype == np.int32 and wide.cosets.dtype == np.int64
-    assert wide.coset_index is ctx.coset_index
-    assert np.array_equal(compute_periods(wide).view(np.int64),
-                          compute_periods(ctx).view(np.int64))
+    strips = []
+    real = np.right_shift
+
+    def spy(x, *args, **kwargs):
+        strips.append(np.array(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "right_shift", spy)
+    compute_periods(ctx)
+    monkeypatch.undo()
+    n_rows, cols = (d, ctx.k // 2) if ctx.k % 2 == 0 else (d // 2, ctx.k)
+    tiled = np.zeros((n_rows, cols), dtype=np.int64)
+    a = c = 0
+    for x in strips:
+        n, w = x.shape
+        assert x.dtype == np.int64 and a + n <= n_rows and c + w <= cols
+        tiled[a:a + n, c:c + w] = x
+        c += w
+        if c == cols:
+            a, c = a + n, 0
+    assert (a, c) == (n_rows, 0)
+    assert np.array_equal(tiled, coset_rows(ctx)[:n_rows, :cols])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 8191, 65537, 1000003])

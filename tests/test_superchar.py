@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,21 @@ def test_bincount_chunks_match_oracle(monkeypatch):
     for e in (1, 3, 5, 15, 17, 51, 85, 255):
         assert _numbers(*superchar._cyclotomic_numbers(ctx, e)) == \
             cyclotomic_numbers(1021, ctx.g, e), e
+
+
+@pytest.mark.parametrize("p,d", [(1000003, 3), (1000117, 12)])
+def test_bincount_keys_peak_memory(p, d):
+    # each chunk's keys are formed in one reused buffer and counted through
+    # bincount's intp copy of them: no (p-2)-long key array beside the
+    # context, which would alone take p bytes at these d
+    ctx = build_context(p, d)
+    tracemalloc.start()
+    try:
+        build_tensor(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8 * 10**6
 
 
 @pytest.mark.parametrize("p,d", [(3, 2), (13, 4), (37, 6), (97, 12),
