@@ -17,8 +17,8 @@ from .circularity import CircularityVerdict, is_circular
 from .errors import DimensionMismatch, NotCircular, PreconditionViolated
 from .field_core import FieldContext
 from .periods import power_sums
-from .superchar import (StructureTensor, build_tensor, count_checks,
-                        v4_exact_from_counts, zero_sum_counts)
+from .superchar import (CheckResult, StructureTensor, build_tensor,
+                        count_checks, v4_exact_from_counts, zero_sum_counts)
 
 # Float tolerances (exact values are compared exactly; verify_identities has
 # its own, superchar.UNITARY_TOL and superchar.SCALED_TOL):
@@ -172,11 +172,12 @@ def hurwitz_count(tensor: StructureTensor) -> int:
 @dataclass
 class MomentReport:
     """Per-prime verification record: float power sums, exact V_4, the
-    applicable closed forms and bands, and pass/fail verdicts.  formula and
-    band name the row's headline: its V_4 closed form and its tightest V_4
-    band, "" when there is none.  circularity is the (p,k) verdict of a
-    fixed-k report and circularity_2k the (p,2k) one when it was decided,
-    None otherwise.  These four are not part of the JSON row."""
+    applicable closed forms and bands, and `checks`, the row's verdicts in
+    order (the JSON "verdicts" maps each name to passed).  formula and band
+    name the row's headline: its V_4 closed form and its tightest V_4 band,
+    "" when there is none.  circularity is the (p,k) verdict of a fixed-k
+    report and circularity_2k the (p,2k) one when it was decided, None
+    otherwise.  These four are not part of the JSON row."""
 
     p: int
     d: int
@@ -186,14 +187,14 @@ class MomentReport:
     v4_exact: Fraction
     formula_values: dict[str, Fraction | float] = field(default_factory=dict)
     bounds: dict[str, BoundInterval] = field(default_factory=dict)
-    verdicts: dict[str, bool] = field(default_factory=dict)
+    checks: list[CheckResult] = field(default_factory=list)
     formula: str = ""
     band: str = ""
     circularity: CircularityVerdict | None = None
     circularity_2k: CircularityVerdict | None = None
 
     def all_passed(self) -> bool:
-        return all(self.verdicts.values())
+        return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,7 +204,7 @@ class MomentReport:
             "formula_values": {k_: float(v) for k_, v in self.formula_values.items()},
             "bounds": {k_: [float(b.lower), float(b.upper)]
                        for k_, b in self.bounds.items()},
-            "verdicts": dict(self.verdicts),
+            "verdicts": {c.name: c.passed for c in self.checks},
         }
 
 
@@ -215,8 +216,9 @@ def _close(a: float, b: float) -> bool:
 def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport:
     """Evaluate every applicable formula and bound for the tensor's context,
     the float power sums V_1..V_4 from its periods `tensor.spectrum`, and
-    the exact checks of its counts (`count_checks`), which stay independent
-    of the periods when these are read off T.
+    the exact checks of its counts (`count_checks`, independent of the
+    periods when these are read off T).  rpt.checks holds v4_float_vs_exact,
+    the count checks, then each form's and band's verdict.
 
     With fixed_k, the circularity of (p,k) is decided from tensor and kept
     as rpt.circularity; for odd k, (p,2k) is decided too when (p,k) is
@@ -229,17 +231,19 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
     v4 = v4_exact_from_counts(tensor)
     v4_float = float(v4)  # every float test of V_4 reads this one rounding
     rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8, v_direct=v, v4_exact=v4)
-    verdicts = rpt.verdicts
-    verdicts["v4_float_vs_exact"] = _close(v[4], v4_float)
-    for check in count_checks(tensor):
-        verdicts[check.name] = check.passed
+
+    def verdict(name: str, passed: bool) -> None:
+        rpt.checks.append(CheckResult(name, True, passed))
+
+    verdict("v4_float_vs_exact", _close(v[4], v4_float))
+    rpt.checks.extend(count_checks(tensor))
 
     if d > 1:
         v2 = rpt.formula_values["v2"] = v2_exact(p, d)
-        verdicts["v2"] = _close(v[2], float(v2))
+        verdict("v2", _close(v[2], float(v2)))
         b1 = v1_bounds(p, d)
         rpt.bounds[b1.source] = b1
-        verdicts[f"{b1.source}_bounds"] = b1.contains(v[1])
+        verdict(f"{b1.source}_bounds", b1.contains(v[1]))
 
     bands = []  # the applicable V_4 bands, tightest first
     if d == 2:
@@ -247,20 +251,20 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
         val = v4_d2(p)
         # rows print the form as a float; the verdict compares it exactly
         rpt.formula_values[rpt.formula] = float(val)
-        verdicts[rpt.formula] = val == v4
+        verdict(rpt.formula, val == v4)
     elif d in (3, 4):
         # the exact form shares its name with its band
         val, band = (v4_d3 if d == 3 else v4_d4)(tensor)
         rpt.formula = band.source
         rpt.formula_values[rpt.formula] = val
-        verdicts[rpt.formula] = val == v4
+        verdict(rpt.formula, val == v4)
         bands.append(band)
     if d > 2:
         bands.append(v4_general_bounds(p, d))
     for band in bands:
         rpt.bounds[band.source] = band
         if p > d * d:
-            verdicts[f"{band.source}_bounds"] = band.contains(v4_float)
+            verdict(f"{band.source}_bounds", band.contains(v4_float))
     if bands:
         rpt.band = bands[0].source
 
@@ -275,6 +279,6 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
             return rpt
         rpt.formula = "v4_fixed_k_even" if k % 2 == 0 else "v4_fixed_k_odd"
         rpt.formula_values[rpt.formula] = val
-        verdicts[rpt.formula] = val == v4
+        verdict(rpt.formula, val == v4)
 
     return rpt

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from gpmoments import (build_context, build_tensor, compute_periods,
-                       count_projective, fermat_solution_count, hurwitz_count,
-                       is_circular, power_sums, primes_in_range, v2_exact,
-                       v4_d3, v4_d4, v4_exact_from_counts, v4_fixed_k,
-                       v4_general_bounds, verify_identities)
+                       count_checks, count_projective, fermat_solution_count,
+                       hurwitz_count, is_circular, power_sums, primes_in_range,
+                       v2_exact, v4_d3, v4_d4, v4_exact_from_counts,
+                       v4_fixed_k, v4_general_bounds, verify_identities)
 from gpmoments.cli import main
 
 from brute_force import (diagonal_counts_check, dictionary_check,
@@ -155,7 +155,8 @@ def test_criterion_6_exact_counting_identities():
         exact_names = {"column_sums", "rotation_symmetry", "T_symmetric",
                        "half_turn_symmetry", "count_square_sum",
                        "v4_row_vs_column"}
-        results = {r.name: r for r in verify_identities(tensor)}
+        results = {r.name: r for r in
+                   verify_identities(tensor) + count_checks(tensor)}
         failures += [(p, d, name) for name in sorted(exact_names)
                      if name not in results or not results[name].passed]
         if not exact_trace_identity(tensor):

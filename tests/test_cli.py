@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import io
@@ -15,7 +16,7 @@ import pytest
 import gpmoments
 from brute_force import brute_projective
 from gpmoments import (build_context, cli, field_core, moments, periods,
-                       verify_identities)
+                       superchar, verify_identities)
 from gpmoments.field_core import MAX_P
 from gpmoments.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK,
                            FIXED_D_HEADER, SweepConfig, SweepMode,
@@ -72,7 +73,8 @@ def test_pool_is_no_larger_than_the_tasks_or_cpus(tmp_path, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # _map imports the pool where it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     out = tmp_path / "s.csv"
     # 7, 13, 19: three primes = 1 (mod 3) below 30
@@ -572,10 +574,10 @@ def test_verify_reports_a_count_moved_off_row_0(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_tensor", _perturbed_counts(move))
     assert main(["verify", "--p", "19", "--d", "3"]) == EXIT_CHECK_FAILED
     lines = capsys.readouterr().out.splitlines()
-    assert "identity column_sums: pass expected 6" in lines
-    assert any(line.startswith("identity count_square_sum: pass")
+    assert "check column_sums: pass expected 6" in lines
+    assert any(line.startswith("check count_square_sum: pass")
                for line in lines)
-    assert any(line.startswith("identity v4_row_vs_column: FAIL")
+    assert any(line.startswith("check v4_row_vs_column: FAIL")
                for line in lines)
     assert lines[-2].startswith("curve counts:") and lines[-1] == "RESULT: FAIL"
 
@@ -585,6 +587,24 @@ def test_verify_computes_the_periods_once(periods_calls, capsys, p, flag, value)
     assert main(["verify", "--p", str(p), flag, value]) == EXIT_OK
     assert "eta[0]" in capsys.readouterr().out
     assert periods_calls == [p]
+
+
+@pytest.mark.parametrize("p,flag,value", [(7, "--d", "3"), (31, "--k", "3")])
+def test_verify_runs_the_count_checks_once(monkeypatch, capsys, p, flag, value):
+    # the report's checks hold the count checks, and verify prints them from
+    # there: no module runs them a second time
+    calls = []
+    real = superchar.count_checks
+
+    def counted(tensor):
+        calls.append(tensor.ctx.p)
+        return real(tensor)
+
+    monkeypatch.setattr(superchar, "count_checks", counted)
+    monkeypatch.setattr(moments, "count_checks", counted)
+    assert main(["verify", "--p", str(p), flag, value]) == EXIT_OK
+    assert "check column_sums: pass" in capsys.readouterr().out
+    assert calls == [p]
 
 
 @pytest.mark.parametrize("argv", [["circular", "--k", "4", "--to", "600"],

@@ -190,8 +190,9 @@ def test_d5_report_is_headed_by_the_general_band(p):
     band = rpt.bounds["v4_general"]
     assert band.lower == Fraction((4 * p + 1) ** 2, 125)
     assert band.upper == (52 * p * p + 48 * p ** 1.5 + 24 * p + 1) / 125
-    assert not any(name.startswith("v4_d") for name in rpt.verdicts)
-    assert ("v4_general_bounds" in rpt.verdicts) == (p > 25)
+    names = [c.name for c in rpt.checks]
+    assert not any(name.startswith("v4_d") for name in names)
+    assert ("v4_general_bounds" in names) == (p > 25)
 
 
 # ------------------------------------------------------------- general d
@@ -422,7 +423,7 @@ def test_report_fixed_k_odd_circular_asserts_formula():
     assert rpt.circularity.circular
     assert rpt.circularity_2k == is_circular(31, 6)
     assert rpt.formula_values["v4_fixed_k_odd"] == 128
-    assert rpt.verdicts["v4_fixed_k_odd"]
+    assert {c.name: c.passed for c in rpt.checks}["v4_fixed_k_odd"]
     assert rpt.all_passed()
 
 

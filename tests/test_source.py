@@ -1,6 +1,9 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,3 +186,15 @@ def test_package_parses_at_the_declared_python_floor():
     assert files
     for path in files:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_cli_import_loads_no_process_pool():
+    # a run on one process never starts a pool, so importing the command
+    # line leaves concurrent.futures.process (and multiprocessing) unloaded
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    script = ("import sys, gpmoments.cli; "
+              "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import math
 import os
@@ -17,6 +18,7 @@ from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
                        build_report, build_tensor, compute_periods,
                        count_checks, primes_in_range, superchar,
                        verify_identities, zero_sum_counts)
+from gpmoments.cli import SweepMode, verify_single
 from gpmoments.superchar import DENSE_BUDGET_BYTES, check_dense_budget
 
 # d^2 > p counts with np.unique, d^2 <= p with np.bincount; (101, 10) and
@@ -271,15 +273,24 @@ def test_only_the_row_vs_column_check_sees_a_move_off_row_0(p, d, u):
                                          (31, 10, True)],
                          ids=["fixed_d", "fixed_k4", "fixed_k3"])
 def test_count_checks_are_the_one_source(p, d, fixed_k):
-    # every count check is reported once by verify_identities and by the
-    # report, with its own verdict, so none can go missing from either
+    # every count check is one entry of the report's checks, with its
+    # verdict and detail, and one line of verify; the dense identities leave
+    # it out, so it cannot be reported twice
     tensor = _pipeline(p, d)
     checks = count_checks(tensor)
     identities = [r.name for r in verify_identities(tensor)]
-    verdicts = build_report(tensor, fixed_k=fixed_k).verdicts
+    rpt = build_report(tensor, fixed_k=fixed_k)
+    names = [c.name for c in rpt.checks]
+    buf = io.StringIO()
+    mode = SweepMode.FIXED_K if fixed_k else SweepMode.FIXED_D
+    verify_single(p, (p - 1) // d if fixed_k else d, mode, out=buf)
+    text = buf.getvalue()
     for check in checks:
-        assert identities.count(check.name) == 1
-        assert check.passed and verdicts[check.name] == check.passed
+        assert names.count(check.name) == 1 and check in rpt.checks
+        assert identities.count(check.name) == 0
+        assert text.count(f" {check.name}:") == 1
+        assert f"check {check.name}: pass {check.detail}\n" in text
+        assert check.passed
 
 
 def test_identities_13_4_symmetry_not_applicable():
