@@ -12,7 +12,8 @@ import numpy as np
 from .errors import CompositeInput, ConfigInvalid, DivisorMismatch
 
 # Largest p, and largest sieve bound, whose O(p) tables are built; larger
-# ones are refused before any allocation.  is_prime is sized for this range.
+# ones are refused before any allocation.  The trial division of p - 1 in
+# find_primitive_root is sized for this range.
 MAX_P = 10**7
 
 # Exponents whose powers build_context forms at once.  Its scratch is two
@@ -20,11 +21,6 @@ MAX_P = 10**7
 # and a block is long enough that numpy's per-call cost stays small beside
 # the per-element work.
 POWER_BLOCK = 1 << 15
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic trial division; intended for desk-scale n (<= MAX_P)."""
-    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -43,18 +39,21 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def find_primitive_root(p: int) -> int:
-    """Smallest positive generator of F_p^x.
+    """Smallest generator g of F_p^x; CompositeInput unless p is an odd prime.
 
-    Deterministic so that the labelling of cosets (which one is X_1, etc.)
-    is reproducible across runs.
+    g is the first candidate with g^((p-1)/q) != 1 for every prime q | p-1.
+    It is returned only if g^(p-1) = 1 too: then it has order p - 1, which
+    proves p prime (Lucas).  A composite p is refused at its smallest prime
+    factor r at the latest, as no power of r is 1 mod p.  The smallest g
+    fixes the coset labels (which one is X_1, etc.) across runs.
     """
-    if not is_prime(p) or p == 2:
-        raise CompositeInput(f"{p} is not an odd prime")
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+    if p > 2:
+        factors = _prime_factors(p - 1)
+        g = next(c for c in range(2, p)
+                 if all(pow(c, (p - 1) // q, p) != 1 for q in factors))
+        if pow(g, p - 1, p) == 1:
             return g
-    raise CompositeInput(f"no generator found for {p}")  # unreachable for prime p
+    raise CompositeInput(f"{p} is not an odd prime")
 
 
 @dataclass(frozen=True, eq=False)

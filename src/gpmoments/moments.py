@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, NotCircular, PreconditionViolated
 from .field_core import FieldContext
 from .periods import power_sums
 from .superchar import (CheckResult, StructureTensor, build_tensor,
-                        count_checks, v4_exact_from_counts, zero_sum_counts)
+                        count_checks, zero_sum_counts)
 
 # Float tolerances (exact values are compared exactly; verify_identities has
 # its own, superchar.UNITARY_TOL and superchar.SCALED_TOL):
@@ -228,7 +228,7 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
     """
     p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
     v = power_sums(tensor.spectrum, (1, 2, 3, 4))
-    v4 = v4_exact_from_counts(tensor)
+    v4 = tensor.v4_exact
     v4_float = float(v4)  # every float test of V_4 reads this one rounding
     rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8, v_direct=v, v4_exact=v4)
 

@@ -9,10 +9,11 @@ rule of the class d = {0}; the dense (d+1) x (d+1) slice `c0` and the two
 border terms of the `zero_sum_counts` walk are read through it.  The exact
 checks of every report row write their border terms out instead:
 `count_checks` adds c_{0,d,0} = 1 to column 0 and to its column read of V_4,
-and `v4_exact_from_counts` adds k[2d | p-1], from c_{0,0,d}.  A scalar
-`constant` call costs about 10 us (2-core x86-64), so the three would add
-some 5% to a fixed-d row near p = 3*10^4.  Every dense (d+1) x (d+1) array
-is refused with ConfigInvalid when it would exceed DENSE_BUDGET_BYTES.
+and the row read `StructureTensor.v4_exact` adds k[2d | p-1], from
+c_{0,0,d}.  A scalar `constant` call costs about 10 us (2-core x86-64), so
+the three would add some 5% to a fixed-d row near p = 3*10^4.  Every dense
+(d+1) x (d+1) array is refused with ConfigInvalid when it would exceed
+DENSE_BUDGET_BYTES.
 Floats only enter with the scaled matrix T, its spectrum (the periods with
 k) and the labelled periods `eta`, and when the counts are assembled into U
 for the analytic identities.
@@ -104,10 +105,10 @@ class StructureTensor:
     """The structure constants of (p, d), held as sparse cyclotomic numbers.
 
     keys (ascending) and counts list the nonzero (i, j)_d, key i*d + j;
-    `constant` reads any c_{0,u,w} off them.  The dense slice `c0`, the
-    matrix `T`, the periods `spectrum` and the labelled periods `eta` of the
-    same (p, d) are computed on first read and cached.  Equality is
-    identity, as for the context.
+    `constant` reads any c_{0,u,w} off them.  The exact V_4 `v4_exact`, the
+    dense slice `c0`, the matrix `T`, the periods `spectrum` and the
+    labelled periods `eta` of the same (p, d) are computed on first read and
+    cached.  Equality is identity, as for the context.
     """
 
     ctx: FieldContext
@@ -131,9 +132,9 @@ class StructureTensor:
         (u, w)_d, key u*d + w, for u, w < d; on row or column d, c_{0,d,0} = 1
         (y = 0 forces x = z), c_{0,alpha,d} = k (z = 0 forces y = -x, a whole
         class) and 0 elsewhere.  `c0` and the walk of `zero_sum_counts` read
-        the border here; `count_checks` and `v4_exact_from_counts` write
-        their border terms out, as scalar calls here would cost a report row
-        some 5% (see the module docstring).
+        the border here; `count_checks` and `v4_exact` write their border
+        terms out, as scalar calls here would cost a report row some 5% (see
+        the module docstring).
 
         Every other constant reduces to these: x = 0 (i = d) forces y = z, so
         c_{d,j,n} = [j = n]; for i < d, dividing by x shifts the classes of
@@ -152,6 +153,19 @@ class StructureTensor:
         # is then overridden: u*d + d is the key of (u+1, 0)_d.
         found += want == d * d
         return np.where(w == d, (u == self.ctx.alpha) * self.ctx.k, found)
+
+    @cached_property
+    def v4_exact(self) -> Fraction:
+        """Exact V_4 = p(k[2d | p-1] + sum_w (0, w)_d^2) - k^3, read off the
+        first row of the counting slice, the stored keys below d.  Cached, as
+        `build_report` and `count_checks` both read it; its read off the first
+        column is the `count_checks` verdict v4_row_vs_column."""
+        p, d, k = self.ctx.p, self.ctx.d, self.ctx.k
+        # exact in int64: the row sums to at most k, so its sum of squares is
+        # at most k^2 <= MAX_P^2 = 10^14 < 2^63
+        row = self.counts[:self.keys.searchsorted(d)]
+        delta_alpha = 1 if (p - 1) % (2 * d) == 0 else 0
+        return Fraction(p * (k * delta_alpha + int(row @ row)) - k ** 3)
 
     @cached_property
     def c0(self) -> np.ndarray:
@@ -208,24 +222,12 @@ class StructureTensor:
         return np.concatenate((lam[:i], lam[i + 1:]))
 
 
-def v4_exact_from_counts(tensor: StructureTensor) -> Fraction:
-    """Exact V_4 = p(k[2d | p-1] + sum_w (0, w)_d^2) - k^3, read off the
-    first row of the counting slice, the stored keys below d; its read off
-    the first column is the `count_checks` verdict v4_row_vs_column."""
-    p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
-    # exact in int64: the row sums to at most k, so its sum of squares is at
-    # most k^2 <= MAX_P^2 = 10^14 < 2^63
-    row = tensor.counts[:tensor.keys.searchsorted(d)]
-    delta_alpha = 1 if (p - 1) % (2 * d) == 0 else 0
-    return Fraction(p * (k * delta_alpha + int(row @ row)) - k ** 3)
-
-
 def count_checks(tensor: StructureTensor) -> list[CheckResult]:
     """The exact checks of the stored counts, in O(nnz) integer arithmetic:
     every column of the counting slice sums to k (c_{0,d,0} = 1 included);
     d^2 times the sum of the squared (u, w)_d is p^2 + (d^2 - 3d - 2)p
     + 3d + 1; and V_4 read off the first column, p(k + sum_u (u, 0)_d^2)
-    - k^3, equals `v4_exact_from_counts`, its read off the first row.  None
+    - k^3, equals `tensor.v4_exact`, its read off the first row.  None
     reads the periods, so they stay independent of them."""
     ctx = tensor.ctx
     d, p, k = ctx.d, ctx.p, ctx.k
@@ -243,7 +245,7 @@ def count_checks(tensor: StructureTensor) -> list[CheckResult]:
     # the (u, 0)_d; they sum to at most k
     col0 = counts[cols == 0]
     col_v4 = p * (k + int(col0 @ col0)) - k ** 3
-    row_v4 = v4_exact_from_counts(tensor)
+    row_v4 = tensor.v4_exact
     return [CheckResult("column_sums", True, colsums_ok, f"expected {k}"),
             CheckResult("count_square_sum", True, lhs_sq * d * d == num,
                         f"lhs={lhs_sq} rhs={num}/{d * d}"),

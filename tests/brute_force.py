@@ -22,6 +22,8 @@ formulas for the diagonal solution counts, rounded from complex floats;
 gauss_cubic_L and cubic_period_power_sums give the exact power sums of the
 d = 3 periods from Gauss's period polynomial, with no table at all;
 vn_d2_closed_form is V_n at d = 2 from the two quadratic periods, in floats.
+is_prime is trial division, the oracle for the refusals of
+find_primitive_root, whose Lucas test is the package's one primality proof.
 """
 
 import cmath
@@ -34,6 +36,11 @@ import numpy as np
 from gpmoments import PreconditionViolated, count_projective, is_circular
 from gpmoments.field_core import find_primitive_root
 from gpmoments.superchar import CheckResult
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by every q with q * q <= n."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 def discrete_log(p: int, g: int) -> dict[int, int]:

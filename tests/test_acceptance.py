@@ -14,8 +14,8 @@ import pytest
 from gpmoments import (build_context, build_tensor, compute_periods,
                        count_checks, count_projective, fermat_solution_count,
                        hurwitz_count, is_circular, power_sums, primes_in_range,
-                       v2_exact, v4_d3, v4_d4, v4_exact_from_counts,
-                       v4_fixed_k, v4_general_bounds, verify_identities)
+                       v2_exact, v4_d3, v4_d4, v4_fixed_k,
+                       v4_general_bounds, verify_identities)
 from gpmoments.cli import main
 
 from brute_force import (diagonal_counts_check, dictionary_check,
@@ -40,7 +40,7 @@ def test_criterion_1_d3_exact_v4():
     for p in primes_in_range(7, P_SWEEP, (3, 1)):
         tensor = pipeline(p, 3)
         value, _ = v4_d3(tensor)
-        if value != v4_exact_from_counts(tensor):
+        if value != tensor.v4_exact:
             failures.append(("exact", p))
         oracle = power_sums(tensor.eta, (4,))[4]
         if abs(float(value) - oracle) > 1e-6 * abs(oracle):
@@ -55,7 +55,7 @@ def test_criterion_2_d4_both_branches():
     for p in primes_in_range(5, P_SWEEP, (4, 1)):
         tensor = pipeline(p, 4)
         value, band = v4_d4(tensor)
-        if value != v4_exact_from_counts(tensor):
+        if value != tensor.v4_exact:
             failures.append((p, band.source))
         count += 1
     report(2, failures, f"d=4 exact V4, both mod-8 branches, {count} primes")
@@ -67,7 +67,7 @@ def test_criterion_3_bound_containment():
     for d in range(3, 14):
         for p in primes_in_range(d * d + 1, P_SWEEP, (d, 1)):
             tensor = pipeline(p, d)
-            exact = v4_exact_from_counts(tensor)
+            exact = tensor.v4_exact
             if d == 3:
                 bounds = v4_d3(tensor)[1]
             elif d == 4:
@@ -92,7 +92,7 @@ def test_criterion_4_fixed_k_closed_forms():
                     failures.append(("unexpected noncircular", p, k))
                 continue
             tensor = pipeline(p, (p - 1) // k)
-            if v4_fixed_k(verdict) != v4_exact_from_counts(tensor):
+            if v4_fixed_k(verdict) != tensor.v4_exact:
                 failures.append((p, k))
             count += 1
     if is_circular(5, 4).circular:
@@ -102,7 +102,7 @@ def test_criterion_4_fixed_k_closed_forms():
         if not (verdict.circular and verdict_2k.circular):
             continue
         tensor = pipeline(p, (p - 1) // 3)
-        if v4_fixed_k(verdict, verdict_2k) != v4_exact_from_counts(tensor):
+        if v4_fixed_k(verdict, verdict_2k) != tensor.v4_exact:
             failures.append((p, 3))
         count += 1
     report(4, failures, f"fixed-k closed forms on {count} circular pairs, p <= 5000")

@@ -45,14 +45,14 @@ def test_divisor_mismatch():
 
 def test_tensor_verdict_takes_p_as_proved(monkeypatch):
     # a tensor's context has proved p prime; only a bare p is tested again,
-    # by build_context
+    # by build_context, whose find_primitive_root factors p - 1
     tensor = build_tensor(build_context(1009, 252))
     expected = [is_circular(1009, k) for k in (4, 12)]
 
     def no_test(n):
-        raise AssertionError("is_prime called")
+        raise AssertionError("_prime_factors called")
 
-    monkeypatch.setattr(field_core, "is_prime", no_test)
+    monkeypatch.setattr(field_core, "_prime_factors", no_test)
     assert [is_circular(1009, k, tensor) for k in (4, 12)] == expected
     with pytest.raises(AssertionError):
         is_circular(1009, 4)

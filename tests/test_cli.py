@@ -452,9 +452,10 @@ def test_circular_scan(tmp_path):
     assert cols[2] == "0" and int(cols[3]) >= 3
 
 
-def test_circular_scan_factors_each_prime_twice(tmp_path, monkeypatch):
-    # the context of each sieved p factors p (its primality test) and p - 1
-    # (its primitive root); the verdict takes p as proved and factors nothing
+def test_circular_scan_factors_each_prime_once(tmp_path, monkeypatch):
+    # the context of each sieved p factors p - 1 once: its primitive root is
+    # its primality proof (Lucas); the verdict takes p as proved and factors
+    # nothing
     calls = []
     real = field_core._prime_factors
 
@@ -467,7 +468,7 @@ def test_circular_scan_factors_each_prime_twice(tmp_path, monkeypatch):
     assert main(["circular", "--k", "12", "--to", "3000",
                  "--out", str(out)]) == EXIT_OK
     primes = len(read(out).splitlines()) - 1
-    assert primes == 99 and len(calls) == 2 * primes == 198
+    assert primes == 99 and len(calls) == primes
 
 
 @pytest.fixture

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import class_members, coset_rows, discrete_log
+from brute_force import class_members, coset_rows, discrete_log, is_prime
 from gpmoments import (CompositeInput, ConfigInvalid, DivisorMismatch,
-                       build_context, find_primitive_root, is_prime,
+                       build_context, field_core, find_primitive_root,
                        primes_in_range)
 from gpmoments.field_core import MAX_P, POWER_BLOCK, powers_mod
 
@@ -28,6 +28,21 @@ def smallest_generator(p):
             return g
 
 
+def smallest_generator_by_divisors(p):
+    # first candidate h with h^e != 1 for every proper divisor e of p - 1,
+    # the divisors found by trying every e: a faster oracle, as an order
+    # divides p - 1
+    es = np.arange(1, p - 1)
+    divisors = es[(p - 1) % es == 0].tolist()
+    return next(h for h in range(2, p)
+                if all(pow(h, e, p) != 1 for e in divisors))
+
+
+# Carmichael numbers: every base b coprime to n has b^(n-1) = 1 mod n
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+              9585541, 9890881]
+
+
 @pytest.mark.parametrize("p,expected", [(3, 2), (5, 2), (7, 3)])
 def test_primitive_root_examples(p, expected):
     assert find_primitive_root(p) == expected
@@ -36,6 +51,7 @@ def test_primitive_root_examples(p, expected):
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_primitive_root_matches_exhaustive_oracle(p):
     assert find_primitive_root(p) == smallest_generator(p)
+    assert smallest_generator_by_divisors(p) == smallest_generator(p)
 
 
 def test_primitive_root_rejects_composite():
@@ -43,6 +59,62 @@ def test_primitive_root_rejects_composite():
         find_primitive_root(15)
     with pytest.raises(CompositeInput):
         build_context(9, 2)
+
+
+def test_primitive_root_refuses_exactly_the_non_odd_primes():
+    # the Lucas test is the package's one primality test: every n in range
+    # gets the smallest generator if it is an odd prime, else CompositeInput
+    for n in range(-3, 2 * 10**4):
+        if is_prime(n) and n != 2:
+            assert find_primitive_root(n) == smallest_generator_by_divisors(n), n
+        else:
+            with pytest.raises(CompositeInput):
+                find_primitive_root(n)
+
+
+def _prime_divisors(n):
+    # with multiplicity, by trial division
+    out, r = [], 2
+    while r * r <= n:
+        while n % r == 0:
+            out.append(r)
+            n //= r
+        r += 1
+    return out + [n] if n > 1 else out
+
+
+@pytest.mark.parametrize("n", CARMICHAEL + [3137 ** 2, 211 ** 3])
+def test_lucas_test_refuses_fermat_liars(n):
+    # a Fermat test would pass the Carmichael numbers for most bases; the
+    # prime powers have generators of (Z/n)^x, but none of order n - 1
+    factors = _prime_divisors(n)
+    assert len(factors) > 1 and not is_prime(n)
+    if n in CARMICHAEL:  # Korselt's criterion
+        assert len(set(factors)) == len(factors)
+        assert all((n - 1) % (r - 1) == 0 for r in factors)
+    with pytest.raises(CompositeInput):
+        find_primitive_root(n)
+    with pytest.raises(CompositeInput):  # not ConfigInvalid: n <= MAX_P
+        build_context(n, 1)
+
+
+@pytest.mark.parametrize("p,d", [(30013, 3), (9973, 2493)])
+def test_context_factors_only_p_minus_1(monkeypatch, p, d):
+    # find_primitive_root proves p prime from the factors of p - 1; p itself
+    # is never trial-divided
+    calls = []
+    real = field_core._prime_factors
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(field_core, "_prime_factors", counted)
+    build_context(p, d)
+    assert calls == [p - 1]
+    with pytest.raises(ConfigInvalid):  # MAX_P comes before any primality work
+        build_context(10000019, 2)  # the least prime above MAX_P
+    assert calls == [p - 1]
 
 
 def test_context_7_3_cosets():
@@ -238,5 +310,6 @@ def test_primes_in_range_examples():
 
 
 def test_is_prime_small():
+    # the trial-division oracle of tests/brute_force.py
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

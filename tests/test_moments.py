@@ -12,8 +12,8 @@ from gpmoments import (DimensionMismatch, NotCircular, PreconditionViolated,
                        compute_periods, fermat_solution_count, hurwitz_count,
                        power_sums, primes_in_range,
                        v1_bounds, v2_exact, v4_d2, v4_d3, v4_d4,
-                       v4_exact_from_counts, v4_fixed_k, v4_general_bounds)
-from gpmoments import moments
+                       v4_fixed_k, v4_general_bounds)
+from gpmoments import moments, superchar
 from gpmoments.circularity import is_circular
 from gpmoments.superchar import StructureTensor
 
@@ -87,7 +87,7 @@ def test_v4_d2_is_exact_and_rounds_to_the_float_form():
     assert {p % 4 for p in primes} == {1, 3}
     for p in primes:
         value = v4_d2(p)
-        assert value == v4_exact_from_counts(pipeline(p, 2)), p
+        assert value == pipeline(p, 2).v4_exact, p
         assert float(value) == vn_d2_closed_form(p, 4), p
     assert (v4_d2(13), v4_d2(7)) == (31, 8)
 
@@ -95,17 +95,36 @@ def test_v4_d2_is_exact_and_rounds_to_the_float_form():
 # --------------------------------------------------- exact V4 from counts
 
 def test_v4_exact_examples():
-    assert v4_exact_from_counts(pipeline(7, 3)) == 13
-    assert v4_exact_from_counts(pipeline(13, 2)) == 31
-    assert v4_exact_from_counts(pipeline(13, 6)) == 31
+    assert pipeline(7, 3).v4_exact == 13
+    assert pipeline(13, 2).v4_exact == 31
+    assert pipeline(13, 6).v4_exact == 31
 
 
 @pytest.mark.parametrize("p,d", [(7, 3), (13, 4), (17, 4), (29, 7), (31, 6),
                                  (13, 12), (41, 8), (11, 5)])
 def test_v4_exact_matches_float_oracle(p, d):
     tensor = pipeline(p, d)
-    assert float(v4_exact_from_counts(tensor)) == \
+    assert float(tensor.v4_exact) == \
         pytest.approx(power_sums(tensor.eta, (4,))[4], rel=1e-9)
+
+
+@pytest.mark.parametrize("p,d,fixed_k", [(31, 3, False), (10009, 3336, True)])
+def test_report_reads_v4_off_the_row_once(monkeypatch, p, d, fixed_k):
+    # the row read of V_4 forms superchar's one Fraction; build_report and
+    # count_checks (its v4_row_vs_column) both read it, and it is formed once
+    calls = []
+    real = superchar.Fraction
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(superchar, "Fraction", counted)
+    tensor = pipeline(p, d)
+    rpt = build_report(tensor, fixed_k=fixed_k)
+    assert len(calls) == 1
+    assert rpt.v4_exact is tensor.v4_exact and rpt.all_passed()
+    assert [c.passed for c in rpt.checks if c.name == "v4_row_vs_column"] == [True]
 
 
 # ----------------------------------------------------------------- d = 3
@@ -124,7 +143,7 @@ def test_v4_d3_p13_matches_oracle():
     value, _ = v4_d3(tensor)
     assert float(value) == \
         pytest.approx(power_sums(tensor.eta, (4,))[4], rel=1e-6)
-    assert value == v4_exact_from_counts(tensor)
+    assert value == tensor.v4_exact
 
 
 def test_v4_d3_p31_t0_hasse_window():
@@ -145,12 +164,12 @@ def test_v4_d4_both_branches_exact():
     tensor = pipeline(17, 4)
     value, band = v4_d4(tensor)
     assert band.source == "v4_d4_mod8_1"
-    assert value == v4_exact_from_counts(tensor)
+    assert value == tensor.v4_exact
 
     tensor = pipeline(13, 4)
     value, bounds = v4_d4(tensor)
     assert bounds.source == "v4_d4_mod8_5"
-    assert value == v4_exact_from_counts(tensor)
+    assert value == tensor.v4_exact
     p = 13
     assert float(bounds.lower) == pytest.approx((9 * 169 + 78 + 1) / 64)
     assert float(bounds.upper) == \
@@ -161,7 +180,7 @@ def test_v4_d4_both_branches_exact():
 def test_v4_d4_sweep_exact_equality(p):
     tensor = pipeline(p, 4)
     value, bounds = v4_d4(tensor)
-    assert value == v4_exact_from_counts(tensor)
+    assert value == tensor.v4_exact
     if p > 16:
         assert bounds.contains(value)
 
@@ -172,7 +191,7 @@ def test_v4_d4_sweep_exact_equality(p):
 def test_v4_general_bounds_at_d5_contain_exact(p):
     tensor = pipeline(p, 5)
     bounds = v4_general_bounds(p, 5)
-    exact = v4_exact_from_counts(tensor)
+    exact = tensor.v4_exact
     if p > 25:
         assert bounds.contains(exact)
     if p == 11:
@@ -200,18 +219,18 @@ def test_d5_report_is_headed_by_the_general_band(p):
 def test_general_bounds_example_7_3():
     b = v4_general_bounds(7, 3)
     assert b.lower == Fraction(225, 27)
-    assert v4_exact_from_counts(pipeline(7, 3)) >= b.lower
+    assert pipeline(7, 3).v4_exact >= b.lower
 
 
 def test_general_bounds_d8_sweep():
     for p in primes_in_range(65, 1500, (8, 1)):
         tensor = pipeline(p, 8)
-        assert v4_general_bounds(p, 8).contains(v4_exact_from_counts(tensor))
+        assert v4_general_bounds(p, 8).contains(tensor.v4_exact)
 
 
 def test_general_bounds_29_7():
     tensor = pipeline(29, 7)
-    assert v4_general_bounds(29, 7).lower <= v4_exact_from_counts(tensor)
+    assert v4_general_bounds(29, 7).lower <= tensor.v4_exact
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -246,7 +265,7 @@ def test_fixed_k_odd_example():
     assert v4_fixed_k(is_circular(31, 3), is_circular(31, 6)) \
         == 31 * 5 - 27 == 128
     tensor = pipeline(31, 10)
-    assert v4_exact_from_counts(tensor) == 128
+    assert tensor.v4_exact == 128
     # an odd k without the verdict on (p, 2k) is refused, not decided here
     with pytest.raises(NotCircular):
         v4_fixed_k(is_circular(31, 3))
@@ -274,7 +293,7 @@ def test_fixed_k_even_sweep(k):
             continue
         tensor = pipeline(p, (p - 1) // k)
         assert v4_fixed_k(is_circular(p, k)) == \
-            v4_exact_from_counts(tensor)
+            tensor.v4_exact
 
 
 # --------------------------------------------------- solution counts

@@ -194,20 +194,20 @@ def test_zero_sum_counts_match_enumeration():
 
 
 def test_tensor_stores_only_the_cyclotomic_numbers():
-    # keys/counts are the one stored form: a report caches only its periods,
-    # the spectrum, and with d^3 <= p the dense c0 and T it reads them off;
-    # c0 and T are the only cached views of the constants
+    # keys/counts are the one stored form: a report caches only its exact
+    # V_4, its periods, the spectrum, and with d^3 <= p the dense c0 and T it
+    # reads them off; c0 and T are the only cached views of the constants
     stored = {"ctx", "keys", "counts"}
     tensor = build_tensor(build_context(1009, 3))
     build_report(tensor)
-    assert set(vars(tensor)) == stored | {"c0", "T", "spectrum"}
+    assert set(vars(tensor)) == stored | {"v4_exact", "c0", "T", "spectrum"}
     assert not tensor.c0.flags.writeable and not tensor.T.flags.writeable
     tensor = build_tensor(build_context(1009, 12))
     build_report(tensor)
-    assert set(vars(tensor)) == stored | {"eta", "spectrum"}
+    assert set(vars(tensor)) == stored | {"v4_exact", "eta", "spectrum"}
     assert tensor.spectrum is tensor.eta
     assert not tensor.c0.flags.writeable
-    assert set(vars(tensor)) == stored | {"eta", "spectrum", "c0"}
+    assert set(vars(tensor)) == stored | {"v4_exact", "eta", "spectrum", "c0"}
 
 
 def _pipeline(p, d):
