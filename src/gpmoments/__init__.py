@@ -12,7 +12,7 @@ from .moments import (BoundInterval, MomentReport, build_report,
                       fermat_solution_count, hurwitz_count, v1_bounds, v2_exact,
                       v4_d2, v4_d3, v4_d4, v4_fixed_k, v4_general_bounds)
 from .periods import compute_periods, power_sums
-from .superchar import (StructureTensor, build_matrices, build_tensor,
-                        count_checks, verify_identities, zero_sum_counts)
+from .superchar import (StructureTensor, build_tensor, count_checks,
+                        verify_identities, zero_sum_counts)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,7 @@ from .errors import (CompositeInput, ConfigInvalid, DivisorMismatch, GpmError,
 from .fermat_curves import PowerTable
 from .field_core import build_context, primes_in_range
 from .moments import MomentReport, build_report
-from .superchar import build_tensor, check_dense_budget, verify_identities
+from .superchar import build_tensor, verify_identities
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -193,18 +193,16 @@ def run_sweep(cfg: SweepConfig) -> int:
 
 
 def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
-    """Full per-prime report: periods, power sums, formulas, the report's
-    checks, the dense identities and curve counts, written to out (by default
-    the current sys.stdout).  The exit code reads every check and identity."""
+    """Full per-prime report at any d: periods, power sums, formulas, the
+    report's checks, `verify_identities`, and for d <= 12 the curve counts
+    and Weil's bound, written to out (by default the current sys.stdout).
+    The exit code reads every check and identity."""
     if out is None:
         out = sys.stdout
     fixed = "d" if mode is SweepMode.FIXED_D else "k"
     if value < 1 or (p - 1) % value != 0:
         raise DivisorMismatch(f"{fixed}={value} is not a positive divisor of p-1")
     d = value if mode is SweepMode.FIXED_D else (p - 1) // value
-    # verify_identities needs dense complex (d+1) x (d+1) matrices; refuse before
-    # any table is built
-    check_dense_budget(d, complex)
 
     tensor, rpt = _run_prime(p, mode, value)
     ctx = tensor.ctx
@@ -232,15 +230,15 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
             if not vk.circular:
                 print("fixed-k formula skipped (pair not circular)", file=out)
     identities = verify_identities(tensor)
-    # a check line ends at its tag when it has no detail
+    if d <= 12:
+        table = PowerTable(tensor)
+        identities.append(table.weil)
     for kind, results in (("check", rpt.checks), ("identity", identities)):
         for res in results:
             tag = "n/a" if not res.applicable else "pass" if res.passed else "FAIL"
-            sep = " " if res.detail or kind == "identity" else ""
-            print(f"{kind} {res.name}: {tag}{sep}{res.detail}", file=out)
+            print(f"{kind} {res.name}: {tag} {res.detail}".rstrip(), file=out)
 
     if d <= 12:
-        table = PowerTable(tensor)
         # C order, j outer and k inner: argmin is the first of the smallest
         j, kk = divmod(int(table.hw_margin.argmin()), d)
         print(f"curve counts: M(0,0,0)={table.M[0, 0]}, "

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field_core import FieldContext
-from .superchar import StructureTensor, check_dense_budget
+from .superchar import CheckResult, StructureTensor, check_dense_budget
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,24 @@ def _count(tensor: StructureTensor, jp, r) -> tuple[np.ndarray, np.ndarray]:
 
 class PowerTable:
     """The d x d grid of counts M[j, r] = M(0, j, r) and their Hasse-Weil
-    margins hw_margin[j, r], the curves that `verify` reports.
+    margins hw_margin[j, r], the curves that `verify` reports, and `weil`,
+    the exact verdict on Weil's bound (M - p - 1)^2 <= 4 g^2 p over the grid.
 
     (The class keeps its name because the benchmark's layer tracer wraps its
     constructor by name.)
     """
 
     def __init__(self, tensor: StructureTensor):
-        d = tensor.ctx.d
+        p, d = tensor.ctx.p, tensor.ctx.d
         check_dense_budget(d, np.int64)
         self.M, self.hw_margin = _count(tensor,
                                         *np.indices((d, d), sparse=True))
+        # every curve is smooth (p does not divide d); exact in int64, as
+        # 0 <= M <= d^2 k + 3d = d(p + 2) and verify builds it for d <= 12
+        dev = self.M - (p + 1)
+        worst, bound = int((dev * dev).max()), 4 * _genus(d) ** 2 * p
+        self.weil = CheckResult("hasse_weil", True, worst <= bound,
+                                f"max (M-p-1)^2={worst} 4g^2p={bound}")
 
 
 def count_projective(tensor: StructureTensor, i: int, j: int,

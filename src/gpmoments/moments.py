@@ -20,8 +20,8 @@ from .periods import power_sums
 from .superchar import (CheckResult, StructureTensor, build_tensor,
                         count_checks, zero_sum_counts)
 
-# Float tolerances (exact values are compared exactly; verify_identities has
-# its own, superchar.UNITARY_TOL and superchar.SCALED_TOL):
+# Float tolerances (exact values are compared exactly; the Gauss sums and
+# product identity of verify_identities have UNITARY_TOL and SCALED_TOL):
 HALF_POWER_SLACK = 1e-9  # relative slack on both ends of every band
 FLOAT_REL_TOL = 1e-6  # relative tolerance of float power sums
 

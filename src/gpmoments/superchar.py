@@ -1,4 +1,4 @@
-"""Structure constants c_{i,j,k}, the matrices T and U, and their identities.
+"""Structure constants c_{i,j,k}, the matrix T, and their identities.
 
 Every structure constant is a re-indexing of the cyclotomic numbers
 (i, j)_d = #{v in X_i : v + 1 in X_j}, which one O(p) pass over the
@@ -13,10 +13,9 @@ and the row read `StructureTensor.v4_exact` adds k[2d | p-1], from
 c_{0,0,d}.  A scalar `constant` call costs about 10 us (2-core x86-64), so
 the three would add some 5% to a fixed-d row near p = 3*10^4.  Every dense
 (d+1) x (d+1) array is refused with ConfigInvalid when it would exceed
-DENSE_BUDGET_BYTES.
+DENSE_BUDGET_BYTES; `verify_identities` builds none.
 Floats only enter with the scaled matrix T, its spectrum (the periods with
-k) and the labelled periods `eta`, and when the counts are assembled into U
-for the analytic identities.
+k) and the labelled periods `eta`, which the analytic identities read.
 """
 
 import math
@@ -30,9 +29,9 @@ from . import periods
 from .errors import ConfigInvalid, DimensionMismatch
 from .field_core import FieldContext
 
-# Largest dense (d+1) x (d+1) array (the c0 slice, U, T and the products in
-# verify_identities) that may be allocated, checked from the shape first.
-# 4 MiB admits complex128 matrices up to d = 511.
+# Largest dense (d+1) x (d+1) array (the c0 slice, T and the d x d grid of
+# fermat_curves.PowerTable) that may be allocated, checked from the shape
+# first.  4 MiB admits 8-byte entries up to d = 723.
 DENSE_BUDGET_BYTES = 1 << 22
 
 # Largest number of keys one bincount call of _cyclotomic_numbers counts; its
@@ -40,8 +39,8 @@ DENSE_BUDGET_BYTES = 1 << 22
 COUNT_CHUNK = 1 << 16
 
 # Float tolerances of verify_identities (the counts themselves are exact):
-UNITARY_TOL = 1e-9  # bounds ||U*U - I||_max and ||U - U^T||_max
-SCALED_TOL = 1e-8  # times p, bounds the residuals that grow with the entries
+UNITARY_TOL = 1e-9  # bounds |G(1) + 1| and ||G|^2 - p| / p of the Gauss sums
+SCALED_TOL = 1e-8  # times p, bounds the product identity's residuals
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ class StructureTensor:
     @cached_property
     def eta(self) -> np.ndarray:
         """The d Gaussian periods of this tensor's (p, d), eta[a] the sum
-        over X_a: with k they are the spectrum of T, TU = U diag(eta, k)."""
+        over X_a: with k they are the spectrum of T."""
         return periods.compute_periods(self.ctx)
 
     @cached_property
@@ -281,91 +280,72 @@ def build_tensor(ctx: FieldContext) -> StructureTensor:
     return StructureTensor(ctx=ctx, keys=keys, counts=counts)
 
 
-def build_matrices(tensor: StructureTensor) -> tuple[np.ndarray, np.ndarray]:
-    """(U, sigma), both (d+1) x (d+1) complex: the period circulant
-    sigma[i, l] = sigma_i(X_l), which is eta_{i+l}, k on X_d = {0} and 1 for
-    i = d (row 0 is the spectrum, TU = U diag(sigma[0])), gathered once, and
-    the symmetric unitary U derived from it."""
-    d, p, k = tensor.ctx.d, tensor.ctx.p, tensor.ctx.k
-    check_dense_budget(d, complex)
-
-    sigma = np.ones((d + 1, d + 1), dtype=np.complex128)
-    sigma[:d, :d] = tensor.eta[np.add.outer(np.arange(d), np.arange(d)) % d]
-    sigma[:d, d] = k
-    U = sigma.copy()
-    U[:d, d] = U[d, :d] = np.sqrt(k)
-    U /= np.sqrt(p)
-    return U, sigma
-
-
 def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
-    """Assemble the matrices (`build_matrices`) and run the dense identities.
-
-    Failures are reported, never raised.  UNITARY_TOL bounds the residuals of
-    U; SCALED_TOL * p bounds those that grow with the matrix entries (TU = UD,
-    the product identity, traces).
-    """
-    U, sigma = build_matrices(tensor)
-    T = tensor.T
+    """The analytic identities of the periods and the symmetries of the
+    stored counts, in O(nnz + d log d) with no dense array, so at every d.
+    Failures are reported, never raised."""
     ctx = tensor.ctx
-    d, p = ctx.d, ctx.p
-    tol_p = SCALED_TOL * p
+    d, p, k, alpha = ctx.d, ctx.p, ctx.k, ctx.alpha
+    eta = tensor.eta
+    keys, counts = tensor.keys, tensor.counts
+    # key m*d + n: the class n + l is key + l (mod d)
+    rows = keys // d
     out = []
 
-    err = np.abs(U.conj().T @ U - np.eye(d + 1)).max()
-    out.append(CheckResult("U_unitary", True, err < UNITARY_TOL, f"max_err={err:.3g}"))
-
-    err = np.abs(U - U.T).max()
-    out.append(CheckResult("U_symmetric", True, err < UNITARY_TOL, f"max_err={err:.3g}"))
-
-    # T u_l = lambda_l u_l for every column u_l of U
-    err = np.abs(T @ U - U * sigma[0]).max()
-    out.append(CheckResult("TU_eq_UD", True, err < tol_p, f"max_err={err:.3g}"))
-
-    # normality of T, exact on the counting block
-    TtT = T.T @ T  # read again by the trace identity
-    err = np.abs(T @ T.T - TtT).max()
-    out.append(CheckResult("T_normal", True, err < tol_p, f"max_err={err:.3g}"))
-
-    # product identity: sigma_i(X_l) sigma_j(X_l) = sum_n c_{i,j,n} sigma_n(X_l).
-    # c_{i,j,n} = c_{0,j-i,n-i} and sigma_i(X_l) = sigma_0(X_{l+i}) (classes
-    # shifted mod d, the border d staying put), so the equations of row i < d
-    # are those of row 0; row d (c_{d,j,n} = [j = n], sigma_d = 1) holds
-    # exactly.  Row 0 holds every equation that can fail.
-    err = tensor.c0.astype(np.complex128) @ sigma
-    err -= sigma[0] * sigma
-    err = float(np.abs(err).max())
-    out.append(CheckResult("product_identity", True, err < tol_p,
+    # entry b of the DFT of eta is the Gauss sum G(chi^-b), chi(g) = e(1/d):
+    # G(chi^0) = -1 and |G|^2 = p elsewhere are U*U = I for U = sigma/sqrt(p),
+    # sigma the period circulant eta_{i+l} bordered by sqrt(k) (and 1 at d, d)
+    gauss = np.fft.fft(eta)
+    err = max(abs(gauss[0] + 1),
+              float(np.abs(np.abs(gauss[1:]) ** 2 - p).max(initial=0)) / p)
+    out.append(CheckResult("gauss_sum_moduli", True, err < UNITARY_TOL,
                            f"max_err={err:.3g}"))
 
+    # product identity sigma_0(X_l) sigma_j(X_l) = sum_n c_{0,j,n} sigma_n(X_l),
+    # row j < d: eta_l eta_{j+l} = sum_n (j, n)_d eta_{n+l} + k[j = alpha].
+    # Columns l = 0, 1, alpha stand for all l < d (row i > 0 repeats row 0 at
+    # l + i; row d holds exactly).  Column d, sigma_i(X_d) = k, is the row sums
+    # k - [j = alpha] of the counts, exact in float64
+    alpha_row = np.arange(d) == alpha
+    err = k * float(np.abs(np.bincount(rows, weights=counts, minlength=d)
+                           - (k - alpha_row)).max())
+
+    def residual(l: int) -> float:
+        at = (keys + l) % d
+        re, im = (np.bincount(rows, weights=part[at] * counts, minlength=d)
+                  for part in (eta.real, eta.imag))
+        rhs = re + 1j * im + k * alpha_row
+        return float(np.abs(eta[l] * np.roll(eta, -l) - rhs).max())
+
+    err = max(err, *map(residual, (0, 1 % d, alpha)))
+    out.append(CheckResult("product_identity", True, err < SCALED_TOL * p,
+                           f"max_err={err:.3g}"))
+
+    # a symmetry maps the classes (m, n) of each count bijectively to classes
+    # (m', n') < d: it holds iff the mapped keys, sorted with their counts,
+    # are the stored ones.  Each pair is packed as key * base + count, exact
+    # in int64 as key * base < d^2 (k + 2) < 3p^2 even with a count raised by 1
+    base = int(counts.max()) + 1
+    stored = keys * base + counts
+
+    def invariant(m: np.ndarray, n: np.ndarray) -> bool:
+        mapped = (m * d + n) * base + counts
+        mapped.sort()
+        return bool(np.array_equal(mapped, stored))
+
     # rotation symmetry c_{0,m,n} = c_{0,-m,n-m}
-    block = tensor.c0[:d, :d]
-    mm, nn = np.indices((d, d), sparse=True)
-    rot_ok = bool(np.array_equal(block, block[-mm % d, (nn - mm) % d]))
-    out.append(CheckResult("rotation_symmetry", True, rot_ok))
+    out.append(CheckResult("rotation_symmetry", True,
+                           invariant(-rows % d, (keys - rows) % d)))
 
     # T symmetric iff 2d | (p-1)
-    sym_applicable = d > 1 and (p - 1) % (2 * d) == 0
-    if sym_applicable:
-        sym_ok = bool(np.array_equal(block, block.T))
-        out.append(CheckResult("T_symmetric", True, sym_ok))
+    if d > 1 and (p - 1) % (2 * d) == 0:
+        out.append(CheckResult("T_symmetric", True, invariant(keys % d, rows)))
     else:
         out.append(CheckResult("T_symmetric", False, True, "2d does not divide p-1"))
 
     # reflected symmetry c_{0,m,n} = c_{0,n+a,m+a} with a the class of -1;
     # for even d with 2d not dividing p-1 this is the half-turn a = d/2
-    if d > 1:
-        a = ctx.alpha
-        half_ok = bool(np.array_equal(block, block[(nn + a) % d, (mm + a) % d]))
-        out.append(CheckResult("half_turn_symmetry", d % 2 == 0 and a == d // 2,
-                               half_ok, f"shift={a}"))
-    else:
-        out.append(CheckResult("half_turn_symmetry", False, True, "d = 1"))
-
-    # trace of T*T against the spectrum
-    tr = float(np.trace(TtT))
-    v2 = float(np.sum(np.abs(tensor.eta) ** 2))
-    expected = v2 + ((p - 1) / d) ** 2
-    out.append(CheckResult("trace_identity", True, abs(tr - expected) < tol_p,
-                           f"tr={tr:.6g} expected={expected:.6g}"))
+    out.append(CheckResult("half_turn_symmetry", d % 2 == 0 and alpha == d // 2,
+                           invariant((keys + alpha) % d, (rows + alpha) % d),
+                           f"shift={alpha}" if d > 1 else "d = 1"))
     return out

@@ -20,7 +20,8 @@ from gpmoments import (build_context, cli, field_core, moments, periods,
 from gpmoments.field_core import MAX_P
 from gpmoments.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK,
                            FIXED_D_HEADER, SweepConfig, SweepMode,
-                           OutputFormat, main, run_sweep, verify_single)
+                           OutputFormat, _run_prime, main, run_sweep,
+                           verify_single)
 
 
 def read(path):
@@ -310,7 +311,7 @@ def test_verify_fails_when_an_identity_fails(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_identities", one_failing)
     assert main(["verify", "--p", "7", "--d", "3"]) == EXIT_CHECK_FAILED
     text = capsys.readouterr().out
-    assert "identity U_unitary: FAIL" in text
+    assert "identity gauss_sum_moduli: FAIL" in text
     assert text.endswith("RESULT: FAIL\n")
 
 
@@ -355,6 +356,34 @@ def test_verify_peak_memory():
         tracemalloc.stop()
     assert rc == EXIT_OK
     assert peak <= 4 * 10**6
+
+
+# d = p - 1, and odd fixed k near 1e6 (d = 333334); the golden
+# verify_p1000033_k4.txt holds even fixed k
+@pytest.mark.parametrize("p,value,mode", [(4001, 4000, SweepMode.FIXED_D),
+                                          (1000003, 3, SweepMode.FIXED_K)])
+def test_verify_runs_past_any_dense_array(p, value, mode):
+    buf = io.StringIO()
+    assert verify_single(p, value, mode, out=buf) == EXIT_OK
+    assert "identity gauss_sum_moduli: pass" in buf.getvalue()
+    assert buf.getvalue().endswith("RESULT: pass\n")
+
+
+def test_verify_at_fixed_k_near_1e6_stays_within_twice_a_row():
+    # d = 250008: the identities read the stored counts and the periods,
+    # and their temporaries stay below what one fixed-k row peaks at
+    p, k = 1000033, 4
+    tracemalloc.start()
+    try:
+        _run_prime(p, SweepMode.FIXED_K, k)
+        row_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rc = verify_single(p, k, SweepMode.FIXED_K, out=io.StringIO())
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    assert verify_peak <= 2 * row_peak, (verify_peak, row_peak)
 
 
 # (11, 1) and (13, 2) have genus 0; (31, 6) ties six curves at the minimum

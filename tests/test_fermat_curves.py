@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -131,3 +132,18 @@ def test_hasse_weil_margin_nonnegative():
         for j in range(3):
             for k in range(3):
                 assert count_projective(tensor, 0, j, k).hw_margin >= 0
+
+
+def test_weil_verdict_is_exact_and_agrees_with_the_margins():
+    # d = 1, 2 have genus 0, where the bound is M = p + 1 exactly
+    for p in primes_in_range(5, 300):
+        for d in range(1, 13):
+            if (p - 1) % d == 0:
+                table = PowerTable(build_tensor(build_context(p, d)))
+                assert table.weil.passed, (p, d, table.weil.detail)
+                assert (table.hw_margin >= 0).all(), (p, d)
+    # every stored count of (7, 3) raised by one moves some M by d^2 = 9,
+    # past the window 8 +- 2 sqrt(7)
+    tensor = build_tensor(build_context(7, 3))
+    bad = dataclasses.replace(tensor, counts=tensor.counts + 1)
+    assert not PowerTable(bad).weil.passed

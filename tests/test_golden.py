@@ -8,8 +8,8 @@ names the first row that differs: the CSV line, or the JSON array element
 with its p and the keys that differ.
 
 The `verify` reports (``gpmoments <args> > tests/golden/<name>``) are
-compared line by line with every ``max_err=`` value masked: those are BLAS
-residuals, which differ between builds.
+compared line by line with every ``max_err=`` value masked: those are float
+residuals of FFT and summation orders, which may differ between builds.
 
 eta_sha256.txt pins the bits of the periods themselves, and so their
 summation order: each line is p, d and the SHA-256 of
@@ -43,13 +43,15 @@ GOLDEN = {
     "figure_d5_to5000.csv": ["figure", "--id", "d5", "--to", "5000"],
 }
 
-# odd k = 253 at (1013, d4) takes the eigvals path of the spectrum
+# odd k = 253 at (1013, d4) takes the eigvals path of the spectrum; fixed
+# k = 4 near 10^6 has d = 250008, past any dense array
 VERIFY_GOLDEN = {
     "verify_p1009_d3.txt": ["verify", "--p", "1009", "--d", "3"],
     "verify_p1013_d4.txt": ["verify", "--p", "1013", "--d", "4"],
     "verify_p1021_d5.txt": ["verify", "--p", "1021", "--d", "5"],
     "verify_p13_k3.txt": ["verify", "--p", "13", "--k", "3"],
     "verify_p31_k3.txt": ["verify", "--p", "31", "--k", "3"],
+    "verify_p1000033_k4.txt": ["verify", "--p", "1000033", "--k", "4"],
 }
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -248,6 +249,45 @@ def test_product_identity_rejects_perturbed_constants():
         assert not results["product_identity"].passed, int(tensor.keys[pos])
 
 
+# small and middle d; odd k at (1013, 4) and (1009, 336); fixed k = 4
+MUTATION_CASES = [(1009, 3), (1013, 4), (1021, 20), (1009, 336), (1013, 253)]
+
+
+@pytest.mark.parametrize("p,d", MUTATION_CASES)
+def test_identities_catch_seeded_mutations(p, d):
+    tensor = _pipeline(p, d)
+    names = {"gauss_sum_moduli", "product_identity"}
+    assert all(r.passed for r in verify_identities(tensor) + count_checks(tensor))
+    rng = np.random.default_rng(p * d)
+
+    def with_eta(eta):
+        bad = dataclasses.replace(tensor)
+        vars(bad)["eta"] = eta
+        return {r.name for r in verify_identities(bad) if not r.passed}
+
+    # the periods sum to -1: a relative change of 1e-9 moves the sum by
+    # 1e-9 |eta_a|, above UNITARY_TOL when |eta_a| > 1.  The largest period
+    # has |eta_a|^2 >= (p - k)/d > 1 for k > 1, as their squares sum to p - k
+    for _ in range(4):
+        eta = tensor.eta.copy()
+        a = int(np.abs(eta).argmax())
+        eta[a] *= 1 + rng.choice([-1, 1]) * 1e-9
+        assert with_eta(eta) & names, a
+        # any period moved by 1e-8 in any direction
+        eta = tensor.eta.copy()
+        a = int(rng.integers(d))
+        eta[a] += 1e-8 * np.exp(2j * np.pi * rng.random())
+        assert with_eta(eta) & names, a
+    # a stored count moved by one
+    for _ in range(20):
+        counts = tensor.counts.copy()
+        counts[rng.integers(len(counts))] += rng.choice([-1, 1])
+        bad = dataclasses.replace(tensor, counts=counts)
+        vars(bad)["eta"] = tensor.eta
+        assert not all(r.passed for r in verify_identities(bad)
+                       + count_checks(bad))
+
+
 def move_to_column_0(tensor, u):
     """tensor with 1 moved from (0, 0)_d to (u, 0)_d = (0, 0)_d - 1: the
     column sums and the sum of squares stay, the first row loses 1."""
@@ -274,8 +314,8 @@ def test_only_the_row_vs_column_check_sees_a_move_off_row_0(p, d, u):
                          ids=["fixed_d", "fixed_k4", "fixed_k3"])
 def test_count_checks_are_the_one_source(p, d, fixed_k):
     # every count check is one entry of the report's checks, with its
-    # verdict and detail, and one line of verify; the dense identities leave
-    # it out, so it cannot be reported twice
+    # verdict and detail, and one line of verify; the identities leave it
+    # out, so it cannot be reported twice
     tensor = _pipeline(p, d)
     checks = count_checks(tensor)
     identities = [r.name for r in verify_identities(tensor)]
@@ -293,11 +333,27 @@ def test_count_checks_are_the_one_source(p, d, fixed_k):
         assert check.passed
 
 
+def exact_normality(tensor) -> bool:
+    # T T^t = T^t T, each entry (a, b) times sqrt(|X_a| |X_b|) so that the
+    # square roots of T[j, n] = c_{0,j,n} sqrt(|X_n| / |X_j|) cancel
+    d, k = tensor.ctx.d, tensor.ctx.k
+    c0 = tensor.c0.tolist()
+    sizes = [k] * d + [1]
+    return all(
+        sum(c0[a][n] * c0[b][n] * sizes[n] for n in range(d + 1))
+        == sum(Fraction(c0[j][a] * c0[j][b] * sizes[a] * sizes[b], sizes[j])
+               for j in range(d + 1))
+        for a in range(d + 1) for b in range(d + 1))
+
+
 def test_identities_13_4_symmetry_not_applicable():
-    results = {r.name: r for r in verify_identities(_pipeline(13, 4))}
+    tensor = _pipeline(13, 4)
+    results = {r.name: r for r in verify_identities(tensor)}
     assert not results["T_symmetric"].applicable
-    assert results["T_normal"].passed
+    assert exact_normality(tensor)
     assert all(r.passed for r in results.values())
+    # the oracle sees a count moved off row 0
+    assert not exact_normality(move_to_column_0(_pipeline(19, 3), 1))
 
 
 def test_identities_29_7_odd_d_symmetric():
@@ -368,11 +424,11 @@ def test_tensor_invariants_property(ctx):
 
 
 def test_dense_budget_refuses_before_allocating():
-    # largest d whose complex (d+1)^2 matrices fit, and the first that does not
-    d_max = int((DENSE_BUDGET_BYTES // 16) ** 0.5) - 1
-    check_dense_budget(d_max, complex)
+    # largest d whose float (d+1)^2 matrix T fits, and the first that does not
+    d_max = int((DENSE_BUDGET_BYTES // 8) ** 0.5) - 1
+    check_dense_budget(d_max, np.float64)
     with pytest.raises(ConfigInvalid):
-        check_dense_budget(d_max + 1, complex)
+        check_dense_budget(d_max + 1, np.float64)
     # p = 1000033, k = 4: d = 250008 would need about 1e12 bytes
     with pytest.raises(ConfigInvalid):
         check_dense_budget(250_008, np.int64)
