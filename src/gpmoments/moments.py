@@ -21,7 +21,7 @@ from .superchar import (CheckResult, StructureTensor, build_tensor,
                         count_checks, zero_sum_counts)
 
 # Float tolerances (exact values are compared exactly; the Gauss sums and
-# product identity of verify_identities have UNITARY_TOL and SCALED_TOL):
+# product identity of verify_identities have UNITARY_TOL and PRODUCT_TOL):
 HALF_POWER_SLACK = 1e-9  # relative slack on both ends of every band
 FLOAT_REL_TOL = 1e-6  # relative tolerance of float power sums
 
@@ -220,11 +220,11 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
     periods when these are read off T).  rpt.checks holds v4_float_vs_exact,
     the count checks, then each form's and band's verdict.
 
-    With fixed_k, the circularity of (p,k) is decided from tensor and kept
-    as rpt.circularity; for odd k, (p,2k) is decided too when (p,k) is
-    circular, and kept as rpt.circularity_2k.  The fixed-k closed form is
-    asserted when v4_fixed_k accepts those verdicts, and heads the report
-    in place of a d-form.
+    With fixed_k, the circularity of (p,k) is decided from the tensor's
+    context and kept as rpt.circularity; for odd k, (p,2k) is decided too
+    when (p,k) is circular, and kept as rpt.circularity_2k.  The fixed-k
+    closed form is asserted when v4_fixed_k accepts those verdicts, and
+    heads the report in place of a d-form.
     """
     p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
     v = power_sums(tensor.spectrum, (1, 2, 3, 4))
@@ -269,9 +269,9 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
         rpt.band = bands[0].source
 
     if fixed_k:
-        vk = rpt.circularity = is_circular(p, k, tensor)
+        vk = rpt.circularity = is_circular(p, k, tensor.ctx)
         # an odd k divides the even p - 1 with 2k
-        v2k = rpt.circularity_2k = (is_circular(p, 2 * k, tensor)
+        v2k = rpt.circularity_2k = (is_circular(p, 2 * k, tensor.ctx)
                                     if k % 2 and vk.circular else None)
         try:
             val = v4_fixed_k(vk, v2k)

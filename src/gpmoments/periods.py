@@ -41,6 +41,14 @@ def _unit_root_tables(p: int) -> tuple[int, np.ndarray, np.ndarray]:
     return s, roots[:1 << s], roots[1 << s:]
 
 
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """block.sum(axis=2) bit for bit.  numpy sums a row of fewer than 8 terms
+    left to right from 0.0, so adding the columns in that order skips its
+    per-row overhead; fixed-k rows are that short."""
+    cols = block.shape[2]
+    return block.sum(axis=2) if cols >= 8 else sum(block[:, :, c] for c in range(cols))
+
+
 def compute_periods(ctx: FieldContext) -> np.ndarray:
     """The d periods eta, summed directly over the (d, k) coset array: half
     of the p - 1 terms.
@@ -111,7 +119,7 @@ def compute_periods(ctx: FieldContext) -> np.ndarray:
             if k % 2:
                 sin = np.multiply(hs.imag, ls.real, out=parts[1, :n, c:c + w])
                 sin += np.multiply(hs.real, ls.imag, out=ps)
-        sums = parts[:, :n].sum(axis=2)
+        sums = _row_sums(parts[:, :n])
         if k % 2 == 0:
             eta[a:a + n] = 2 * sums[0]
         else:

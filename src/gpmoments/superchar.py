@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import periods
-from .errors import ConfigInvalid, DimensionMismatch
+from .errors import ConfigInvalid
 from .field_core import FieldContext
 
 # Largest dense (d+1) x (d+1) array (the c0 slice, T and the d x d grid of
@@ -34,13 +34,17 @@ from .field_core import FieldContext
 # first.  4 MiB admits 8-byte entries up to d = 723.
 DENSE_BUDGET_BYTES = 1 << 22
 
-# Largest number of keys one bincount call of _cyclotomic_numbers counts; its
+# Largest number of keys one bincount call of build_tensor counts; its
 # intp copy of them is then at most 512 KiB.
 COUNT_CHUNK = 1 << 16
 
 # Float tolerances of verify_identities (the counts themselves are exact):
 UNITARY_TOL = 1e-9  # bounds |G(1) + 1| and ||G|^2 - p| / p of the Gauss sums
-SCALED_TOL = 1e-8  # times p, bounds the product identity's residuals
+# times S = max|eta|^2 + k max|eta| + k, the size of the product identity's
+# terms, bounds its residuals.  Over 174 (p, d) with 10^3 < p < 10^7, at
+# d = 3..6, 12, 20, 100 and k = 3, 4, 6, 12, they stayed below 6.5e-16 S: a
+# margin of about 1500x
+PRODUCT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,42 +67,6 @@ def check_dense_budget(d: int, dtype) -> None:
             f"budget of {DENSE_BUDGET_BYTES} bytes")
 
 
-def _cyclotomic_numbers(ctx: FieldContext, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse cyclotomic numbers of order e (a divisor of ctx.d) in one pass.
-
-    Returns (keys, counts): keys ascending, key i*e + j standing for
-    (i, j)_e = #{v : v in class i, v + 1 in class j}, counts its positive
-    value.  The classes of order e are the coset indices mod e.
-    """
-    ci = ctx.coset_index[1:]  # classes of 1..p-1; 0 never occurs as v or v+1
-    if e != ctx.d:
-        ci = ci % e
-    # v = 1..p-2, keys in the narrowest type holding e*e - 1: ci is as narrow
-    # as d allows, and a product taken in its dtype would wrap
-    kt = np.min_scalar_type(e * e - 1)
-    n_keys = len(ci) - 1
-    if e * e <= ctx.p:
-        # bincount copies its input to intp: count COUNT_CHUNK keys at a time
-        # so that copy stays small, or e*e at a time so that adding up the
-        # histograms is at most one more pass over the keys.  Each chunk's
-        # keys are formed in one reused buffer, so no O(p) key array is made
-        step = max(COUNT_CHUNK, e * e)
-        key = np.empty(min(step, n_keys), dtype=kt)
-        dense = np.zeros(e * e, dtype=np.intp)
-        for a in range(0, n_keys, step):
-            n = min(step, n_keys - a)
-            chunk = np.multiply(ci[a:a + n], e, out=key[:n], dtype=kt)
-            chunk += ci[a + 1:a + n + 1]
-            dense += np.bincount(chunk, minlength=e * e)
-        keys = dense.nonzero()[0]
-        return keys, dense[keys]
-    # built in place to hold one O(p) temporary
-    key = np.multiply(ci[:-1], e, dtype=kt)
-    key += ci[1:]
-    keys, counts = np.unique(key, return_counts=True)
-    return keys.astype(np.int64), counts
-
-
 @dataclass(frozen=True, eq=False)
 class StructureTensor:
     """The structure constants of (p, d), held as sparse cyclotomic numbers.
@@ -114,26 +82,12 @@ class StructureTensor:
     keys: np.ndarray
     counts: np.ndarray
 
-    def largest_number(self, e: int) -> tuple[int, int, int]:
-        """(n, i, j): the largest cyclotomic number n = (i, j)_e of order e, a
-        divisor of d, and the first classes (i, j) in key order reaching it.
-        The stored numbers for e = d, else recounted from this context."""
-        if self.ctx.d % e != 0:
-            raise DimensionMismatch(f"order {e} does not divide d={self.ctx.d}")
-        keys, counts = ((self.keys, self.counts) if e == self.ctx.d
-                        else _cyclotomic_numbers(self.ctx, e))
-        best = int(counts.argmax())
-        return (int(counts[best]), *divmod(int(keys[best]), e))
-
     def constant(self, u, w) -> np.ndarray:
         """c_{0,u,w} = #{(x, y) in X_0 x X_u : x + y = z} for a z in X_w, for
         classes 0..d (integers or broadcastable index arrays): the stored
         (u, w)_d, key u*d + w, for u, w < d; on row or column d, c_{0,d,0} = 1
         (y = 0 forces x = z), c_{0,alpha,d} = k (z = 0 forces y = -x, a whole
-        class) and 0 elsewhere.  `c0` and the walk of `zero_sum_counts` read
-        the border here; `count_checks` and `v4_exact` write their border
-        terms out, as scalar calls here would cost a report row some 5% (see
-        the module docstring).
+        class) and 0 elsewhere (see the module docstring for its readers).
 
         Every other constant reduces to these: x = 0 (i = d) forces y = z, so
         c_{d,j,n} = [j = n]; for i < d, dividing by x shifts the classes of
@@ -275,9 +229,34 @@ def zero_sum_counts(tensor: StructureTensor, n: int) -> list[int]:
 
 
 def build_tensor(ctx: FieldContext) -> StructureTensor:
-    """Count the cyclotomic numbers of order d in one vectorized O(p) pass."""
-    keys, counts = _cyclotomic_numbers(ctx, ctx.d)
-    return StructureTensor(ctx=ctx, keys=keys, counts=counts)
+    """Count the cyclotomic numbers (i, j)_d, key i*d + j, in one vectorized
+    O(p) pass, and keep the positive ones."""
+    d = ctx.d
+    ci = ctx.coset_index[1:]  # classes of 1..p-1; 0 never occurs as v or v+1
+    # v = 1..p-2, keys in the narrowest type holding d*d - 1: ci is as narrow
+    # as d allows, and a product taken in its dtype would wrap
+    kt = np.min_scalar_type(d * d - 1)
+    n_keys = len(ci) - 1
+    if d * d <= ctx.p:
+        # bincount copies its input to intp: count COUNT_CHUNK keys at a time
+        # so that copy stays small, or d*d at a time so that adding up the
+        # histograms is at most one more pass over the keys.  Each chunk's
+        # keys are formed in one reused buffer, so no O(p) key array is made
+        step = max(COUNT_CHUNK, d * d)
+        key = np.empty(min(step, n_keys), dtype=kt)
+        dense = np.zeros(d * d, dtype=np.intp)
+        for a in range(0, n_keys, step):
+            n = min(step, n_keys - a)
+            chunk = np.multiply(ci[a:a + n], d, out=key[:n], dtype=kt)
+            chunk += ci[a + 1:a + n + 1]
+            dense += np.bincount(chunk, minlength=d * d)
+        keys = dense.nonzero()[0]
+        return StructureTensor(ctx=ctx, keys=keys, counts=dense[keys])
+    # built in place to hold one O(p) temporary
+    key = np.multiply(ci[:-1], d, dtype=kt)
+    key += ci[1:]
+    keys, counts = np.unique(key, return_counts=True)
+    return StructureTensor(ctx=ctx, keys=keys.astype(np.int64), counts=counts)
 
 
 def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
@@ -318,7 +297,9 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
         return float(np.abs(eta[l] * np.roll(eta, -l) - rhs).max())
 
     err = max(err, *map(residual, (0, 1 % d, alpha)))
-    out.append(CheckResult("product_identity", True, err < SCALED_TOL * p,
+    top = float(np.abs(eta).max())
+    scale = top * top + k * top + k
+    out.append(CheckResult("product_identity", True, err < PRODUCT_TOL * scale,
                            f"max_err={err:.3g}"))
 
     # a symmetry maps the classes (m, n) of each count bijectively to classes

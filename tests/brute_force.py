@@ -1,4 +1,4 @@
-"""Brute-force oracles, independent of the structure tensor.
+"""Brute-force oracles, all but one independent of the structure tensor.
 
 discrete_log, cyclotomic_numbers and gauss_sum_aggregate are pow loops
 over F_p that the package's tables replace; coset_rows lists every coset
@@ -9,7 +9,9 @@ measured against; class_members lists a class of a context, the border
 class d = {0} included, for the oracles that enumerate classes.  The
 circularity oracles enumerate the subgroup Gamma of order k in
 F_p^x and its translated dilates directly; the package decides circularity
-from cyclotomic numbers, and the tests compare the two;
+from pairs of the subgroup, and the tests compare the two;
+largest_number_verdict reads the verdict off the largest stored cyclotomic
+number of order (p-1)/k, the tensor path the package's pair count replaced;
 diagonal_counts_check recounts the diagonal cyclotomic numbers of a
 circular pair with Python sets, and half_inverse_check places the single
 diagonal count 1 of even k at the class of 1/2.  brute_projective counts the
@@ -33,7 +35,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from gpmoments import PreconditionViolated, count_projective, is_circular
+from gpmoments import (CircularityVerdict, PreconditionViolated,
+                       build_context, build_tensor, count_projective,
+                       is_circular)
 from gpmoments.field_core import find_primitive_root
 from gpmoments.superchar import CheckResult
 
@@ -147,6 +151,23 @@ def circularity_by_pairs(p: int, k: int) -> tuple[bool, int, tuple[int, int] | N
     return max_int <= 2, max_int, witness
 
 
+def largest_number_verdict(p: int, k: int) -> CircularityVerdict:
+    """The verdict on (p, k) read off the stored cyclotomic numbers of order
+    e = (p-1)/k, `build_tensor(build_context(p, e))`: the largest
+    (i, j)_e = n, and for n >= 3 the witness of the first largest in key
+    order, m = j - i and t = g^(alpha - i) (mod e), alpha the class of -1."""
+    e = (p - 1) // k
+    tensor = build_tensor(build_context(p, e))
+    best = int(tensor.counts.argmax())
+    n = int(tensor.counts[best])
+    i, j = divmod(int(tensor.keys[best]), e)
+    witness = None
+    if n >= 3:
+        witness = ((j - i) % e, pow(tensor.ctx.g, (tensor.ctx.alpha - i) % e, p))
+    return CircularityVerdict(p=p, k=k, circular=n <= 2, max_intersection=n,
+                              witness=witness)
+
+
 def replay_witness(p: int, k: int, witness: tuple[int, int]) -> int:
     """|Gamma ^ (Gamma g^m + t)| at witness (m, t), counted directly."""
     m, t = witness
@@ -167,7 +188,7 @@ def intersection_size(p: int, k: int, a: int, b: int, c: int, e: int) -> int:
 def diagonal_counts_check(ctx, tensor) -> list[CheckResult]:
     """For circular (p, k): each diagonal count is at most 2 and equals the
     coset self-intersection |X_m ^ (X_m + 1)|, counted with Python sets."""
-    verdict = is_circular(ctx.p, ctx.k, tensor)
+    verdict = is_circular(ctx.p, ctx.k, ctx)
     if not verdict.circular:
         return [CheckResult("diagonal_counts", False, True,
                             f"({ctx.p},{ctx.k}) not circular; skipped")]

@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import (circularity_by_pairs, diagonal_counts_check,
-                         half_inverse_check, intersection_size,
+from brute_force import (circularity_by_pairs, cyclotomic_numbers,
+                         diagonal_counts_check, half_inverse_check,
+                         intersection_size, largest_number_verdict,
                          replay_witness, subgroup)
-from gpmoments import (CompositeInput, DimensionMismatch, DivisorMismatch,
+from gpmoments import (CircularityVerdict, CompositeInput,
+                       DimensionMismatch, DivisorMismatch,
                        PreconditionViolated, build_context, build_tensor,
-                       field_core, is_circular, primes_in_range,
+                       circularity, field_core, is_circular, primes_in_range,
                        scan_noncircular)
 
 
@@ -37,40 +39,40 @@ def test_divisor_mismatch():
         is_circular(15, 2)
     with pytest.raises(DivisorMismatch):  # 4 does not divide 14
         is_circular(15, 4)
-    with pytest.raises(DimensionMismatch):  # a tensor of another prime
-        is_circular(13, 2, build_tensor(build_context(7, 3)))
+    with pytest.raises(DimensionMismatch):  # a context of another prime
+        is_circular(13, 2, build_context(7, 3))
     with pytest.raises(DimensionMismatch):  # order 6 does not divide d = 4
-        is_circular(13, 2, build_tensor(build_context(13, 4)))
+        is_circular(13, 2, build_context(13, 4))
 
 
 def test_tensor_verdict_takes_p_as_proved(monkeypatch):
-    # a tensor's context has proved p prime; only a bare p is tested again,
-    # by build_context, whose find_primitive_root factors p - 1
-    tensor = build_tensor(build_context(1009, 252))
+    # a context has proved p prime; only a bare p is tested again, by
+    # build_context, whose find_primitive_root factors p - 1
+    ctx = build_context(1009, 252)
     expected = [is_circular(1009, k) for k in (4, 12)]
 
     def no_test(n):
         raise AssertionError("_prime_factors called")
 
     monkeypatch.setattr(field_core, "_prime_factors", no_test)
-    assert [is_circular(1009, k, tensor) for k in (4, 12)] == expected
+    assert [is_circular(1009, k, ctx) for k in (4, 12)] == expected
     with pytest.raises(AssertionError):
         is_circular(1009, 4)
 
 
 def test_tensor_verdict_matches_brute_force():
     # every (p, k) with 2 <= k <= 12, k | p - 1, p < 2000; the odd-k pairs are
-    # also decided at 2k from the order-d tensor, as the fixed-k sweep does
+    # also decided at 2k from the order-d context, as the fixed-k sweep does
     pairs = 0
     for p in primes_in_range(3, 2000):
         oracle = {}
         for k in range(2, 13):
             if (p - 1) % k:
                 continue
-            tensor = build_tensor(build_context(p, (p - 1) // k))
-            checks = [(k, is_circular(p, k)), (k, is_circular(p, k, tensor))]
+            ctx = build_context(p, (p - 1) // k)
+            checks = [(k, is_circular(p, k)), (k, is_circular(p, k, ctx))]
             if (p - 1) % (2 * k) == 0:
-                checks.append((2 * k, is_circular(p, 2 * k, tensor)))
+                checks.append((2 * k, is_circular(p, 2 * k, ctx)))
             for kk, verdict in checks:
                 if kk not in oracle:
                     oracle[kk] = circularity_by_pairs(p, kk)
@@ -83,6 +85,68 @@ def test_tensor_verdict_matches_brute_force():
                     assert replay_witness(p, kk, verdict.witness) == max_int, (p, kk)
             pairs += 1
     assert pairs > 1000
+
+
+def test_verdict_is_the_first_largest_number_in_key_order():
+    # every prime p < 3000 with k = 1..40, k | p - 1, and (p, 2k) for odd k,
+    # decided from the context at order (p-1)/k as a fixed-k report does:
+    # max_intersection and the witness of the first largest (i, j)_e in key
+    # order are those of the stored cyclotomic numbers of order e
+    verdicts = 0
+    for p in primes_in_range(3, 3000):
+        for k in range(1, 41):
+            if (p - 1) % k:
+                continue
+            assert is_circular(p, k) == largest_number_verdict(p, k), (p, k)
+            verdicts += 1
+            if k % 2:
+                ctx = build_context(p, (p - 1) // k)
+                assert is_circular(p, 2 * k, ctx) == \
+                    largest_number_verdict(p, 2 * k), (p, 2 * k)
+                verdicts += 1
+    assert verdicts > 3500
+    # the contexts (p, d) at orders e = d and d/2, against the numbers that
+    # discrete logs count
+    for p, d in [(3, 2), (13, 4), (37, 6), (97, 12), (101, 10), (257, 16),
+                 (1021, 20)]:
+        ctx = build_context(p, d)
+        for e in (d, d // 2):
+            numbers = cyclotomic_numbers(p, ctx.g, e)
+            n = max(numbers.values())
+            key = min(key for key, count in numbers.items() if count == n)
+            i, j = divmod(key, e)
+            verdict = is_circular(p, (p - 1) // e, ctx)
+            assert verdict.max_intersection == n, (p, d, e)
+            if n >= 3:
+                assert verdict.witness == (
+                    (j - i) % e, pow(ctx.g, ((p - 1) // 2 - i) % e, p)), (p, d, e)
+
+
+def test_pair_blocks_match_the_oracle(monkeypatch):
+    # blocks of one to a few rows of pairs, counted in a dense e*e histogram
+    # (e*e <= (k-1)(k-2): e = 1, 2, 6 here) or gathered for np.unique
+    monkeypatch.setattr(circularity, "PAIR_CHUNK", 7)
+    for p, k in [(1021, 1020), (1021, 510), (1021, 170), (1021, 60),
+                 (1021, 12), (1021, 5), (2017, 42), (2017, 3)]:
+        assert is_circular(p, k) == largest_number_verdict(p, k), (p, k)
+
+
+def test_k1_and_k2_have_no_pairs():
+    # Gamma \ {1} has fewer than two elements: every (i, j)_e is at most 1
+    for p in primes_in_range(3, 300):
+        for k in (1, 2):
+            assert is_circular(p, k) == CircularityVerdict(
+                p=p, k=k, circular=True, max_intersection=1, witness=None)
+
+
+def test_2k_verdict_from_a_context_at_twice_the_order():
+    # (p, 2k) for odd k from the context at order 2e = (p-1)/k, e = (p-1)/(2k)
+    for p, k in [(5, 1), (13, 3), (31, 3), (43, 3), (71, 5)]:
+        ctx = build_context(p, (p - 1) // k)
+        assert is_circular(p, 2 * k, ctx) == is_circular(p, 2 * k)
+    verdict = is_circular(13, 6, build_context(13, 4))
+    assert (verdict.circular, verdict.max_intersection) == (False, 3)
+    assert replay_witness(13, 6, verdict.witness) == 3
 
 
 def test_diagonal_counts_13_6():

@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from brute_force import coset_rows, gauss_sum_aggregate, periods_by_class
 from gpmoments import (build_context, compute_periods, power_sums,
                        primes_in_range)
-from gpmoments.periods import PERIOD_CHUNK, _unit_root_tables
+from gpmoments.periods import PERIOD_CHUNK, _row_sums, _unit_root_tables
 
 
 def identity_tolerance(ctx):
@@ -111,6 +112,25 @@ def test_periods_are_row_sums_bit_for_bit(p, d):
     eta = compute_periods(ctx)
     for a in range(d if ctx.k % 2 == 0 else d // 2):
         assert eta[a] == row_period(ctx, a), a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 40), st.integers(1, 7),
+       st.integers(0, 3), st.data())
+def test_short_row_sums_are_numpys_bit_for_bit(m, rows, n, spare, data):
+    # rows of 1..7 terms, summed by column adds, against numpy's own row sum
+    # of the same block: a view of the leading rows of a taller buffer, as
+    # compute_periods passes it.  Any finite values, signed zeros included:
+    # a numpy release that sums short rows in another order fails here
+    buf = data.draw(hnp.arrays(np.float64, (m, rows + spare, n),
+                               elements=st.floats(allow_nan=False,
+                                                  allow_infinity=False,
+                                                  min_value=-1e150,
+                                                  max_value=1e150)))
+    block = buf[:, :rows]
+    got = _row_sums(block)
+    assert got.shape == (m, rows)
+    assert got.tobytes() == block.sum(axis=2).tobytes()
 
 
 @pytest.mark.parametrize("p,d", [(1013, 4), (9973, 2493), (9973, 3324),

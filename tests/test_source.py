@@ -200,3 +200,60 @@ def test_cli_import_loads_no_process_pool():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[False, False]\n"
+
+
+def _imports_of(tree, module: str) -> list[int]:
+    # lines importing the package's module `module` or a name from it, in
+    # any form: `from .module import x`, `from . import module`, and the
+    # absolute gpmoments.module ones
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            named = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            named = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(module in name.split(".") for name in named):
+            found.append(node.lineno)
+    return found
+
+
+def test_circularity_imports_no_superchar():
+    # circularity decides from the subgroup and a context alone: it reads no
+    # structure tensor, so it imports nothing from superchar
+    probe = ast.parse("from .superchar import build_tensor\n"
+                      "from . import superchar\n"
+                      "import gpmoments.superchar\n"
+                      "from gpmoments.superchar import StructureTensor\n"
+                      "from .field_core import build_context\n"
+                      "from . import field_core")
+    assert _imports_of(probe, "superchar") == [1, 2, 3, 4]
+    path = SRC / "circularity.py"
+    assert _imports_of(ast.parse(path.read_text(), str(path)), "superchar") == []
+
+
+def test_circularity_scans_build_no_tensor(monkeypatch, tmp_path):
+    # `gpmoments circular` and scan_noncircular build contexts only: every
+    # binding of build_tensor in the package counts its calls
+    from gpmoments import cli, fermat_solution_count, field_core, superchar
+    real, built = superchar.build_tensor, []
+
+    def counted(ctx):
+        built.append((ctx.p, ctx.d))
+        return real(ctx)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "gpmoments" and \
+                getattr(mod, "build_tensor", None) is real:
+            monkeypatch.setattr(mod, "build_tensor", counted)
+    fermat_solution_count(field_core.build_context(13, 4), None, 2)
+    assert built == [(13, 4)]  # the count sees a build through moments
+    built.clear()
+    out = tmp_path / "circular.csv"
+    assert cli.main(["circular", "--k", "4", "--to", "2000",
+                     "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) > 50
+    assert 5 in cli.scan_noncircular(4, 500)
+    assert built == []

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from brute_force import class_members, cyclotomic_numbers
 import gpmoments
-from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
+from gpmoments import (ConfigInvalid, build_context,
                        build_report, build_tensor, compute_periods,
                        count_checks, primes_in_range, superchar,
                        verify_identities, zero_sum_counts)
@@ -86,18 +86,18 @@ def test_tensor_matches_oracle_at_index_dtype_edges(p, d, orders):
     tensor = build_tensor(ctx)
     assert _numbers(tensor.keys, tensor.counts) == cyclotomic_numbers(p, ctx.g, d)
     for e in orders:
-        assert _numbers(*superchar._cyclotomic_numbers(ctx, e)) == \
-            cyclotomic_numbers(p, ctx.g, e)
+        lower = build_tensor(build_context(p, e))
+        assert _numbers(lower.keys, lower.counts) == cyclotomic_numbers(p, ctx.g, e)
 
 
 def test_bincount_chunks_match_oracle(monkeypatch):
     # chunks of COUNT_CHUNK keys, or of e*e keys (17^2 = 289) when larger;
     # orders 51 and up count with np.unique
     monkeypatch.setattr(superchar, "COUNT_CHUNK", 100)
-    ctx = build_context(1021, 255)
     for e in (1, 3, 5, 15, 17, 51, 85, 255):
-        assert _numbers(*superchar._cyclotomic_numbers(ctx, e)) == \
-            cyclotomic_numbers(1021, ctx.g, e), e
+        tensor = build_tensor(build_context(1021, e))
+        assert _numbers(tensor.keys, tensor.counts) == \
+            cyclotomic_numbers(1021, tensor.ctx.g, e), e
 
 
 @pytest.mark.parametrize("p,d", [(1000003, 3), (1000117, 12)])
@@ -113,22 +113,6 @@ def test_bincount_keys_peak_memory(p, d):
     finally:
         tracemalloc.stop()
     assert peak <= 0.8 * 10**6
-
-
-@pytest.mark.parametrize("p,d", [(3, 2), (13, 4), (37, 6), (97, 12),
-                                 (101, 10), (257, 16), (1021, 20)])
-def test_largest_number_is_the_first_largest_in_key_order(p, d):
-    # at the stored order d and at the recounted order d/2 (the (p, 2k)
-    # verdict of an odd k); an order that does not divide d is refused
-    ctx = build_context(p, d)
-    tensor = build_tensor(ctx)
-    for e in (d, d // 2):
-        numbers = cyclotomic_numbers(p, ctx.g, e)
-        n = max(numbers.values())
-        key = min(key for key, count in numbers.items() if count == n)
-        assert tensor.largest_number(e) == (n, *divmod(key, e)), (p, d, e)
-    with pytest.raises(DimensionMismatch):
-        tensor.largest_number(d + 1)
 
 
 def test_tensor_d1_count():
@@ -278,6 +262,13 @@ def test_identities_catch_seeded_mutations(p, d):
         a = int(rng.integers(d))
         eta[a] += 1e-8 * np.exp(2j * np.pi * rng.random())
         assert with_eta(eta) & names, a
+    # every period, however small, scaled by 1e-9: the product identity's
+    # tolerance scales with the periods and k, not with p
+    if (p, d) in ((1009, 336), (1021, 20)):
+        for a in range(d):
+            eta = tensor.eta.copy()
+            eta[a] *= 1 + rng.choice([-1, 1]) * 1e-9
+            assert "product_identity" in with_eta(eta), a
     # a stored count moved by one
     for _ in range(20):
         counts = tensor.counts.copy()
