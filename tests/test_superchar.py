@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from brute_force import class_members, cyclotomic_numbers
 import gpmoments
-from gpmoments import (ConfigInvalid, build_context,
+from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
                        build_report, build_tensor, compute_periods,
-                       count_checks, primes_in_range, superchar,
+                       count_checks, is_circular, primes_in_range, superchar,
                        verify_identities, zero_sum_counts)
 from gpmoments.cli import SweepMode, verify_single
 from gpmoments.superchar import DENSE_BUDGET_BYTES, check_dense_budget
@@ -113,6 +113,33 @@ def test_bincount_keys_peak_memory(p, d):
     finally:
         tracemalloc.stop()
     assert peak <= 0.8 * 10**6
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (13, 4), (37, 6), (97, 12),
+                                 (101, 10), (257, 16), (1021, 20)])
+def test_largest_number_is_the_first_largest_in_key_order(p, d):
+    # the stored numbers of order e = d and d/2, against those that discrete
+    # logs count, and the verdict is_circular reads from the context at order
+    # d: its max_intersection is the largest, and its witness is that of the
+    # first largest in key order; an order that does not divide d is refused
+    ctx = build_context(p, d)
+    for e in (d, d // 2):
+        numbers = cyclotomic_numbers(p, ctx.g, e)
+        n = max(numbers.values())
+        key = min(key for key, count in numbers.items() if count == n)
+        tensor = build_tensor(build_context(p, e))
+        best = int(tensor.counts.argmax())
+        assert (int(tensor.counts[best]), int(tensor.keys[best])) == (n, key), \
+            (p, d, e)
+        i, j = divmod(key, e)
+        verdict = is_circular(p, (p - 1) // e, ctx)
+        assert verdict.max_intersection == n, (p, d, e)
+        if n >= 3:
+            assert verdict.witness == (
+                (j - i) % e, pow(ctx.g, ((p - 1) // 2 - i) % e, p)), (p, d, e)
+    if d < p - 1:  # order p - 1 does not divide d
+        with pytest.raises(DimensionMismatch):
+            is_circular(p, 1, ctx)
 
 
 def test_tensor_d1_count():
