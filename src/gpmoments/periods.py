@@ -11,6 +11,7 @@ source when d^3 > p; below, a report reads them off the eigenvalues of T
 
 import numpy as np
 
+from .errors import PreconditionViolated
 from .field_core import FieldContext, powers_mod
 
 
@@ -133,6 +134,6 @@ def power_sums(eta: np.ndarray, ns) -> dict[int, float]:
     """n -> sum of |eta|^n over the d classes for each n in ns, via
     floating-point moduli taken once."""
     if min(ns) < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionViolated("n must be >= 1")
     moduli = np.abs(eta)
     return {n: float((moduli ** n).sum()) for n in ns}

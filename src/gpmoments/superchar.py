@@ -4,16 +4,13 @@ Every structure constant is a re-indexing of the cyclotomic numbers
 (i, j)_d = #{v in X_i : v + 1 in X_j}, which one O(p) pass over the
 class-index table counts exactly.  They are stored once, sparsely: at most
 p - 2 of the d^2 numbers are nonzero, and no other module reads them.
-`StructureTensor.constant` maps c_{0,u,w} to them and applies the border
-rule of the class d = {0}; the dense (d+1) x (d+1) slice `c0` and the two
-border terms of the `zero_sum_counts` walk are read through it.  The exact
-checks of every report row write their border terms out instead:
-`count_checks` adds c_{0,d,0} = 1 to column 0 and to its column read of V_4,
-and the row read `StructureTensor.v4_exact` adds k[2d | p-1], from
-c_{0,0,d}.  A scalar `constant` call costs about 10 us (2-core x86-64), so
-the three would add some 5% to a fixed-d row near p = 3*10^4.  Every dense
-(d+1) x (d+1) array is refused with ConfigInvalid when it would exceed
-DENSE_BUDGET_BYTES; `verify_identities` builds none.
+Row d and column d of the counting slice hold only the border constants
+c_{0,d,0} = 1 and c_{0,alpha,d} = k of the class d = {0}; each reader writes
+out those it needs (`count_checks`, `StructureTensor.v4_exact`, the dense
+slice `c0` and the `zero_sum_counts` walk), and `StructureTensor.constant`
+is the point lookup, border rule included.  `c0`, which T and the curve grid
+read, is refused with ConfigInvalid above DENSE_BUDGET_BYTES;
+`verify_identities` builds no dense array.
 Floats only enter with the scaled matrix T, its spectrum (the periods with
 k) and the labelled periods `eta`, which the analytic identities read.
 """
@@ -29,9 +26,9 @@ from . import periods
 from .errors import ConfigInvalid
 from .field_core import FieldContext
 
-# Largest dense (d+1) x (d+1) array (the c0 slice, T and the d x d grid of
-# fermat_curves.PowerTable) that may be allocated, checked from the shape
-# first.  4 MiB admits 8-byte entries up to d = 723.
+# Largest dense (d+1) x (d+1) array that may be allocated: c0 checks it from
+# the shape first, and T and the grid of fermat_curves.PowerTable read c0.
+# 4 MiB admits 8-byte entries up to d = 723.
 DENSE_BUDGET_BYTES = 1 << 22
 
 # Largest number of keys one bincount call of build_tensor counts; its
@@ -57,16 +54,6 @@ class CheckResult:
     detail: str = ""
 
 
-def check_dense_budget(d: int, dtype) -> None:
-    """Raise ConfigInvalid if a dense (d+1) x (d+1) array of dtype would
-    exceed DENSE_BUDGET_BYTES."""
-    nbytes = (d + 1) ** 2 * np.dtype(dtype).itemsize
-    if nbytes > DENSE_BUDGET_BYTES:
-        raise ConfigInvalid(
-            f"a dense {d + 1}x{d + 1} array needs {nbytes} bytes, above the "
-            f"budget of {DENSE_BUDGET_BYTES} bytes")
-
-
 @dataclass(frozen=True, eq=False)
 class StructureTensor:
     """The structure constants of (p, d), held as sparse cyclotomic numbers.
@@ -87,7 +74,7 @@ class StructureTensor:
         classes 0..d (integers or broadcastable index arrays): the stored
         (u, w)_d, key u*d + w, for u, w < d; on row or column d, c_{0,d,0} = 1
         (y = 0 forces x = z), c_{0,alpha,d} = k (z = 0 forces y = -x, a whole
-        class) and 0 elsewhere (see the module docstring for its readers).
+        class) and 0 elsewhere: the point lookup, border rule included.
 
         Every other constant reduces to these: x = 0 (i = d) forces y = z, so
         c_{d,j,n} = [j = n]; for i < d, dividing by x shifts the classes of
@@ -122,13 +109,19 @@ class StructureTensor:
 
     @cached_property
     def c0(self) -> np.ndarray:
-        """Dense read-only (d+1) x (d+1) slice c_{0,j,n}, 0 <= j, n <= d: one
-        call of `constant` on the whole grid, refused above the dense budget.
-        A report reads its T and the d = 3, 4 forms' t_0, t_2 off it."""
+        """Dense read-only (d+1) x (d+1) int64 slice c_{0,j,n}, 0 <= j, n <= d:
+        the stored counts scattered into zeros (key u*d + w at flat index
+        u*(d+1) + w) and the two border constants, refused above the dense
+        budget.  T, the d = 3, 4 forms' t_0, t_2 and the curve grid read it."""
         d = self.ctx.d
-        check_dense_budget(d, np.int64)
-        classes = np.arange(d + 1)
-        c0 = self.constant(classes[:, None], classes)
+        if (nbytes := (d + 1) ** 2 * 8) > DENSE_BUDGET_BYTES:
+            raise ConfigInvalid(
+                f"a dense {d + 1}x{d + 1} array needs {nbytes} bytes, above "
+                f"the budget of {DENSE_BUDGET_BYTES} bytes")
+        c0 = np.zeros((d + 1, d + 1), dtype=np.int64)
+        np.put(c0, self.keys + self.keys // d, self.counts)
+        c0[d, 0] = 1
+        c0[self.ctx.alpha, d] = self.ctx.k
         c0.flags.writeable = False
         return c0
 
@@ -210,19 +203,23 @@ def zero_sum_counts(tensor: StructureTensor, n: int) -> list[int]:
     """N_m = #{(x_1, ..., x_m) in X_0^m : x_1 + ... + x_m = 0}, m = 0..n, in
     Python ints.  r_m[w], the number of m-tuples of X_0 summing to a z in
     class w, walks from r_0 = e_d (the empty tuple) by r_{m+1}[w] =
-    sum_u c_{0,u,w} r_m[u] over the nonzero constants: the stored (u, w)_d
-    and the border's c_{0,d,0} and c_{0,alpha,d}, read through `constant`.
-    So r_1 = e_0 and N_m = r_m[d]."""
-    d, alpha = tensor.ctx.d, tensor.ctx.alpha
-    terms = [(*divmod(key, d), c)
-             for key, c in zip(tensor.keys.tolist(), tensor.counts.tolist())]
-    terms += [(u, w, int(tensor.constant(u, w)))
-              for u, w in ((d, 0), (alpha, d))]
-    r, out = [0] * d + [1], [1]
+    sum_u c_{0,u,w} r_m[u], so r_1 = e_0 and N_m = r_m[d].  A step reads
+    only the rows u where r_m[u] != 0, row u < d the stored keys u*d up to
+    u*d + d, and writes out the border's c_{0,d,0} = 1 and c_{0,alpha,d} = k:
+    at fixed k, at most k^m + 1 rows, whatever p."""
+    d, k, alpha = tensor.ctx.d, tensor.ctx.k, tensor.ctx.alpha
+    keys, counts = tensor.keys, tensor.counts
+    r, out = {d: 1}, [1]
     for _ in range(n):
-        nxt = [0] * (d + 1)
-        for u, w, c in terms:
-            nxt[w] += c * r[u]
+        nxt = {0: r.get(d, 0), d: k * r.get(alpha, 0)}
+        rows = [u for u, ru in r.items() if ru and u < d]
+        starts = np.array(rows, dtype=np.int64) * d
+        bounds = keys.searchsorted(np.stack((starts, starts + d))).T.tolist()
+        for u, (lo, hi) in zip(rows, bounds):
+            ru, row_start = r[u], u * d
+            for key, c in zip(keys[lo:hi].tolist(), counts[lo:hi].tolist()):
+                w = key - row_start
+                nxt[w] = nxt.get(w, 0) + c * ru
         r = nxt
         out.append(r[d])
     return out
@@ -283,8 +280,9 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     # product identity sigma_0(X_l) sigma_j(X_l) = sum_n c_{0,j,n} sigma_n(X_l),
     # row j < d: eta_l eta_{j+l} = sum_n (j, n)_d eta_{n+l} + k[j = alpha].
     # Columns l = 0, 1, alpha stand for all l < d (row i > 0 repeats row 0 at
-    # l + i; row d holds exactly).  Column d, sigma_i(X_d) = k, is the row sums
-    # k - [j = alpha] of the counts, exact in float64
+    # l + i; row d holds exactly), each formed once.  Column d,
+    # sigma_i(X_d) = k, is the row sums k - [j = alpha] of the counts, exact
+    # in float64
     alpha_row = np.arange(d) == alpha
     err = k * float(np.abs(np.bincount(rows, weights=counts, minlength=d)
                            - (k - alpha_row)).max())
@@ -296,7 +294,7 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
         rhs = re + 1j * im + k * alpha_row
         return float(np.abs(eta[l] * np.roll(eta, -l) - rhs).max())
 
-    err = max(err, *map(residual, (0, 1 % d, alpha)))
+    err = max(err, *map(residual, dict.fromkeys((0, 1 % d, alpha))))
     top = float(np.abs(eta).max())
     scale = top * top + k * top + k
     out.append(CheckResult("product_identity", True, err < PRODUCT_TOL * scale,
@@ -318,15 +316,15 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     out.append(CheckResult("rotation_symmetry", True,
                            invariant(-rows % d, (keys - rows) % d)))
 
-    # T symmetric iff 2d | (p-1)
-    if d > 1 and (p - 1) % (2 * d) == 0:
-        out.append(CheckResult("T_symmetric", True, invariant(keys % d, rows)))
+    # reflected symmetry c_{0,m,n} = c_{0,n+a,m+a}, a = alpha the class of -1:
+    # T_symmetric for a = 0 (2d | p-1, d = 1 included), half_turn_symmetry
+    # for a = d/2, the only other value; the name that does not apply passes
+    reflected = invariant((keys + alpha) % d, (rows + alpha) % d)
+    shift = f"shift={alpha}" if d > 1 else "d = 1"
+    if alpha == 0:
+        out += [CheckResult("T_symmetric", True, reflected),
+                CheckResult("half_turn_symmetry", False, True, shift)]
     else:
-        out.append(CheckResult("T_symmetric", False, True, "2d does not divide p-1"))
-
-    # reflected symmetry c_{0,m,n} = c_{0,n+a,m+a} with a the class of -1;
-    # for even d with 2d not dividing p-1 this is the half-turn a = d/2
-    out.append(CheckResult("half_turn_symmetry", d % 2 == 0 and alpha == d // 2,
-                           invariant((keys + alpha) % d, (rows + alpha) % d),
-                           f"shift={alpha}" if d > 1 else "d = 1"))
+        out += [CheckResult("T_symmetric", False, True, "2d does not divide p-1"),
+                CheckResult("half_turn_symmetry", True, reflected, shift)]
     return out

@@ -296,6 +296,15 @@ def test_verify_13_k3_says_why_the_odd_form_is_skipped():
     assert not any(line.startswith("formula v4_fixed_k") for line in lines)
 
 
+def test_verify_d1_reports_t_symmetric():
+    # alpha = 0 at d = 1 (2 | p - 1), so T's symmetry is checked there
+    buf = io.StringIO()
+    assert verify_single(7, 1, SweepMode.FIXED_D, out=buf) == EXIT_OK
+    lines = buf.getvalue().splitlines()
+    assert "identity T_symmetric: pass" in lines
+    assert "identity half_turn_symmetry: n/a d = 1" in lines
+
+
 def test_verify_13_d4_branch():
     buf = io.StringIO()
     verify_single(13, 4, SweepMode.FIXED_D, out=buf)

@@ -1,4 +1,5 @@
 import collections
+import functools
 import math
 from fractions import Fraction
 
@@ -417,14 +418,18 @@ def test_report_reads_the_constants_once_and_forms_v2_once(monkeypatch, p, d):
             return fn(*args, **kwargs)
         return wrapper
 
+    c0 = functools.cached_property(counted("c0", StructureTensor.c0.func))
+    c0.__set_name__(StructureTensor, "c0")
+    monkeypatch.setattr(StructureTensor, "c0", c0)
     monkeypatch.setattr(StructureTensor, "constant",
                         counted("constant", StructureTensor.constant))
     monkeypatch.setattr(moments, "v2_exact", counted("v2_exact", v2_exact))
     rpt = build_report(pipeline(p, d))
     assert rpt.all_passed()
-    # the c0 grid, read by T and by the d = 3, 4 forms; V_2 for its verdict
-    # only, as v1_bounds forms none
-    assert calls == {"constant": 1, "v2_exact": 1}
+    # the c0 grid, one scatter of the stored counts that T and the d = 3, 4
+    # forms read, and no point lookup; V_2 for its verdict only, as
+    # v1_bounds forms none
+    assert calls == {"c0": 1, "v2_exact": 1}
 
 
 def test_report_fixed_k_noncircular_skips_formula():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from brute_force import coset_rows, gauss_sum_aggregate, periods_by_class
-from gpmoments import (build_context, compute_periods, power_sums,
-                       primes_in_range)
+from gpmoments import (PreconditionViolated, build_context, compute_periods,
+                       power_sums, primes_in_range)
 from gpmoments.periods import PERIOD_CHUNK, _row_sums, _unit_root_tables
 
 
@@ -293,7 +293,7 @@ def test_power_sum_p7_d3_fourth():
 
 def test_power_sum_rejects_n0():
     eta = compute_periods(build_context(7, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         power_sums(eta, (0,))
 
 

@@ -15,12 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from brute_force import class_members, cyclotomic_numbers
 import gpmoments
-from gpmoments import (ConfigInvalid, DimensionMismatch, build_context,
-                       build_report, build_tensor, compute_periods,
-                       count_checks, is_circular, primes_in_range, superchar,
+from gpmoments import (ConfigInvalid, DimensionMismatch, PowerTable,
+                       build_context, build_report, build_tensor,
+                       compute_periods, count_checks, hurwitz_count,
+                       is_circular, primes_in_range, superchar,
                        verify_identities, zero_sum_counts)
 from gpmoments.cli import SweepMode, verify_single
-from gpmoments.superchar import DENSE_BUDGET_BYTES, check_dense_budget
+from gpmoments.superchar import DENSE_BUDGET_BYTES
 
 # d^2 > p counts with np.unique, d^2 <= p with np.bincount; (101, 10) and
 # (37, 6) sit on the boundary d^2 = p - 1, (41, 40) has d = p - 1
@@ -195,14 +196,53 @@ def test_general_constant_matches_brute():
                                   expected[0][np.ix_(shift, shift)]), (p, d, i)
 
 
+# fixed k = 3, 4, 6 up to p ~ 10^4: X_0^m has only k^m tuples, while d is
+# in the thousands
+FIXED_K_WALK_CASES = [(p, (p - 1) // k) for p, k in
+                      [(61, 6), (1009, 3), (1013, 4), (9973, 3), (10009, 4),
+                       (9973, 6)]]
+
+
 def test_zero_sum_counts_match_enumeration():
     # N_m = #{m-tuples of X_0 summing to 0}, every tuple listed, m = 0..4
-    for p, d in TENSOR_CASES:
+    for p, d in TENSOR_CASES + FIXED_K_WALK_CASES:
         ctx = build_context(p, d)
         gamma = class_members(ctx, 0)
         expected = [sum(1 for xs in itertools.product(gamma, repeat=m)
                         if sum(xs) % p == 0) for m in range(5)]
         assert zero_sum_counts(build_tensor(ctx), 4) == expected, (p, d)
+
+
+def test_hurwitz_count_at_fixed_k_stays_small():
+    # the walk reads only the rows it reaches: at (200017, k = 4), d = 50004,
+    # it touches a handful of the ~2*10^5 stored keys
+    ctx = build_context(200017, 50004)
+    tensor = build_tensor(ctx)
+    gamma = class_members(ctx, 0)
+    expected = 50004 ** 3 * sum(1 for xs in itertools.product(gamma, repeat=3)
+                                if sum(xs) % ctx.p == 0)
+    tracemalloc.start()
+    try:
+        count = hurwitz_count(tensor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == expected
+    assert peak < 1 << 20
+
+
+def test_c0_is_the_point_lookup_on_the_whole_grid():
+    # the scattered c0 against `constant`, dtype included, at every d | p - 1
+    for p in primes_in_range(3, 600):
+        for d in range(1, p):
+            if (p - 1) % d == 0:
+                tensor = build_tensor(build_context(p, d))
+                classes = np.arange(d + 1)
+                expected = tensor.constant(classes[:, None], classes)
+                c0 = tensor.c0
+                assert c0.dtype == expected.dtype == np.int64, (p, d)
+                assert np.array_equal(c0, expected), (p, d)
+                assert not c0.flags.writeable
 
 
 def test_tensor_stores_only_the_cyclotomic_numbers():
@@ -374,6 +414,19 @@ def test_identities_13_4_symmetry_not_applicable():
     assert not exact_normality(move_to_column_0(_pipeline(19, 3), 1))
 
 
+@pytest.mark.parametrize("p,d,u", [(19, 3, 1), (37, 6, 1)])
+def test_a_broken_reflection_fails_only_the_check_that_applies(p, d, u):
+    # k even, so alpha = 0: the reflection is T's symmetry, and the
+    # half-turn is not applicable, so it passes whatever the counts
+    tensor = _pipeline(p, d)
+    assert tensor.ctx.alpha == 0
+    results = {r.name: r for r in verify_identities(move_to_column_0(tensor, u))}
+    assert results["T_symmetric"].applicable
+    assert not results["T_symmetric"].passed
+    assert not results["half_turn_symmetry"].applicable
+    assert results["half_turn_symmetry"].passed
+
+
 def test_identities_29_7_odd_d_symmetric():
     results = {r.name: r for r in verify_identities(_pipeline(29, 7))}
     assert results["T_symmetric"].applicable  # d odd forces 2d | p-1
@@ -442,20 +495,36 @@ def test_tensor_invariants_property(ctx):
 
 
 def test_dense_budget_refuses_before_allocating():
-    # largest d whose float (d+1)^2 matrix T fits, and the first that does not
-    d_max = int((DENSE_BUDGET_BYTES // 8) ** 0.5) - 1
-    check_dense_budget(d_max, np.float64)
+    # c0 holds the one budget check, and T and the curve grid read c0.  The
+    # largest d whose (d+1)^2 int64 c0 fits is 723: (1447, 723) and
+    # (2897, 362) are built, (2897, 724) is refused
+    assert (723 + 1) ** 2 * 8 <= DENSE_BUDGET_BYTES < (724 + 1) ** 2 * 8
+    for p, d in [(1447, 723), (2897, 362)]:
+        tensor = build_tensor(build_context(p, d))
+        assert tensor.c0.shape == tensor.T.shape == (d + 1, d + 1)
+        assert PowerTable(tensor).M.shape == (d, d)
+    tensor = build_tensor(build_context(2897, 724))
     with pytest.raises(ConfigInvalid):
-        check_dense_budget(d_max + 1, np.float64)
-    # p = 1000033, k = 4: d = 250008 would need about 1e12 bytes
+        tensor.c0
     with pytest.raises(ConfigInvalid):
-        check_dense_budget(250_008, np.int64)
+        tensor.T
+    with pytest.raises(ConfigInvalid):
+        PowerTable(tensor)
+    # p = 1000033, k = 4: d = 250008 would need about 5e11 bytes
+    with pytest.raises(ConfigInvalid):
+        build_tensor(build_context(1000033, 250_008)).c0
     # the sparse tensor itself stays O(p) at any d; only the dense view refuses
     p = 4001  # d = p - 1 = 4000: 128 MB as a dense int64 c0
     tensor = build_tensor(build_context(p, p - 1))
     assert tensor.keys.nbytes + tensor.counts.nbytes <= 16 * p
-    with pytest.raises(ConfigInvalid):
-        tensor.c0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigInvalid):
+            tensor.c0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_cross_checks_survive_python_O():
