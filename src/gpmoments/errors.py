@@ -14,7 +14,9 @@ class DivisorMismatch(GpmError):
 
 
 class DimensionMismatch(GpmError):
-    """Inputs were built from contexts with different d."""
+    """An input was built for another prime, order or pair than the call
+    needs: a context of another p, a context whose d the order asked for
+    does not divide, or a (p, 2k) verdict given for another pair."""
 
 
 class PreconditionViolated(GpmError):

@@ -70,7 +70,7 @@ class PowerTable:
         # 0 <= M <= d^2 k + 3d = d(p + 2) and verify builds it for d <= 12
         dev = self.M - (p + 1)
         worst, bound = int((dev * dev).max()), 4 * _genus(d) ** 2 * p
-        self.weil = CheckResult("hasse_weil", True, worst <= bound,
+        self.weil = CheckResult("hasse_weil", worst <= bound,
                                 f"max (M-p-1)^2={worst} 4g^2p={bound}")
 
 

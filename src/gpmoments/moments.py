@@ -233,7 +233,7 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
     rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8, v_direct=v, v4_exact=v4)
 
     def verdict(name: str, passed: bool) -> None:
-        rpt.checks.append(CheckResult(name, True, passed))
+        rpt.checks.append(CheckResult(name, passed))
 
     verdict("v4_float_vs_exact", _close(v[4], v4_float))
     rpt.checks.extend(count_checks(tensor))

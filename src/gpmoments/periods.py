@@ -131,9 +131,10 @@ def compute_periods(ctx: FieldContext) -> np.ndarray:
 
 
 def power_sums(eta: np.ndarray, ns) -> dict[int, float]:
-    """n -> sum of |eta|^n over the d classes for each n in ns, via
-    floating-point moduli taken once."""
-    if min(ns) < 1:
-        raise PreconditionViolated("n must be >= 1")
+    """n -> sum of |eta|^n over the d classes for each n in ns, a nonempty
+    iterable of n >= 1, via floating-point moduli taken once."""
+    ns = tuple(ns)
+    if not ns or min(ns) < 1:
+        raise PreconditionViolated("ns must be a nonempty iterable of n >= 1")
     moduli = np.abs(eta)
     return {n: float((moduli ** n).sum()) for n in ns}

@@ -46,10 +46,10 @@ PRODUCT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named verdict; an inapplicable check has passed=True."""
+    """One named verdict of a check that applies; one that does not is not
+    reported."""
 
     name: str
-    applicable: bool
     passed: bool
     detail: str = ""
 
@@ -192,10 +192,10 @@ def count_checks(tensor: StructureTensor) -> list[CheckResult]:
     col0 = counts[cols == 0]
     col_v4 = p * (k + int(col0 @ col0)) - k ** 3
     row_v4 = tensor.v4_exact
-    return [CheckResult("column_sums", True, colsums_ok, f"expected {k}"),
-            CheckResult("count_square_sum", True, lhs_sq * d * d == num,
+    return [CheckResult("column_sums", colsums_ok, f"expected {k}"),
+            CheckResult("count_square_sum", lhs_sq * d * d == num,
                         f"lhs={lhs_sq} rhs={num}/{d * d}"),
-            CheckResult("v4_row_vs_column", True, col_v4 == row_v4,
+            CheckResult("v4_row_vs_column", col_v4 == row_v4,
                         f"column={col_v4} row={row_v4}")]
 
 
@@ -213,9 +213,9 @@ def zero_sum_counts(tensor: StructureTensor, n: int) -> list[int]:
     for _ in range(n):
         nxt = {0: r.get(d, 0), d: k * r.get(alpha, 0)}
         rows = [u for u, ru in r.items() if ru and u < d]
-        starts = np.array(rows, dtype=np.int64) * d
-        bounds = keys.searchsorted(np.stack((starts, starts + d))).T.tolist()
-        for u, (lo, hi) in zip(rows, bounds):
+        bounds = keys.searchsorted([u * d for u in rows]
+                                   + [u * d + d for u in rows]).tolist()
+        for u, lo, hi in zip(rows, bounds, bounds[len(rows):]):
             ru, row_start = r[u], u * d
             for key, c in zip(keys[lo:hi].tolist(), counts[lo:hi].tolist()):
                 w = key - row_start
@@ -274,7 +274,7 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     gauss = np.fft.fft(eta)
     err = max(abs(gauss[0] + 1),
               float(np.abs(np.abs(gauss[1:]) ** 2 - p).max(initial=0)) / p)
-    out.append(CheckResult("gauss_sum_moduli", True, err < UNITARY_TOL,
+    out.append(CheckResult("gauss_sum_moduli", err < UNITARY_TOL,
                            f"max_err={err:.3g}"))
 
     # product identity sigma_0(X_l) sigma_j(X_l) = sum_n c_{0,j,n} sigma_n(X_l),
@@ -297,7 +297,7 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
     err = max(err, *map(residual, dict.fromkeys((0, 1 % d, alpha))))
     top = float(np.abs(eta).max())
     scale = top * top + k * top + k
-    out.append(CheckResult("product_identity", True, err < PRODUCT_TOL * scale,
+    out.append(CheckResult("product_identity", err < PRODUCT_TOL * scale,
                            f"max_err={err:.3g}"))
 
     # a symmetry maps the classes (m, n) of each count bijectively to classes
@@ -313,18 +313,13 @@ def verify_identities(tensor: StructureTensor) -> list[CheckResult]:
         return bool(np.array_equal(mapped, stored))
 
     # rotation symmetry c_{0,m,n} = c_{0,-m,n-m}
-    out.append(CheckResult("rotation_symmetry", True,
+    out.append(CheckResult("rotation_symmetry",
                            invariant(-rows % d, (keys - rows) % d)))
 
-    # reflected symmetry c_{0,m,n} = c_{0,n+a,m+a}, a = alpha the class of -1:
-    # T_symmetric for a = 0 (2d | p-1, d = 1 included), half_turn_symmetry
-    # for a = d/2, the only other value; the name that does not apply passes
+    # reflected symmetry c_{0,m,n} = c_{0,n+a,m+a}, a = alpha the class of -1,
+    # reported as T_symmetric for a = 0 (2d | p-1, d = 1 included) and as
+    # half_turn_symmetry for a = d/2, the only other value
     reflected = invariant((keys + alpha) % d, (rows + alpha) % d)
-    shift = f"shift={alpha}" if d > 1 else "d = 1"
-    if alpha == 0:
-        out += [CheckResult("T_symmetric", True, reflected),
-                CheckResult("half_turn_symmetry", False, True, shift)]
-    else:
-        out += [CheckResult("T_symmetric", False, True, "2d does not divide p-1"),
-                CheckResult("half_turn_symmetry", True, reflected, shift)]
+    out.append(CheckResult("T_symmetric", reflected) if alpha == 0 else
+               CheckResult("half_turn_symmetry", reflected, f"shift={alpha}"))
     return out

@@ -152,13 +152,18 @@ def test_criterion_6_exact_counting_identities():
     contexts = sample_contexts() + [(7, 3), (13, 4), (13, 6), (29, 7), (31, 6)]
     for p, d in contexts:
         tensor = pipeline(p, d)
-        exact_names = {"column_sums", "rotation_symmetry", "T_symmetric",
-                       "half_turn_symmetry", "count_square_sum",
-                       "v4_row_vs_column"}
+        # the reflection is reported under the one name alpha picks
+        reflection, other = (("T_symmetric", "half_turn_symmetry")
+                             if tensor.ctx.alpha == 0 else
+                             ("half_turn_symmetry", "T_symmetric"))
+        exact_names = {"column_sums", "rotation_symmetry", reflection,
+                       "count_square_sum", "v4_row_vs_column"}
         results = {r.name: r for r in
                    verify_identities(tensor) + count_checks(tensor)}
         failures += [(p, d, name) for name in sorted(exact_names)
                      if name not in results or not results[name].passed]
+        if other in results:
+            failures.append((p, d, f"{other} reported"))
         if not exact_trace_identity(tensor):
             failures.append((p, d, "exact_trace"))
     report(6, failures, f"exact column-sum/symmetry/trace/row-vs-column "

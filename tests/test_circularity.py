@@ -148,10 +148,8 @@ def test_diagonal_counts_7_2():
 
 def test_diagonal_counts_skipped_for_noncircular():
     ctx = build_context(5, 1)  # k = 4, non-circular pair
-    results = diagonal_counts_check(ctx, build_tensor(ctx))
-    assert len(results) == 1
-    assert not results[0].applicable
-    assert "not circular" in results[0].detail
+    assert not is_circular(5, 4, ctx).circular
+    assert diagonal_counts_check(ctx, build_tensor(ctx)) == []
 
 
 def test_half_inverse_13_k2():

@@ -44,11 +44,16 @@ GOLDEN = {
 }
 
 # odd k = 253 at (1013, d4) takes the eigvals path of the spectrum; fixed
-# k = 4 near 10^6 has d = 250008, past any dense array
+# k = 4 near 10^6 has d = 250008, past any dense array.  d = 12 is the last
+# d that prints curve counts and hasse_weil (here at odd k = 145, eigvals,
+# half_turn_symmetry), and d = 13 the first with "... (1 more)" periods and
+# no curve lines
 VERIFY_GOLDEN = {
     "verify_p1009_d3.txt": ["verify", "--p", "1009", "--d", "3"],
     "verify_p1013_d4.txt": ["verify", "--p", "1013", "--d", "4"],
     "verify_p1021_d5.txt": ["verify", "--p", "1021", "--d", "5"],
+    "verify_p1741_d12.txt": ["verify", "--p", "1741", "--d", "12"],
+    "verify_p2341_d13.txt": ["verify", "--p", "2341", "--d", "13"],
     "verify_p13_k3.txt": ["verify", "--p", "13", "--k", "3"],
     "verify_p31_k3.txt": ["verify", "--p", "31", "--k", "3"],
     "verify_p1000033_k4.txt": ["verify", "--p", "1000033", "--k", "4"],
@@ -111,6 +116,21 @@ def test_verify_report_matches_golden(name, capsys):
     for i, (a, b) in enumerate(zip(got, want), 1):
         assert a == b, f"{name}: line {i} differs"
     assert len(got) == len(want), name
+
+
+@pytest.mark.parametrize(
+    "args", list(VERIFY_GOLDEN.values()) + [["verify", "--p", "7", "--d", "1"]],
+    ids=list(VERIFY_GOLDEN) + ["verify_p7_d1"])
+def test_verify_reports_only_checks_that_apply(args, capsys):
+    # every line is a verdict or a value: a check that does not apply is
+    # left out, never printed as n/a
+    assert main(args) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if "n/a" in line]
+    reflections = [line for line in lines
+                   if line.startswith(("identity T_symmetric",
+                                       "identity half_turn_symmetry"))]
+    assert len(reflections) == 1
 
 
 def _eta_digests() -> list[tuple[int, int, str]]:

@@ -297,6 +297,19 @@ def test_power_sum_rejects_n0():
         power_sums(eta, (0,))
 
 
+def test_power_sum_rejects_no_n():
+    eta = compute_periods(build_context(7, 3))
+    with pytest.raises(PreconditionViolated):
+        power_sums(eta, ())
+
+
+def test_power_sum_reads_an_iterator_once():
+    eta = compute_periods(build_context(7, 3))
+    assert power_sums(eta, iter((1, 4))) == power_sums(eta, (1, 4))
+    with pytest.raises(PreconditionViolated):
+        power_sums(eta, iter((2, 0)))
+
+
 @pytest.mark.parametrize("p,d", [(5, 2), (7, 3), (13, 4), (29, 7), (13, 2)])
 def test_gauss_sum_aggregate_matches_period_identity(p, d):
     ctx = build_context(p, d)

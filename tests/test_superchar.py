@@ -407,7 +407,8 @@ def exact_normality(tensor) -> bool:
 def test_identities_13_4_symmetry_not_applicable():
     tensor = _pipeline(13, 4)
     results = {r.name: r for r in verify_identities(tensor)}
-    assert not results["T_symmetric"].applicable
+    assert "T_symmetric" not in results  # alpha = 2: 2d does not divide p-1
+    assert "half_turn_symmetry" in results
     assert exact_normality(tensor)
     assert all(r.passed for r in results.values())
     # the oracle sees a count moved off row 0
@@ -417,20 +418,18 @@ def test_identities_13_4_symmetry_not_applicable():
 @pytest.mark.parametrize("p,d,u", [(19, 3, 1), (37, 6, 1)])
 def test_a_broken_reflection_fails_only_the_check_that_applies(p, d, u):
     # k even, so alpha = 0: the reflection is T's symmetry, and the
-    # half-turn is not applicable, so it passes whatever the counts
+    # half-turn, which does not apply, is not reported
     tensor = _pipeline(p, d)
     assert tensor.ctx.alpha == 0
     results = {r.name: r for r in verify_identities(move_to_column_0(tensor, u))}
-    assert results["T_symmetric"].applicable
     assert not results["T_symmetric"].passed
-    assert not results["half_turn_symmetry"].applicable
-    assert results["half_turn_symmetry"].passed
+    assert "half_turn_symmetry" not in results
 
 
 def test_identities_29_7_odd_d_symmetric():
     results = {r.name: r for r in verify_identities(_pipeline(29, 7))}
-    assert results["T_symmetric"].applicable  # d odd forces 2d | p-1
-    assert results["T_symmetric"].passed
+    assert results["T_symmetric"].passed  # d odd forces 2d | p-1
+    assert "half_turn_symmetry" not in results
 
 
 def test_eigenvalues_of_T_are_periods():
