@@ -16,12 +16,13 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circularity import circularity_verdicts, scan_noncircular
+from .circularity import circularity_verdicts, scan_noncircular, subgroup_classes
 from .errors import (CompositeInput, ConfigInvalid, DivisorMismatch, GpmError,
                      IoFailure, UnknownFigure)
 from .fermat_curves import PowerTable
 from .field_core import build_context, primes_in_range
-from .moments import MomentReport, build_report
+from .moments import (MomentReport, build_report, fixed_k_report,
+                      fixed_k_verdicts)
 from .superchar import build_tensor, verify_identities
 
 EXIT_OK = 0
@@ -94,19 +95,20 @@ def _pick_bounds(rpt: MomentReport) -> tuple[str, str]:
     return _fmt_float(float(b.lower)), _fmt_float(float(b.upper))
 
 
-def _run_prime(p: int, mode: SweepMode, value: int):
-    """Build context and tensor once and report on them; returns (tensor,
-    report).  A fixed-k report holds the (p, k) circularity verdict."""
-    d = value if mode is SweepMode.FIXED_D else (p - 1) // value
-    tensor = build_tensor(build_context(p, d))
-    return tensor, build_report(tensor, fixed_k=mode is SweepMode.FIXED_K)
+def _run_prime(p: int, mode: SweepMode, value: int) -> MomentReport:
+    """The report of one sweep row: at fixed d on the context and tensor of
+    (p, d), at fixed k without them (`fixed_k_report`), holding the (p, k)
+    circularity verdict."""
+    if mode is SweepMode.FIXED_D:
+        return build_report(build_tensor(build_context(p, value)))
+    return fixed_k_report(p, value)
 
 
 def _sweep_row(task: tuple[int, SweepMode, int, OutputFormat]) -> tuple[str, bool]:
     """Worker: one prime -> (row, passed), the row a CSV line or a JSON
     object as the task's output format asks."""
     p, mode, value, out_format = task
-    rpt = _run_prime(p, mode, value)[1]
+    rpt = _run_prime(p, mode, value)
     passed = rpt.all_passed()
     if out_format is OutputFormat.JSON:
         row = json.dumps(rpt.to_json_dict(), sort_keys=True)
@@ -196,7 +198,9 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
     """Full per-prime report at any d: periods, power sums, formulas, the
     report's checks, `verify_identities`, and for d <= 12 the curve counts
     and Weil's bound, written to out (by default the current sys.stdout).
-    The exit code reads every check and identity."""
+    It builds the context and tensor at fixed k too, and adds the fixed-k
+    verdicts with the classes read off the context's index.  The exit code
+    reads every check and identity."""
     if out is None:
         out = sys.stdout
     fixed = "d" if mode is SweepMode.FIXED_D else "k"
@@ -204,8 +208,11 @@ def verify_single(p: int, value: int, mode: SweepMode, out=None) -> int:
         raise DivisorMismatch(f"{fixed}={value} is not a positive divisor of p-1")
     d = value if mode is SweepMode.FIXED_D else (p - 1) // value
 
-    tensor, rpt = _run_prime(p, mode, value)
+    tensor = build_tensor(build_context(p, d))
     ctx = tensor.ctx
+    rpt = build_report(tensor)
+    if mode is SweepMode.FIXED_K:
+        fixed_k_verdicts(rpt, subgroup_classes(p, value, ctx))
 
     print(f"p={p} d={d} k={ctx.k} g={ctx.g} alpha={ctx.alpha} (p mod 8 = {p % 8})",
           file=out)
@@ -284,7 +291,7 @@ def emit_figure_data(figure_id: str, output: str, p_hi: int | None = None,
 def _figure_row(task: tuple[int, int]) -> tuple[str, bool]:
     """Worker: one prime -> (row, passed)."""
     p, d = task
-    rpt = _run_prime(p, SweepMode.FIXED_D, d)[1]
+    rpt = _run_prime(p, SweepMode.FIXED_D, d)
     lo, hi = _pick_bounds(rpt)
     cols = [str(p), _fmt_value(rpt.v4_exact), lo, hi]
     if d == 4:

@@ -3,8 +3,13 @@
 The multiplicative group F_p^x is split by the subgroup generated by g^d into d
 cosets of size k = (p-1)/d; together with {0} these form the d+1 classes that
 everything downstream (periods, structure constants, curve counts) is built on.
+The class of a point is either read off the O(p) class index of a context or
+looked up on its own by Pohlig-Hellman (`class_lookup`), in O(sqrt q) steps
+for q the largest prime power dividing d.
 """
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,37 +52,62 @@ def find_primitive_root(p: int) -> int:
     factor r at the latest, as no power of r is 1 mod p.  The smallest g
     fixes the coset labels (which one is X_1, etc.) across runs.
     """
+    return _root_and_factors(p)[0]
+
+
+def _root_and_factors(p: int) -> tuple[int, list[int]]:
+    """(g, the distinct prime factors of p - 1), as find_primitive_root
+    proves them: the factors serve the class lookups as well."""
     if p > 2:
         factors = _prime_factors(p - 1)
         g = next(c for c in range(2, p)
                  if all(pow(c, (p - 1) // q, p) != 1 for q in factors))
         if pow(g, p - 1, p) == 1:
-            return g
+            return g, factors
     raise CompositeInput(f"{p} is not an odd prime")
 
 
 @dataclass(frozen=True, eq=False)
-class FieldContext:
-    """Immutable description of the coset partition of F_p under <g^d>.
+class CosetHeads:
+    """The cosets X_a = g^a <g^d> of F_p^x by their heads alone.
 
-    coset_index[x] is the class of x: the exponent of x's coset for x != 0,
-    and d for x = 0, held in the narrowest unsigned dtype that fits d (uint8
-    up to d = 255).  heads[a] = g^a for a < d, int32: the first element of
-    X_a in its power order g^a, g^{a+d}, g^{a+2d}, ..., so entry j of X_a is
-    heads[a] * h^j mod p with h = g^d, which fixes the summation order used
-    by the period computation.  These two read-only tables are the whole
-    context, coset_index.itemsize * p + 4d bytes: about one byte per element
-    of F_p at d <= 255.  Equality is identity, so a context hashes:
-    fieldwise == would compare the arrays and raise.
+    heads[a] = g^a for a < d: the first element of X_a in its power order
+    g^a, g^{a+d}, g^{a+2d}, ..., so entry j of X_a is heads[a] * h^j mod p
+    with h = g^d, which fixes the summation order used by the period
+    computation.  This is all `compute_periods` reads, O(d) memory.
+    Equality is identity, as for the context.
     """
 
     p: int
     g: int
     d: int
     k: int
+    heads: np.ndarray = field(repr=False)
+
+
+def coset_heads(p: int, g: int, d: int) -> CosetHeads:
+    """The heads g^0 .. g^(d-1) of (p, d), g a primitive root of p, without
+    a class index: the same values as a context's, so the same period bits."""
+    heads = powers_mod(g, d, p)
+    heads.flags.writeable = False
+    return CosetHeads(p=p, g=g, d=d, k=(p - 1) // d, heads=heads)
+
+
+@dataclass(frozen=True, eq=False)
+class FieldContext(CosetHeads):
+    """Immutable description of the coset partition of F_p under <g^d>.
+
+    coset_index[x] is the class of x: the exponent of x's coset for x != 0,
+    and d for x = 0, held in the narrowest unsigned dtype that fits d (uint8
+    up to d = 255).  heads, as in `CosetHeads`, are int32 here.  These two
+    read-only tables are the whole context, coset_index.itemsize * p + 4d
+    bytes: about one byte per element of F_p at d <= 255.  Equality is
+    identity, so a context hashes: fieldwise == would compare the arrays
+    and raise.
+    """
+
     alpha: int
     coset_index: np.ndarray = field(repr=False)
-    heads: np.ndarray = field(repr=False)
 
 
 def powers_mod(c: int, n: int, p: int) -> np.ndarray:
@@ -178,6 +208,57 @@ def _labels(e: int, n: int, d: int, pattern: np.ndarray | None) -> np.ndarray:
     lab = np.arange(r, r + n, dtype=np.int32)  # below d + n < 2^31
     lab[d - r:] -= d
     return lab
+
+
+def class_lookup(p: int, d: int, n: int) -> tuple[int, Callable[[int], int]]:
+    """(g, cls) with g = find_primitive_root(p) and cls(x) the class of x in
+    a context of (p, d): log_g(x) mod d for x in F_p^x, and d for x = 0, as
+    the class index holds.  The log is found by Pohlig and Hellman: for each
+    prime power q^e dividing d exactly, x^((p-1)/q^e) = c^L in the group of
+    order q^e generated by c = g^((p-1)/q^e), with L = log_g(x) mod q^e
+    found by baby-step giant-step, and the residues joined by the Chinese
+    remainder theorem.  The factors of p - 1 that prove p prime give those
+    of d; a d that does not divide p - 1 is refused with DivisorMismatch.
+
+    n, the number of lookups expected, sizes each baby table at about
+    m = sqrt(n q^e / 2) entries, the whole group once n >= 2 q^e: a lookup
+    takes q^e / 2m giant steps on average, so the n lookups and the table
+    cost about 2m steps per q^e between them.
+    """
+    g, factors = _root_and_factors(p)
+    if d < 1 or (p - 1) % d != 0:
+        raise DivisorMismatch(f"d={d} does not divide p-1={p - 1}")
+    parts = []
+    for q in factors:
+        if d % q:
+            continue
+        qe = q
+        while d % (qe * q) == 0:
+            qe *= q
+        c = pow(g, (p - 1) // qe, p)
+        m = min(qe, math.isqrt(n * qe // 2) + 1)
+        baby, y = {}, 1
+        for i in range(m):
+            baby[y] = i
+            y = y * c % p
+        rest = d // qe
+        # y = c^m: a giant step divides by it
+        parts.append(((p - 1) // qe, baby, pow(y, -1, p), m,
+                      rest * pow(rest, -1, qe)))
+
+    def cls(x: int) -> int:
+        if x % p == 0:  # no giant step would ever reach a 0
+            return d
+        acc = 0
+        for exp, baby, giant, m, coef in parts:
+            y, j = pow(x, exp, p), 0
+            while (i := baby.get(y)) is None:
+                y = y * giant % p
+                j += m
+            acc += (i + j) * coef
+        return acc % d
+
+    return g, cls
 
 
 def primes_in_range(lo: int, hi: int,

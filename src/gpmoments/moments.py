@@ -5,18 +5,28 @@ float bound endpoints are the square roots of the V_1 band and the V_4 ends
 involving p^(3/2); `BoundInterval.contains` widens every band, rational ends
 included, by a HALF_POWER_SLACK relative slack.  The diagonal solution counts
 are read off the structure constants exactly.
+
+A report is built one of two ways.  `build_report` reads a structure tensor:
+the fixed-d rows and `verify`.  `fixed_k_report`, a fixed-k sweep row, builds
+neither the tensor nor, below `circularity.index_is_cheaper`, a class index:
+exact V_4 comes from row 0 of the cyclotomic numbers, the classes of
+gamma + 1 for gamma in Gamma = <g^d>, and is checked against the pair count
+of Gamma (`v4_pair_count`); its periods are summed from the coset heads.
 """
 
 import math
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .circularity import CircularityVerdict, is_circular
+from .circularity import (PAIR_CHUNK, CircularityVerdict, SubgroupClasses,
+                          subgroup_classes)
 from .errors import DimensionMismatch, NotCircular, PreconditionViolated
-from .field_core import FieldContext
-from .periods import power_sums
+from .field_core import FieldContext, coset_heads
+from . import periods
 from .superchar import (CheckResult, StructureTensor, build_tensor,
                         count_checks, zero_sum_counts)
 
@@ -70,14 +80,12 @@ def v4_d2(p: int) -> Fraction:
     return Fraction((p + 1) ** 2, 8)
 
 
-def v4_d3(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
-    """d = 3: exact value from t_0 = c_{0,0,0}, read off the cached c0,
-    plus the tight p^(3/2) band.  Its upper end is the general band's; only
-    its lower end is tighter."""
-    p = tensor.ctx.p
-    if tensor.ctx.d != 3:
-        raise PreconditionViolated("v4_d3 requires d = 3")
-    t0 = int(tensor.c0[0, 0])
+def v4_d3(p: int, t0: int) -> tuple[Fraction, BoundInterval]:
+    """d = 3: exact value from t_0 = c_{0,0,0} = (0, 0)_3, plus the tight
+    p^(3/2) band.  Its upper end is the general band's; only its lower end
+    is tighter."""
+    if (p - 1) % 3 != 0:
+        raise PreconditionViolated("v4_d3 requires d = 3 to divide p - 1")
     value = Fraction(10 * p * p - 20 * p + 1 - 36 * p * t0, 27)
     ph = p ** 1.5
     bounds = BoundInterval("v4_d3",
@@ -86,25 +94,22 @@ def v4_d3(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
     return value, bounds
 
 
-def v4_d4(tensor: StructureTensor) -> tuple[Fraction, BoundInterval]:
+def v4_d4(p: int, t0: int, t2: int) -> tuple[Fraction, BoundInterval]:
     """d = 4: exact value and band, branching on p mod 8; the band's source
-    names the branch.  t_0 = c_{0,0,0} and t_2 = c_{0,0,2} are read off the
-    cached c0.  Against the general band, mod8_1 shares the upper end and
-    tightens the lower; mod8_5 shares the lower end, (3p + 1)^2/64, and
-    tightens the upper."""
-    p = tensor.ctx.p
-    if tensor.ctx.d != 4:
-        raise PreconditionViolated("v4_d4 requires d = 4")
+    names the branch, which reads t_0 = c_{0,0,0} = (0, 0)_4 (p = 1 mod 8)
+    or t_2 = c_{0,0,2} = (0, 2)_4 (p = 5 mod 8).  Against the general band,
+    mod8_1 shares the upper end and tightens the lower; mod8_5 shares the
+    lower end, (3p + 1)^2/64, and tightens the upper."""
+    if (p - 1) % 4 != 0:
+        raise PreconditionViolated("v4_d4 requires d = 4 to divide p - 1")
     ph = p ** 1.5
     if p % 8 == 1:
-        t0 = int(tensor.c0[0, 0])
         value = Fraction(256 * p * t0 * t0 - (32 * p * p + 224 * p) * t0
                          + p ** 3 + 167 * p * p - 113 * p + 9, 576)
         bounds = BoundInterval("v4_d4_mod8_1",
                                Fraction(17 * p * p - 18 * p + 1, 64),
                                (21 * p * p + 24 * ph + 18 * p + 1) / 64)
         return value, bounds
-    t2 = int(tensor.c0[0, 2])
     value = Fraction(p ** 3 + 71 * p * p + 256 * p * t2 * t2
                      - 32 * (p - 5) * p * t2 + 79 * p + 9, 576)
     bounds = BoundInterval("v4_d4_mod8_5",
@@ -213,22 +218,48 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=FLOAT_REL_TOL, abs_tol=1e-9)
 
 
-def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport:
+def build_report(tensor: StructureTensor) -> MomentReport:
     """Evaluate every applicable formula and bound for the tensor's context,
     the float power sums V_1..V_4 from its periods `tensor.spectrum`, and
     the exact checks of its counts (`count_checks`, independent of the
     periods when these are read off T).  rpt.checks holds v4_float_vs_exact,
-    the count checks, then each form's and band's verdict.
+    the count checks, then each form's and band's verdict.  The d = 3, 4
+    forms read t_0 and t_2 off the cached c0."""
+    c0 = (lambda w: int(tensor.c0[0, w])) if tensor.ctx.d in (3, 4) else None
+    return _report(tensor.ctx.p, tensor.ctx.d, tensor.spectrum,
+                   tensor.v4_exact, count_checks(tensor), c0)
 
-    With fixed_k, the circularity of (p,k) is decided from the tensor's
-    context and kept as rpt.circularity; for odd k, (p,2k) is decided too
-    when (p,k) is circular, and kept as rpt.circularity_2k.  The fixed-k
-    closed form is asserted when v4_fixed_k accepts those verdicts, and
-    heads the report in place of a d-form.
-    """
-    p, d, k = tensor.ctx.p, tensor.ctx.d, tensor.ctx.k
-    v = power_sums(tensor.spectrum, (1, 2, 3, 4))
-    v4 = tensor.v4_exact
+
+def fixed_k_report(p: int, k: int) -> MomentReport:
+    """The report of a fixed-k sweep row, d = (p-1)/k, from the classes of
+    `subgroup_classes`: no structure tensor, and no class index below
+    `index_is_cheaper`.
+
+    Row 0 of the cyclotomic numbers, (0, w)_d, counts the classes of
+    gamma + 1 for gamma in Gamma \\ {-1}; it gives V_4 = p(k[2d | p-1] +
+    sum_w (0, w)_d^2) - k^3 and the t_0, t_2 of the d = 3, 4 forms.  The
+    periods are summed from the coset heads at every d, also where d^3 <= p.
+    Then come the fixed-k verdicts (`fixed_k_verdicts`)."""
+    sc = subgroup_classes(p, k)
+    row0 = Counter(sc.row0().tolist())
+    # 2d | p - 1 iff k is even
+    v4 = Fraction(p * (k * (1 - k % 2) + sum(n * n for n in row0.values()))
+                  - k ** 3)
+    # the bare heads are dropped once the periods are summed
+    eta = periods.compute_periods(sc.ctx if sc.ctx is not None
+                                  else coset_heads(p, sc.g, sc.d))
+    rpt = _report(p, sc.d, eta, v4, [], row0.__getitem__)
+    fixed_k_verdicts(rpt, sc)
+    return rpt
+
+
+def _report(p: int, d: int, spectrum: np.ndarray, v4: Fraction,
+            count_results: list[CheckResult],
+            row0: Callable[[int], int] | None) -> MomentReport:
+    """The report on (p, d) from its periods, its exact V_4, the checks of
+    its counts and, at d = 3 and 4, row0(w) = (0, w)_d."""
+    k = (p - 1) // d
+    v = periods.power_sums(spectrum, (1, 2, 3, 4))
     v4_float = float(v4)  # every float test of V_4 reads this one rounding
     rpt = MomentReport(p=p, d=d, k=k, p_mod_8=p % 8, v_direct=v, v4_exact=v4)
 
@@ -236,7 +267,7 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
         rpt.checks.append(CheckResult(name, passed))
 
     verdict("v4_float_vs_exact", _close(v[4], v4_float))
-    rpt.checks.extend(count_checks(tensor))
+    rpt.checks.extend(count_results)
 
     if d > 1:
         v2 = rpt.formula_values["v2"] = v2_exact(p, d)
@@ -254,7 +285,7 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
         verdict(rpt.formula, val == v4)
     elif d in (3, 4):
         # the exact form shares its name with its band
-        val, band = (v4_d3 if d == 3 else v4_d4)(tensor)
+        val, band = v4_d3(p, row0(0)) if d == 3 else v4_d4(p, row0(0), row0(2))
         rpt.formula = band.source
         rpt.formula_values[rpt.formula] = val
         verdict(rpt.formula, val == v4)
@@ -267,18 +298,56 @@ def build_report(tensor: StructureTensor, fixed_k: bool = False) -> MomentReport
             verdict(f"{band.source}_bounds", band.contains(v4_float))
     if bands:
         rpt.band = bands[0].source
-
-    if fixed_k:
-        vk = rpt.circularity = is_circular(p, k, tensor.ctx)
-        # an odd k divides the even p - 1 with 2k
-        v2k = rpt.circularity_2k = (is_circular(p, 2 * k, tensor.ctx)
-                                    if k % 2 and vk.circular else None)
-        try:
-            val = v4_fixed_k(vk, v2k)
-        except NotCircular:
-            return rpt
-        rpt.formula = "v4_fixed_k_even" if k % 2 == 0 else "v4_fixed_k_odd"
-        rpt.formula_values[rpt.formula] = val
-        verdict(rpt.formula, val == v4)
-
     return rpt
+
+
+def v4_pair_count(p: int, gamma: np.ndarray) -> int:
+    """Exact V_4 of (p, k) from the pairs of Gamma, its k elements gamma,
+    with no class: V_4 = (p sum_z R_2(z)^2 - k^4)/k, R_2(z) the number of
+    (a, b) in Gamma^2 with a + b = z.  Dividing a + b = c + e by a gives
+    sum_z R_2(z)^2 = k N, N = #{(b, c) in Gamma^2 : 1 + b - c in Gamma}, so
+    V_4 = pN - k^3.  O(k^2) membership tests, PAIR_CHUNK at a time: in a
+    table of Gamma over 0 .. 2p when that is no longer than the pairs
+    (2p <= k^2), else by binary search, so the memory is O(min(k^2, p))."""
+    k = len(gamma)
+    rows = max(1, PAIR_CHUNK // k)
+    n = 0
+    if 2 * p <= k * k:
+        member = np.zeros(2 * p, dtype=bool)
+        member[gamma] = member[gamma + p] = True
+        for a in range(0, k, rows):
+            # 1 + b - c + p lies in 3 .. 2p - 1: looked up unreduced
+            z = gamma[a:a + rows, None] + (p + 1) - gamma
+            n += int(np.count_nonzero(member.take(z)))
+    else:
+        ordered = np.sort(gamma)
+        for a in range(0, k, rows):
+            z = (gamma[a:a + rows, None] + 1 - gamma) % p
+            # a z past the largest element is clipped onto it, which differs
+            found = ordered.take(ordered.searchsorted(z), mode="clip")
+            n += int(np.count_nonzero(found == z))
+    return p * n - k ** 3
+
+
+def fixed_k_verdicts(rpt: MomentReport, classes: SubgroupClasses) -> None:
+    """Append the fixed-k verdicts of (p, k) to rpt, the classes those of its
+    (p, d): v4_pair_count, the pair count of Gamma against rpt.v4_exact,
+    then the closed form when v4_fixed_k accepts the circularity verdicts,
+    heading the report in place of a d-form.  The verdict on (p, k) is kept
+    as rpt.circularity and, for odd k when (p, k) is circular, the one on
+    (p, 2k) as rpt.circularity_2k."""
+    p, k = classes.p, classes.k
+    pairs = v4_pair_count(p, classes.gamma)
+    rpt.checks.append(CheckResult("v4_pair_count", pairs == rpt.v4_exact,
+                                  f"pairs={pairs} row={rpt.v4_exact}"))
+    vk = rpt.circularity = classes.verdict()
+    # an odd k divides the even p - 1 with 2k
+    v2k = rpt.circularity_2k = (classes.verdict_2k()
+                                if k % 2 and vk.circular else None)
+    try:
+        val = v4_fixed_k(vk, v2k)
+    except NotCircular:
+        return
+    rpt.formula = "v4_fixed_k_even" if k % 2 == 0 else "v4_fixed_k_odd"
+    rpt.formula_values[rpt.formula] = val
+    rpt.checks.append(CheckResult(rpt.formula, val == rpt.v4_exact))

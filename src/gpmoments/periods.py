@@ -5,14 +5,15 @@ complex numbers whose absolute n-th powers are summed into the power sums
 checked against the exact formulas in `moments`.  Each term is a product of
 two unit roots read from tables of about sqrt(p) entries, so the O(p) sum
 evaluates no cosine or exponential per term.  This sum is the periods'
-source when d^3 > p; below, a report reads them off the eigenvalues of T
-(`StructureTensor.spectrum`) and this sum is their oracle.
+source when d^3 > p, and for fixed-k rows at every d; below, a report built
+on a tensor reads them off the eigenvalues of T (`StructureTensor.spectrum`)
+and this sum is their oracle.
 """
 
 import numpy as np
 
 from .errors import PreconditionViolated
-from .field_core import FieldContext, powers_mod
+from .field_core import CosetHeads, powers_mod
 
 
 # Largest number of terms computed at once: compute_periods takes
@@ -50,9 +51,10 @@ def _row_sums(block: np.ndarray) -> np.ndarray:
     return block.sum(axis=2) if cols >= 8 else sum(block[:, :, c] for c in range(cols))
 
 
-def compute_periods(ctx: FieldContext) -> np.ndarray:
+def compute_periods(ctx: CosetHeads) -> np.ndarray:
     """The d periods eta, summed directly over the (d, k) coset array: half
-    of the p - 1 terms.
+    of the p - 1 terms.  It reads only p, d, k, g and the heads, so a
+    context and the bare `coset_heads` give the same bits.
 
     Entry j of row a is x = g^(a + dj) = heads[a] * h^j mod p, h = g^d, and
     its term is high[q] * low[r] from `_unit_root_tables`, x = q 2^s + r,

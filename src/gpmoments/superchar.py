@@ -13,6 +13,12 @@ read, is refused with ConfigInvalid above DENSE_BUDGET_BYTES;
 `verify_identities` builds no dense array.
 Floats only enter with the scaled matrix T, its spectrum (the periods with
 k) and the labelled periods `eta`, which the analytic identities read.
+
+The tensor serves the fixed-d sweep rows, the figures and `verify`, at any
+d.  A fixed-k sweep row builds none: the only counts it reads, row 0, are
+the classes of gamma + 1 for gamma in the order-k subgroup, at most k of
+them (`moments.fixed_k_report`), and the pair count of that subgroup stands
+in for the checks of `count_checks`.
 """
 
 import math
@@ -181,7 +187,7 @@ def count_checks(tensor: StructureTensor) -> list[CheckResult]:
     # exact in float64 and int64: a column sums to at most p - 2 < 2^53, and
     # the squares to at most (p - 2)^2 < 2^63.  The column of key i*d + j is
     # taken as key - (key // d) * d: numpy divides by a scalar several times
-    # faster than it takes a remainder, and fixed-k rows have ~p keys
+    # faster than it takes a remainder, and verify at fixed k has ~p keys
     cols = keys - keys // d * d
     colsums = np.bincount(cols, weights=counts, minlength=d)
     colsums[0] += 1

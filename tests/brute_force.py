@@ -11,7 +11,9 @@ circularity oracles enumerate the subgroup Gamma of order k in
 F_p^x and its translated dilates directly; the package decides circularity
 from pairs of the subgroup, and the tests compare the two;
 largest_number_verdict reads the verdict off the largest stored cyclotomic
-number of order (p-1)/k, the tensor path the package's pair count replaced;
+number of order (p-1)/k, the tensor path the package's pair count replaced,
+and tensor_fixed_k_report is the whole fixed-k report as the tensor path
+made it, the oracle of the package's table-free `fixed_k_report`;
 diagonal_counts_check recounts the diagonal cyclotomic numbers of a
 circular pair with Python sets, and half_inverse_check places the single
 diagonal count 1 of even k at the class of 1/2.  brute_projective counts the
@@ -35,9 +37,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from gpmoments import (CircularityVerdict, PreconditionViolated,
-                       build_context, build_tensor, count_projective,
-                       is_circular)
+from gpmoments import (CircularityVerdict, MomentReport, NotCircular,
+                       PreconditionViolated, build_context, build_report,
+                       build_tensor, count_projective, is_circular,
+                       v4_fixed_k)
 from gpmoments.field_core import find_primitive_root
 from gpmoments.superchar import CheckResult
 
@@ -156,8 +159,11 @@ def largest_number_verdict(p: int, k: int) -> CircularityVerdict:
     e = (p-1)/k, `build_tensor(build_context(p, e))`: the largest
     (i, j)_e = n, and for n >= 3 the witness of the first largest in key
     order, m = j - i and t = g^(alpha - i) (mod e), alpha the class of -1."""
-    e = (p - 1) // k
-    tensor = build_tensor(build_context(p, e))
+    return _largest_number_verdict(build_tensor(build_context(p, (p - 1) // k)), k)
+
+
+def _largest_number_verdict(tensor, k: int) -> CircularityVerdict:
+    p, e = tensor.ctx.p, tensor.ctx.d
     best = int(tensor.counts.argmax())
     n = int(tensor.counts[best])
     i, j = divmod(int(tensor.keys[best]), e)
@@ -166,6 +172,27 @@ def largest_number_verdict(p: int, k: int) -> CircularityVerdict:
         witness = ((j - i) % e, pow(tensor.ctx.g, (tensor.ctx.alpha - i) % e, p))
     return CircularityVerdict(p=p, k=k, circular=n <= 2, max_intersection=n,
                               witness=witness)
+
+
+def tensor_fixed_k_report(p: int, k: int) -> MomentReport:
+    """The report of a fixed-k row as the tensor path made it: build_report
+    on the context and tensor of (p, d), d = (p-1)/k, its count checks
+    included; the verdicts on (p, k) and, for odd k when that one is
+    circular, (p, 2k) read off the largest stored cyclotomic numbers; and
+    the fixed-k form, heading the report, when v4_fixed_k accepts them."""
+    tensor = build_tensor(build_context(p, (p - 1) // k))
+    rpt = build_report(tensor)
+    vk = rpt.circularity = _largest_number_verdict(tensor, k)
+    v2k = rpt.circularity_2k = (largest_number_verdict(p, 2 * k)
+                                if k % 2 and vk.circular else None)
+    try:
+        value = v4_fixed_k(vk, v2k)
+    except NotCircular:
+        return rpt
+    rpt.formula = "v4_fixed_k_even" if k % 2 == 0 else "v4_fixed_k_odd"
+    rpt.formula_values[rpt.formula] = value
+    rpt.checks.append(CheckResult(rpt.formula, value == rpt.v4_exact))
+    return rpt
 
 
 def replay_witness(p: int, k: int, witness: tuple[int, int]) -> int:
@@ -189,7 +216,7 @@ def diagonal_counts_check(ctx, tensor) -> list[CheckResult]:
     """For circular (p, k): each diagonal count is at most 2 and equals the
     coset self-intersection |X_m ^ (X_m + 1)|, counted with Python sets.
     A non-circular pair has no such check: []."""
-    if not is_circular(ctx.p, ctx.k, ctx).circular:
+    if not is_circular(ctx.p, ctx.k).circular:
         return []
     diagonal = tensor.constant(np.arange(ctx.d), np.arange(ctx.d))
     out = []

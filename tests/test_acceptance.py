@@ -34,12 +34,17 @@ def pipeline(p, d):
     return build_tensor(build_context(p, d))
 
 
+def row0(tensor, w):
+    # (0, w)_d off the dense slice, as build_report reads t_0 and t_2
+    return int(tensor.c0[0, w])
+
+
 def test_criterion_1_d3_exact_v4():
     failures = []
     count = 0
     for p in primes_in_range(7, P_SWEEP, (3, 1)):
         tensor = pipeline(p, 3)
-        value, _ = v4_d3(tensor)
+        value, _ = v4_d3(p, row0(tensor, 0))
         if value != tensor.v4_exact:
             failures.append(("exact", p))
         oracle = power_sums(tensor.eta, (4,))[4]
@@ -54,7 +59,7 @@ def test_criterion_2_d4_both_branches():
     count = 0
     for p in primes_in_range(5, P_SWEEP, (4, 1)):
         tensor = pipeline(p, 4)
-        value, band = v4_d4(tensor)
+        value, band = v4_d4(p, row0(tensor, 0), row0(tensor, 2))
         if value != tensor.v4_exact:
             failures.append((p, band.source))
         count += 1
@@ -69,9 +74,9 @@ def test_criterion_3_bound_containment():
             tensor = pipeline(p, d)
             exact = tensor.v4_exact
             if d == 3:
-                bounds = v4_d3(tensor)[1]
+                bounds = v4_d3(p, row0(tensor, 0))[1]
             elif d == 4:
-                bounds = v4_d4(tensor)[1]
+                bounds = v4_d4(p, row0(tensor, 0), row0(tensor, 2))[1]
             else:
                 bounds = v4_general_bounds(p, d)
             if not bounds.contains(exact):

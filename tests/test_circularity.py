@@ -8,7 +8,7 @@ from gpmoments import (CircularityVerdict, CompositeInput,
                        DimensionMismatch, DivisorMismatch,
                        PreconditionViolated, build_context, build_tensor,
                        circularity, field_core, is_circular, primes_in_range,
-                       scan_noncircular)
+                       scan_noncircular, subgroup_classes)
 
 
 def test_5_4_not_circular_with_replayable_witness():
@@ -39,29 +39,33 @@ def test_divisor_mismatch():
     with pytest.raises(DivisorMismatch):  # 4 does not divide 14
         is_circular(15, 4)
     with pytest.raises(DimensionMismatch):  # a context of another prime
-        is_circular(13, 2, build_context(7, 3))
-    with pytest.raises(DimensionMismatch):  # order 6 does not divide d = 4
-        is_circular(13, 2, build_context(13, 4))
+        subgroup_classes(13, 2, build_context(7, 3))
+    with pytest.raises(DimensionMismatch):  # a context at d = 4, not 6
+        subgroup_classes(13, 2, build_context(13, 4))
 
 
 def test_tensor_verdict_takes_p_as_proved(monkeypatch):
-    # a context has proved p prime; only a bare p is tested again, by
-    # build_context, whose find_primitive_root factors p - 1
-    ctx = build_context(1009, 252)
+    # a context has proved p prime, and verify reads its classes off it;
+    # only a bare p is tested again, by the primitive root of the class
+    # source, which factors p - 1
+    contexts = {k: build_context(1009, 1008 // k) for k in (4, 12)}
     expected = [is_circular(1009, k) for k in (4, 12)]
 
     def no_test(n):
         raise AssertionError("_prime_factors called")
 
     monkeypatch.setattr(field_core, "_prime_factors", no_test)
-    assert [is_circular(1009, k, ctx) for k in (4, 12)] == expected
+    assert [subgroup_classes(1009, k, ctx).verdict()
+            for k, ctx in contexts.items()] == expected
     with pytest.raises(AssertionError):
         is_circular(1009, 4)
 
 
-def test_tensor_verdict_matches_brute_force():
-    # every (p, k) with 2 <= k <= 12, k | p - 1, p < 2000; the odd-k pairs are
-    # also decided at 2k from the order-d context, as the fixed-k sweep does
+def test_tensor_verdict_matches_brute_force(monkeypatch):
+    # every (p, k) with 2 <= k <= 12, k | p - 1, p < 2000, from the lookups
+    # and from the index of the order-d context; the odd-k pairs are also
+    # decided at 2k from the same classes, as the fixed-k rows do
+    monkeypatch.setattr(circularity, "INDEX_BELOW_D", 0)  # lookups only
     pairs = 0
     for p in primes_in_range(3, 2000):
         oracle = {}
@@ -69,9 +73,13 @@ def test_tensor_verdict_matches_brute_force():
             if (p - 1) % k:
                 continue
             ctx = build_context(p, (p - 1) // k)
-            checks = [(k, is_circular(p, k)), (k, is_circular(p, k, ctx))]
-            if (p - 1) % (2 * k) == 0:
-                checks.append((2 * k, is_circular(p, 2 * k, ctx)))
+            sources = [subgroup_classes(p, k), subgroup_classes(p, k, ctx)]
+            assert sources[0].ctx is None
+            checks = [(k, is_circular(p, k))] + [(k, sc.verdict()) for sc in sources]
+            if k % 2 and (p - 1) % (2 * k) == 0:
+                checks += [(2 * k, sc.verdict_2k()) for sc in sources]
+            elif (p - 1) % (2 * k) == 0:
+                checks.append((2 * k, is_circular(p, 2 * k)))
             for kk, verdict in checks:
                 if kk not in oracle:
                     oracle[kk] = circularity_by_pairs(p, kk)
@@ -86,11 +94,13 @@ def test_tensor_verdict_matches_brute_force():
     assert pairs > 1000
 
 
-def test_verdict_is_the_first_largest_number_in_key_order():
+def test_verdict_is_the_first_largest_number_in_key_order(monkeypatch):
     # every prime p < 3000 with k = 1..40, k | p - 1, and (p, 2k) for odd k,
-    # decided from the context at order (p-1)/k as a fixed-k report does:
+    # decided from the looked-up classes of order (p-1)/k as a fixed-k
+    # report does (the rule would read most of them off an index):
     # max_intersection and the witness of the first largest (i, j)_e in key
     # order are those of the stored cyclotomic numbers of order e
+    monkeypatch.setattr(circularity, "INDEX_BELOW_D", 0)
     verdicts = 0
     for p in primes_in_range(3, 3000):
         for k in range(1, 41):
@@ -99,8 +109,7 @@ def test_verdict_is_the_first_largest_number_in_key_order():
             assert is_circular(p, k) == largest_number_verdict(p, k), (p, k)
             verdicts += 1
             if k % 2:
-                ctx = build_context(p, (p - 1) // k)
-                assert is_circular(p, 2 * k, ctx) == \
+                assert subgroup_classes(p, k).verdict_2k() == \
                     largest_number_verdict(p, 2 * k), (p, 2 * k)
                 verdicts += 1
     assert verdicts > 3500
@@ -124,11 +133,11 @@ def test_k1_and_k2_have_no_pairs():
 
 
 def test_2k_verdict_from_a_context_at_twice_the_order():
-    # (p, 2k) for odd k from the context at order 2e = (p-1)/k, e = (p-1)/(2k)
+    # (p, 2k) for odd k from the classes at order 2e = (p-1)/k, e = (p-1)/(2k)
     for p, k in [(5, 1), (13, 3), (31, 3), (43, 3), (71, 5)]:
         ctx = build_context(p, (p - 1) // k)
-        assert is_circular(p, 2 * k, ctx) == is_circular(p, 2 * k)
-    verdict = is_circular(13, 6, build_context(13, 4))
+        assert subgroup_classes(p, k, ctx).verdict_2k() == is_circular(p, 2 * k)
+    verdict = subgroup_classes(13, 3, build_context(13, 4)).verdict_2k()
     assert (verdict.circular, verdict.max_intersection) == (False, 3)
     assert replay_witness(13, 6, verdict.witness) == 3
 
@@ -148,7 +157,7 @@ def test_diagonal_counts_7_2():
 
 def test_diagonal_counts_skipped_for_noncircular():
     ctx = build_context(5, 1)  # k = 4, non-circular pair
-    assert not is_circular(5, 4, ctx).circular
+    assert not is_circular(5, 4).circular
     assert diagonal_counts_check(ctx, build_tensor(ctx)) == []
 
 

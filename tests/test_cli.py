@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 import gpmoments
-from brute_force import brute_projective
+from brute_force import brute_projective, tensor_fixed_k_report
 from gpmoments import (build_context, cli, field_core, moments, periods,
                        superchar, verify_identities)
 from gpmoments.field_core import MAX_P
 from gpmoments.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK,
                            FIXED_D_HEADER, SweepConfig, SweepMode,
-                           OutputFormat, _run_prime, main, run_sweep,
-                           verify_single)
+                           OutputFormat, main, run_sweep, verify_single)
 
 
 def read(path):
@@ -380,11 +379,12 @@ def test_verify_runs_past_any_dense_array(p, value, mode):
 
 def test_verify_at_fixed_k_near_1e6_stays_within_twice_a_row():
     # d = 250008: the identities read the stored counts and the periods,
-    # and their temporaries stay below what one fixed-k row peaks at
+    # and their temporaries stay below what one fixed-k row on the tensor
+    # path, its context and tensor, peaks at
     p, k = 1000033, 4
     tracemalloc.start()
     try:
-        _run_prime(p, SweepMode.FIXED_K, k)
+        tensor_fixed_k_report(p, k)
         row_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         rc = verify_single(p, k, SweepMode.FIXED_K, out=io.StringIO())
@@ -460,8 +460,8 @@ def test_figure_exit_code_follows_the_row_verdicts(tmp_path, monkeypatch):
     out.unlink()
     real = moments.v4_d3
 
-    def one_off(tensor):
-        value, band = real(tensor)
+    def one_off(p, t0):
+        value, band = real(p, t0)
         return value + 1, band
     monkeypatch.setattr(moments, "v4_d3", one_off)
     assert main(["figure", "--id", "d3", "--to", "2000",
@@ -528,13 +528,15 @@ def periods_calls(monkeypatch):
                                         ("fixed_k", 3)])
 def test_sweep_computes_the_periods_once_per_prime(tmp_path, periods_calls,
                                                    mode, value):
-    # a row with d^3 <= p reads its periods off the eigenvalues of T and
-    # sums none; every other row sums them once
+    # a fixed-d row with d^3 <= p reads its periods off the eigenvalues of
+    # T and sums none; every other row sums them once, every fixed-k row
+    # among them (it builds no T)
     out = tmp_path / "s.csv"
     assert main(["sweep", "--mode", mode, "--value", str(value), "--to", "600",
                  "--out", str(out), "--workers", "1"]) == EXIT_OK
     rows = [line.split(",") for line in read(out).splitlines()[1:]]
-    summed = [int(r[0]) for r in rows if int(r[1]) ** 3 > int(r[0])]
+    summed = [int(r[0]) for r in rows
+              if mode == "fixed_k" or int(r[1]) ** 3 > int(r[0])]
     assert len(rows) > 20 and periods_calls == summed
 
 

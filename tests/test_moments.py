@@ -10,17 +10,28 @@ from brute_force import (cubic_period_power_sums, fermat_count_from_periods,
                          vn_d2_closed_form)
 from gpmoments import (DimensionMismatch, NotCircular, PreconditionViolated,
                        build_context, build_report, build_tensor,
-                       compute_periods, fermat_solution_count, hurwitz_count,
+                       compute_periods, fermat_solution_count,
+                       fixed_k_report, fixed_k_verdicts, hurwitz_count,
                        power_sums, primes_in_range,
                        v1_bounds, v2_exact, v4_d2, v4_d3, v4_d4,
                        v4_fixed_k, v4_general_bounds)
 from gpmoments import moments, superchar
-from gpmoments.circularity import is_circular
+from gpmoments.circularity import is_circular, subgroup_classes
 from gpmoments.superchar import StructureTensor
 
 
 def pipeline(p, d):
     return build_tensor(build_context(p, d))
+
+
+def d3_form(tensor):
+    # the d = 3 form on t_0 = (0, 0)_3 off the dense slice, as build_report
+    return v4_d3(tensor.ctx.p, int(tensor.c0[0, 0]))
+
+
+def d4_form(tensor):
+    # the d = 4 form on t_0 = (0, 0)_4 and t_2 = (0, 2)_4
+    return v4_d4(tensor.ctx.p, int(tensor.c0[0, 0]), int(tensor.c0[0, 2]))
 
 
 def direct_v(p, d, n):
@@ -122,7 +133,9 @@ def test_report_reads_v4_off_the_row_once(monkeypatch, p, d, fixed_k):
 
     monkeypatch.setattr(superchar, "Fraction", counted)
     tensor = pipeline(p, d)
-    rpt = build_report(tensor, fixed_k=fixed_k)
+    rpt = build_report(tensor)
+    if fixed_k:  # as verify --k adds its fixed-k verdicts
+        fixed_k_verdicts(rpt, subgroup_classes(p, tensor.ctx.k, tensor.ctx))
     assert len(calls) == 1
     assert rpt.v4_exact is tensor.v4_exact and rpt.all_passed()
     assert [c.passed for c in rpt.checks if c.name == "v4_row_vs_column"] == [True]
@@ -132,7 +145,7 @@ def test_report_reads_v4_off_the_row_once(monkeypatch, p, d, fixed_k):
 
 def test_v4_d3_example_p7():
     tensor = pipeline(7, 3)
-    value, bounds = v4_d3(tensor)
+    value, bounds = d3_form(tensor)
     assert value == 13
     ph = 7 ** 1.5
     assert float(bounds.lower) == pytest.approx((6 * 49 - 8 * ph + 84 + 1) / 27)
@@ -141,7 +154,7 @@ def test_v4_d3_example_p7():
 
 def test_v4_d3_p13_matches_oracle():
     tensor = pipeline(13, 3)
-    value, _ = v4_d3(tensor)
+    value, _ = d3_form(tensor)
     assert float(value) == \
         pytest.approx(power_sums(tensor.eta, (4,))[4], rel=1e-6)
     assert value == tensor.v4_exact
@@ -155,20 +168,23 @@ def test_v4_d3_p31_t0_hasse_window():
 
 
 def test_v4_d3_rejects_other_d():
+    # 3 does not divide 17 - 1, nor 4 divide 19 - 1
     with pytest.raises(PreconditionViolated):
-        v4_d3(pipeline(13, 4))
+        v4_d3(17, 0)
+    with pytest.raises(PreconditionViolated):
+        v4_d4(19, 0, 0)
 
 
 # ----------------------------------------------------------------- d = 4
 
 def test_v4_d4_both_branches_exact():
     tensor = pipeline(17, 4)
-    value, band = v4_d4(tensor)
+    value, band = d4_form(tensor)
     assert band.source == "v4_d4_mod8_1"
     assert value == tensor.v4_exact
 
     tensor = pipeline(13, 4)
-    value, bounds = v4_d4(tensor)
+    value, bounds = d4_form(tensor)
     assert bounds.source == "v4_d4_mod8_5"
     assert value == tensor.v4_exact
     p = 13
@@ -180,7 +196,7 @@ def test_v4_d4_both_branches_exact():
 @pytest.mark.parametrize("p", primes_in_range(17, 600, (4, 1)))
 def test_v4_d4_sweep_exact_equality(p):
     tensor = pipeline(p, 4)
-    value, bounds = v4_d4(tensor)
+    value, bounds = d4_form(tensor)
     assert value == tensor.v4_exact
     if p > 16:
         assert bounds.contains(value)
@@ -238,7 +254,7 @@ def test_general_bounds_29_7():
 def test_d3_d4_bands_tighten_one_end_of_the_general_band(d):
     # v4_d3 and v4_d4_mod8_1 share the general upper end, v4_d4_mod8_5 the
     # general lower end (3p + 1)^2/64; the other end is strictly tighter
-    form = v4_d3 if d == 3 else v4_d4
+    form = d3_form if d == 3 else d4_form
     for p in primes_in_range(5, 3000, (d, 1)):
         band, general = form(pipeline(p, d))[1], v4_general_bounds(p, d)
         if band.source == "v4_d4_mod8_5":
@@ -433,8 +449,7 @@ def test_report_reads_the_constants_once_and_forms_v2_once(monkeypatch, p, d):
 
 
 def test_report_fixed_k_noncircular_skips_formula():
-    tensor = pipeline(5, 1)
-    rpt = build_report(tensor, fixed_k=True)
+    rpt = fixed_k_report(5, 4)
     assert not any(name.startswith("v4_fixed_k") for name in rpt.formula_values)
     assert rpt.circularity == is_circular(5, 4)
     assert not rpt.circularity.circular
@@ -442,7 +457,7 @@ def test_report_fixed_k_noncircular_skips_formula():
 
 def test_report_fixed_k_odd_circular_asserts_formula():
     # k = 3 at p = 31: (31, 3) and (31, 6) are circular
-    rpt = build_report(pipeline(31, 10), fixed_k=True)
+    rpt = fixed_k_report(31, 3)
     assert rpt.circularity == is_circular(31, 3)
     assert rpt.circularity.circular
     assert rpt.circularity_2k == is_circular(31, 6)
@@ -453,14 +468,14 @@ def test_report_fixed_k_odd_circular_asserts_formula():
 
 def test_report_fixed_k_odd_keeps_the_2k_verdict():
     # (13, 3) is circular but (13, 6) is not, so the odd-k form is skipped
-    rpt = build_report(pipeline(13, 4), fixed_k=True)
+    rpt = fixed_k_report(13, 3)
     assert rpt.circularity.circular
     assert rpt.circularity_2k == is_circular(13, 6)
     assert not rpt.circularity_2k.circular
     assert rpt.formula == "v4_d4_mod8_5"
     # an even k, or an odd k whose pair is not circular, needs no 2k verdict
-    assert build_report(pipeline(13, 3), fixed_k=True).circularity_2k is None
-    rpt = build_report(pipeline(43, 6), fixed_k=True)  # k = 7
+    assert fixed_k_report(13, 4).circularity_2k is None
+    rpt = fixed_k_report(43, 7)
     assert not rpt.circularity.circular
     assert rpt.circularity_2k is None
 
@@ -494,8 +509,8 @@ def _first_present(names, held):
 def test_report_headline_matches_the_ranked_names(fixed_k, value):
     checked = 0
     for p in primes_in_range(3, 1999, (value, 1)):
-        d = (p - 1) // value if fixed_k else value
-        rpt = build_report(pipeline(p, d), fixed_k=fixed_k)
+        rpt = (fixed_k_report(p, value) if fixed_k
+               else build_report(pipeline(p, value)))
         assert (rpt.formula, rpt.band) == (
             _first_present(FORMULA_RANKING, rpt.formula_values),
             _first_present(BAND_RANKING, rpt.bounds)), p

@@ -18,8 +18,8 @@ import gpmoments
 from gpmoments import (ConfigInvalid, DimensionMismatch, PowerTable,
                        build_context, build_report, build_tensor,
                        compute_periods, count_checks, hurwitz_count,
-                       is_circular, primes_in_range, superchar,
-                       verify_identities, zero_sum_counts)
+                       is_circular, primes_in_range, subgroup_classes,
+                       superchar, verify_identities, zero_sum_counts)
 from gpmoments.cli import SweepMode, verify_single
 from gpmoments.superchar import DENSE_BUDGET_BYTES
 
@@ -120,10 +120,12 @@ def test_bincount_keys_peak_memory(p, d):
                                  (101, 10), (257, 16), (1021, 20)])
 def test_largest_number_is_the_first_largest_in_key_order(p, d):
     # the stored numbers of order e = d and d/2, against those that discrete
-    # logs count, and the verdict is_circular reads from the context at order
-    # d: its max_intersection is the largest, and its witness is that of the
-    # first largest in key order; an order that does not divide d is refused
+    # logs count, and the verdicts read from the classes of the context at
+    # order d, on (p, k) and, for odd k, (p, 2k) (else is_circular's): its
+    # max_intersection is the largest, and its witness is that of the first
+    # largest in key order; a context at another order is refused
     ctx = build_context(p, d)
+    classes = subgroup_classes(p, (p - 1) // d, ctx)
     for e in (d, d // 2):
         numbers = cyclotomic_numbers(p, ctx.g, e)
         n = max(numbers.values())
@@ -133,14 +135,15 @@ def test_largest_number_is_the_first_largest_in_key_order(p, d):
         assert (int(tensor.counts[best]), int(tensor.keys[best])) == (n, key), \
             (p, d, e)
         i, j = divmod(key, e)
-        verdict = is_circular(p, (p - 1) // e, ctx)
+        verdict = (classes.verdict() if e == d else classes.verdict_2k()
+                   if classes.k % 2 else is_circular(p, (p - 1) // e))
         assert verdict.max_intersection == n, (p, d, e)
         if n >= 3:
             assert verdict.witness == (
                 (j - i) % e, pow(ctx.g, ((p - 1) // 2 - i) % e, p)), (p, d, e)
     if d < p - 1:  # order p - 1 does not divide d
         with pytest.raises(DimensionMismatch):
-            is_circular(p, 1, ctx)
+            subgroup_classes(p, 1, ctx)
 
 
 def test_tensor_d1_count():
@@ -377,7 +380,7 @@ def test_count_checks_are_the_one_source(p, d, fixed_k):
     tensor = _pipeline(p, d)
     checks = count_checks(tensor)
     identities = [r.name for r in verify_identities(tensor)]
-    rpt = build_report(tensor, fixed_k=fixed_k)
+    rpt = build_report(tensor)
     names = [c.name for c in rpt.checks]
     buf = io.StringIO()
     mode = SweepMode.FIXED_K if fixed_k else SweepMode.FIXED_D
