@@ -18,9 +18,8 @@ same classes, so it looks up about k/2 points at even k and k at odd k.
 """
 
 import math
-from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,9 +30,6 @@ from .field_core import (MAX_P, FieldContext, build_context, class_lookup,
                          powers_mod, primes_in_range)
 
 PAIR_CHUNK = 1 << 16  # pairs whose keys are formed at once, at any k
-# Up to this many pairs are counted in Python ints, which there beats
-# numpy's cost per call: k <= 9, and the (p, 2k) verdicts of k <= 4
-SMALL_PAIRS = 64
 
 # The class index is built in place of the lookups below this d = (p-1)/k.
 # The lookups of a row take about a microsecond per unit of k, the index a
@@ -60,7 +56,6 @@ def index_is_cheaper(p: int, k: int) -> bool:
     return p - 1 < INDEX_BELOW_D * k
 
 
-@dataclass(frozen=True, eq=False)
 class SubgroupClasses:
     """The classes of order d = (p-1)/k at the points that a fixed-k row
     reads, Gamma = <h> with h = g^d.
@@ -70,26 +65,18 @@ class SubgroupClasses:
     s = 1..k-1 (minus[0] is 0 and never read) and, for odd k, plus[s] =
     cls(h^s + 1) for s < k.  Each is looked up at s <= k/2 only, as
     h^-s - 1 = -h^-s (h^s - 1) and h^-s + 1 = h^-s (h^s + 1): with
-    cls(-x) = cls(x) + alpha, minus[k-s] = minus[s] + alpha and
-    plus[k-s] = plus[s].  ctx is the context whose index classify reads,
-    None for lookups.  Equality is identity.
+    cls(-x) = cls(x) + alpha, alpha the class of -1, minus[k-s] =
+    minus[s] + alpha and plus[k-s] = plus[s].  ctx is the context whose
+    index classify reads, None for lookups.  Equality is identity.  A plain
+    class, not a dataclass, as it costs nothing at import.
     """
 
-    p: int
-    k: int
-    g: int
-    gamma: np.ndarray = field(repr=False)
-    classify: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    ctx: FieldContext | None = None
-
-    @property
-    def d(self) -> int:
-        return (self.p - 1) // self.k
-
-    @property
-    def alpha(self) -> int:
-        """The class of -1."""
-        return (self.p - 1) // 2 % self.d
+    def __init__(self, p: int, k: int, g: int, gamma: np.ndarray,
+                 classify: Callable[[np.ndarray], np.ndarray],
+                 ctx: FieldContext | None = None):
+        self.p, self.k, self.g, self.d = p, k, g, (p - 1) // k
+        self.alpha = (p - 1) // 2 % self.d
+        self.gamma, self.classify, self.ctx = gamma, classify, ctx
 
     @cached_property
     def minus(self) -> np.ndarray:
@@ -174,17 +161,10 @@ def subgroup_classes(p: int, k: int,
 def _most_pairs(c: np.ndarray, k: int, e: int) -> tuple[int, int]:
     """(count, key): the most pairs one key i*e + j collects, k > 2, and the
     first key in key order with as many, c[s] = cls(h^s - 1) mod e (int64,
-    c[0] unread).  O(k^2) work; beyond SMALL_PAIRS the keys go, a block at a
-    time, to a dense e*e histogram when that is no longer than the pairs,
-    else to np.unique, so the memory is O(min(k^2, p))."""
+    c[0] unread).  O(k^2) work; the keys go, a block at a time, to a dense
+    e*e histogram when that is no longer than the pairs, else to np.unique,
+    so the memory is O(min(k^2, p))."""
     n = k - 1
-    if n * (n - 1) <= SMALL_PAIRS:
-        c = c.tolist()
-        counts = Counter((c[t] - c[u]) % e * e + (c[s] - c[u]) % e
-                         for u in range(1, k) for s in range(1, k)
-                         if (t := (s - u) % k))
-        most = max(counts.values())
-        return most, min(key for key, m in counts.items() if m == most)
     s = np.arange(1, k)
     dense = e * e <= n * (n - 1)
     out, pos = np.zeros(e * e if dense else n * (n - 1), np.int64), 0

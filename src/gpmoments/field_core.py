@@ -67,7 +67,6 @@ def _root_and_factors(p: int) -> tuple[int, list[int]]:
     raise CompositeInput(f"{p} is not an odd prime")
 
 
-@dataclass(frozen=True, eq=False)
 class CosetHeads:
     """The cosets X_a = g^a <g^d> of F_p^x by their heads alone.
 
@@ -75,14 +74,12 @@ class CosetHeads:
     g^a, g^{a+d}, g^{a+2d}, ..., so entry j of X_a is heads[a] * h^j mod p
     with h = g^d, which fixes the summation order used by the period
     computation.  This is all `compute_periods` reads, O(d) memory.
-    Equality is identity, as for the context.
+    Equality is identity, as for the context.  A plain class, not a
+    dataclass, as it costs nothing at import.
     """
 
-    p: int
-    g: int
-    d: int
-    k: int
-    heads: np.ndarray = field(repr=False)
+    def __init__(self, p: int, g: int, d: int, heads: np.ndarray):
+        self.p, self.g, self.d, self.k, self.heads = p, g, d, (p - 1) // d, heads
 
 
 def coset_heads(p: int, g: int, d: int) -> CosetHeads:
@@ -90,7 +87,7 @@ def coset_heads(p: int, g: int, d: int) -> CosetHeads:
     a class index: the same values as a context's, so the same period bits."""
     heads = powers_mod(g, d, p)
     heads.flags.writeable = False
-    return CosetHeads(p=p, g=g, d=d, k=(p - 1) // d, heads=heads)
+    return CosetHeads(p, g, d, heads)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +103,13 @@ class FieldContext(CosetHeads):
     and raise.
     """
 
+    p: int
+    g: int
+    d: int
+    k: int
     alpha: int
     coset_index: np.ndarray = field(repr=False)
+    heads: np.ndarray = field(repr=False)
 
 
 def powers_mod(c: int, n: int, p: int) -> np.ndarray:
