@@ -7,8 +7,8 @@ from .errors import (CompositeInput, ConfigInvalid, DimensionMismatch,
                      DivisorMismatch, GpmError, IoFailure, NotCircular,
                      PreconditionViolated, UnknownFigure)
 from .fermat_curves import CurveCount, PowerTable, count_projective
-from .field_core import (CosetHeads, FieldContext, build_context, class_lookup,
-                         coset_heads, find_primitive_root, primes_in_range)
+from .field_core import (FieldContext, build_context, class_lookup,
+                         find_primitive_root, primes_in_range)
 from .moments import (BoundInterval, MomentReport, build_report,
                       fermat_solution_count, fixed_k_report, fixed_k_verdicts,
                       hurwitz_count, v1_bounds, v2_exact, v4_d2, v4_d3, v4_d4,

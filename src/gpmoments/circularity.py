@@ -14,7 +14,8 @@ The classes come from `subgroup_classes`, the one class source of the scans
 and of the fixed-k rows: Pohlig-Hellman lookups, or the class index of a
 context where a small d = (p-1)/k makes that the cheaper (`INDEX_BELOW_D`).
 A fixed-k row reads its row 0 and, for odd k, the (p, 2k) verdict off the
-same classes, so it looks up about k/2 points at even k and k at odd k.
+same classes, so it looks up about k/2 points at even k and k at odd k, and
+sums its periods from their p, g and d, whichever the source.
 """
 
 import math
@@ -66,17 +67,15 @@ class SubgroupClasses:
     cls(h^s + 1) for s < k.  Each is looked up at s <= k/2 only, as
     h^-s - 1 = -h^-s (h^s - 1) and h^-s + 1 = h^-s (h^s + 1): with
     cls(-x) = cls(x) + alpha, alpha the class of -1, minus[k-s] =
-    minus[s] + alpha and plus[k-s] = plus[s].  ctx is the context whose
-    index classify reads, None for lookups.  Equality is identity.  A plain
-    class, not a dataclass, as it costs nothing at import.
+    minus[s] + alpha and plus[k-s] = plus[s].  Equality is identity.  A
+    plain class, not a dataclass, as it costs nothing at import.
     """
 
     def __init__(self, p: int, k: int, g: int, gamma: np.ndarray,
-                 classify: Callable[[np.ndarray], np.ndarray],
-                 ctx: FieldContext | None = None):
+                 classify: Callable[[np.ndarray], np.ndarray]):
         self.p, self.k, self.g, self.d = p, k, g, (p - 1) // k
         self.alpha = (p - 1) // 2 % self.d
-        self.gamma, self.classify, self.ctx = gamma, classify, ctx
+        self.gamma, self.classify = gamma, classify
 
     @cached_property
     def minus(self) -> np.ndarray:
@@ -155,7 +154,7 @@ def subgroup_classes(p: int, k: int,
         def classify(x: np.ndarray) -> np.ndarray:
             return np.array([cls(v) for v in x.tolist()], dtype=np.int64)
     gamma = powers_mod(pow(g, d, p), k, p)
-    return SubgroupClasses(p=p, k=k, g=g, gamma=gamma, classify=classify, ctx=ctx)
+    return SubgroupClasses(p=p, k=k, g=g, gamma=gamma, classify=classify)
 
 
 def _most_pairs(c: np.ndarray, k: int, e: int) -> tuple[int, int]:

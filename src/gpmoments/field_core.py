@@ -3,9 +3,11 @@
 The multiplicative group F_p^x is split by the subgroup generated by g^d into d
 cosets of size k = (p-1)/d; together with {0} these form the d+1 classes that
 everything downstream (periods, structure constants, curve counts) is built on.
-The class of a point is either read off the O(p) class index of a context or
-looked up on its own by Pohlig-Hellman (`class_lookup`), in O(sqrt q) steps
-for q the largest prime power dividing d.
+The class of a point is either read off the O(p) class index of a context, its
+one table, or looked up on its own by Pohlig-Hellman (`class_lookup`), in
+O(sqrt q) steps for q the largest prime power dividing d.  The cosets
+themselves are not stored: X_a in power order is g^a h^j, h = g^d, and
+`periods` forms it from p, g and d where it sums it.
 """
 
 import math
@@ -67,40 +69,17 @@ def _root_and_factors(p: int) -> tuple[int, list[int]]:
     raise CompositeInput(f"{p} is not an odd prime")
 
 
-class CosetHeads:
-    """The cosets X_a = g^a <g^d> of F_p^x by their heads alone.
-
-    heads[a] = g^a for a < d: the first element of X_a in its power order
-    g^a, g^{a+d}, g^{a+2d}, ..., so entry j of X_a is heads[a] * h^j mod p
-    with h = g^d, which fixes the summation order used by the period
-    computation.  This is all `compute_periods` reads, O(d) memory.
-    Equality is identity, as for the context.  A plain class, not a
-    dataclass, as it costs nothing at import.
-    """
-
-    def __init__(self, p: int, g: int, d: int, heads: np.ndarray):
-        self.p, self.g, self.d, self.k, self.heads = p, g, d, (p - 1) // d, heads
-
-
-def coset_heads(p: int, g: int, d: int) -> CosetHeads:
-    """The heads g^0 .. g^(d-1) of (p, d), g a primitive root of p, without
-    a class index: the same values as a context's, so the same period bits."""
-    heads = powers_mod(g, d, p)
-    heads.flags.writeable = False
-    return CosetHeads(p, g, d, heads)
-
-
 @dataclass(frozen=True, eq=False)
-class FieldContext(CosetHeads):
+class FieldContext:
     """Immutable description of the coset partition of F_p under <g^d>.
 
     coset_index[x] is the class of x: the exponent of x's coset for x != 0,
     and d for x = 0, held in the narrowest unsigned dtype that fits d (uint8
-    up to d = 255).  heads, as in `CosetHeads`, are int32 here.  These two
-    read-only tables are the whole context, coset_index.itemsize * p + 4d
-    bytes: about one byte per element of F_p at d <= 255.  Equality is
-    identity, so a context hashes: fieldwise == would compare the arrays
-    and raise.
+    up to d = 255).  This one read-only table is the whole context,
+    coset_index.itemsize * p bytes: one byte per element of F_p at d <= 255.
+    The coset X_a in power order is g^a, g^{a+d}, ..., which is all
+    `compute_periods` needs besides p, g and d.  Equality is identity, so
+    a context hashes: fieldwise == would compare the arrays and raise.
     """
 
     p: int
@@ -109,7 +88,6 @@ class FieldContext(CosetHeads):
     k: int
     alpha: int
     coset_index: np.ndarray = field(repr=False)
-    heads: np.ndarray = field(repr=False)
 
 
 def powers_mod(c: int, n: int, p: int) -> np.ndarray:
@@ -136,7 +114,7 @@ def powers_mod(c: int, n: int, p: int) -> np.ndarray:
 
 
 def build_context(p: int, d: int) -> FieldContext:
-    """Build the class index and the coset heads of (p, d).
+    """Build the class index of (p, d).
 
     The powers g^e are formed POWER_BLOCK exponents at a time, scattered
     into the class index and dropped, so the build holds only block-sized
@@ -152,14 +130,11 @@ def build_context(p: int, d: int) -> FieldContext:
 
     # The powers g^e, e = 0 .. p-2, are formed a block of m exponents at a
     # time, each block scattered into the index with the classes e mod d of
-    # its exponents, read off a label pattern, and the exponents below d
-    # copied into heads (int32, exact since p <= MAX_P < 2^31); no p-long
-    # temporary is made.
+    # its exponents, read off a label pattern; no p-long temporary is made.
     half = (p - 1) // 2
     m = min(half, POWER_BLOCK)
     dt = np.min_scalar_type(d)
     coset_index = np.empty(p, dtype=dt)
-    heads = np.empty(d, dtype=np.int32)
     # 0, 1, ..., d-1 repeated so that any m consecutive classes are one slice
     # (for d > m, _labels makes a ramp instead).  One repeat is a few µs
     # cheaper than np.tile, which shows at fixed k; made before the scratch
@@ -171,11 +146,11 @@ def build_context(p: int, d: int) -> FieldContext:
     # reduced as b - (b // p) p: numpy divides by a scalar faster than it
     # takes a remainder.  -1 = g^half gives the second half: g^(e + half) =
     # p - g^e.  The later blocks, at most half - m exponents each, read their
-    # baby powers off the first block: off heads when d covers them, else
-    # off an int32 copy.
+    # baby powers off an int32 copy of the first block (exact since
+    # p <= MAX_P < 2^31).
     x = powers_mod(g, m, p)
     q = np.empty(min(m, half - m), dtype=np.int64)
-    baby = heads[:len(q)] if d >= len(q) else x[:len(q)].astype(np.int32)
+    baby = x[:len(q)].astype(np.int32)
     for s in range(0, half, m):
         n = min(m, half - s)
         b = x[:n]
@@ -184,19 +159,14 @@ def build_context(p: int, d: int) -> FieldContext:
             r = np.floor_divide(b, p, out=q[:n])
             r *= p
             b -= r
-        if s < d:
-            heads[s:s + n] = b[:d - s]
         coset_index[b] = _labels(s, n, d, pattern)
         np.subtract(p, b, out=b)
-        if half + s < d:
-            heads[half + s:half + s + n] = b[:d - half - s]
         coset_index[b] = _labels(half + s, n, d, pattern)
     coset_index[0] = d
     coset_index.flags.writeable = False
-    heads.flags.writeable = False
     alpha = ((p - 1) // 2) % d
     return FieldContext(p=p, g=g, d=d, k=k, alpha=alpha,
-                        coset_index=coset_index, heads=heads)
+                        coset_index=coset_index)
 
 
 def _labels(e: int, n: int, d: int, pattern: np.ndarray | None) -> np.ndarray:

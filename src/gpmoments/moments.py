@@ -11,7 +11,8 @@ the fixed-d rows and `verify`.  `fixed_k_report`, a fixed-k sweep row, builds
 neither the tensor nor, below `circularity.index_is_cheaper`, a class index:
 exact V_4 comes from row 0 of the cyclotomic numbers, the classes of
 gamma + 1 for gamma in Gamma = <g^d>, and is checked against the pair count
-of Gamma (`v4_pair_count`); its periods are summed from the coset heads.
+of Gamma (`v4_pair_count`).  Both kinds of row sum their periods by the one
+`periods.compute_periods`, from p, g and d.
 """
 
 import math
@@ -25,7 +26,7 @@ import numpy as np
 from .circularity import (PAIR_CHUNK, CircularityVerdict, SubgroupClasses,
                           subgroup_classes)
 from .errors import DimensionMismatch, NotCircular, PreconditionViolated
-from .field_core import FieldContext, coset_heads
+from .field_core import FieldContext
 from . import periods
 from .superchar import (CheckResult, StructureTensor, build_tensor,
                         count_checks, zero_sum_counts)
@@ -238,17 +239,15 @@ def fixed_k_report(p: int, k: int) -> MomentReport:
     Row 0 of the cyclotomic numbers, (0, w)_d, counts the classes of
     gamma + 1 for gamma in Gamma \\ {-1}; it gives V_4 = p(k[2d | p-1] +
     sum_w (0, w)_d^2) - k^3 and the t_0, t_2 of the d = 3, 4 forms.  The
-    periods are summed from the coset heads at every d, also where d^3 <= p.
-    Then come the fixed-k verdicts (`fixed_k_verdicts`)."""
+    periods are summed by `compute_periods` at every d, also where
+    d^3 <= p.  Then come the fixed-k verdicts (`fixed_k_verdicts`)."""
     sc = subgroup_classes(p, k)
     row0 = Counter(sc.row0().tolist())
     # 2d | p - 1 iff k is even
     v4 = Fraction(p * (k * (1 - k % 2) + sum(n * n for n in row0.values()))
                   - k ** 3)
-    # the bare heads are dropped once the periods are summed
-    eta = periods.compute_periods(sc.ctx if sc.ctx is not None
-                                  else coset_heads(p, sc.g, sc.d))
-    rpt = _report(p, sc.d, eta, v4, [], row0.__getitem__)
+    rpt = _report(p, sc.d, periods.compute_periods(sc), v4, [],
+                  row0.__getitem__)
     fixed_k_verdicts(rpt, sc)
     return rpt
 

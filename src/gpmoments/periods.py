@@ -4,7 +4,8 @@ eta[a] sums e(x/p) = e^(2 pi i x / p) over the coset g^a <g^d>, giving d
 complex numbers whose absolute n-th powers are summed into the power sums
 checked against the exact formulas in `moments`.  Each term is a product of
 two unit roots read from tables of about sqrt(p) entries, so the O(p) sum
-evaluates no cosine or exponential per term.  This sum is the periods'
+evaluates no cosine or exponential per term, and its cosets are formed from
+p, g and d alone, so it needs no class index.  This sum is the periods'
 source when d^3 > p, and for fixed-k rows at every d; below, a report built
 on a tensor reads them off the eigenvalues of T (`StructureTensor.spectrum`)
 and this sum is their oracle.
@@ -13,7 +14,7 @@ and this sum is their oracle.
 import numpy as np
 
 from .errors import PreconditionViolated
-from .field_core import CosetHeads, powers_mod
+from .field_core import powers_mod
 
 
 # Largest number of terms computed at once: compute_periods takes
@@ -21,7 +22,7 @@ from .field_core import CosetHeads, powers_mod
 # column strips of at most this many terms, so its scratch stays at 640 KiB
 # (two complex128 strips and one int64 strip), beside a strip's powers of
 # g^d, while tiny cosets share one numpy call.  Only the float64 rows being
-# summed are larger.
+# summed and their int64 heads are larger.
 PERIOD_CHUNK = 16384
 
 _TWO_PI = 2 * np.arccos(np.longdouble(-1))  # to long double precision
@@ -51,13 +52,15 @@ def _row_sums(block: np.ndarray) -> np.ndarray:
     return block.sum(axis=2) if cols >= 8 else sum(block[:, :, c] for c in range(cols))
 
 
-def compute_periods(ctx: CosetHeads) -> np.ndarray:
+def compute_periods(ctx) -> np.ndarray:
     """The d periods eta, summed directly over the (d, k) coset array: half
-    of the p - 1 terms.  It reads only p, d, k, g and the heads, so a
-    context and the bare `coset_heads` give the same bits.
+    of the p - 1 terms.  It reads only ctx.p, ctx.g and ctx.d, so a
+    `FieldContext`, a `SubgroupClasses` and any object with those three
+    give the same bits.
 
-    Entry j of row a is x = g^(a + dj) = heads[a] * h^j mod p, h = g^d, and
-    its term is high[q] * low[r] from `_unit_root_tables`, x = q 2^s + r,
+    Entry j of row a is x = g^(a + dj) = heads[a] * h^j mod p, h = g^d,
+    the heads g^a of the summed rows coming from `powers_mod`, and its term
+    is high[q] * low[r] from `_unit_root_tables`, x = q 2^s + r,
     taken as cos = Re h Re l - Im h Im l and, for odd k, sin = Im h Re l +
     Re h Im l.  The residues are formed PERIOD_CHUNK at a time, a strip of
     columns c .. c+w-1 of some rows being the row's entry c times h^0 ..
@@ -71,12 +74,14 @@ def compute_periods(ctx: CosetHeads) -> np.ndarray:
     -X_a = X_(a + d/2), so only rows 0 .. d/2 - 1 are summed and the other
     half are their conjugates, bit for bit.
     """
-    p, d, k = ctx.p, ctx.d, ctx.k
+    p, g, d = ctx.p, ctx.g, ctx.d
+    k = (p - 1) // d
     s, low, high = _unit_root_tables(p)
     n_rows, cols = (d, k // 2) if k % 2 == 0 else (d // 2, k)
     rows = max(1, PERIOD_CHUNK // cols)
     width = min(cols, PERIOD_CHUNK // rows)
-    h = pow(ctx.g, d, p)
+    heads = powers_mod(g, n_rows, p)
+    h = pow(g, d, p)
     h_pows = powers_mod(h, width, p)[1:]  # h^1 .. h^(w-1) of a strip
     # the gathered roots of a strip and its indices, whose memory then holds
     # a product.  Before the roots are gathered, the memory of the low ones
@@ -103,9 +108,9 @@ def compute_periods(ctx: CosetHeads) -> np.ndarray:
             # block is tall are formed down the columns of a scratch and
             # copied in, so numpy's loops run along the longer side
             if c:  # then the block is one row
-                x[0, 0] = int(ctx.heads[a]) * pow(h, c, p) % p
+                x[0, 0] = int(heads[a]) * pow(h, c, p) % p
             else:
-                x[:, 0] = ctx.heads[a:a + n]
+                x[:, 0] = heads[a:a + n]
             tail = x[:, 1:]
             y, quot = ((tail, spare[1, :tail.size].reshape(tail.shape)) if w > n
                        else (buf[:tail.size].reshape(w - 1, n).T for buf in spare))

@@ -66,6 +66,10 @@ def test_tensor_verdict_matches_brute_force(monkeypatch):
     # and from the index of the order-d context; the odd-k pairs are also
     # decided at 2k from the same classes, as the fixed-k rows do
     monkeypatch.setattr(circularity, "INDEX_BELOW_D", 0)  # lookups only
+    built = []
+    real = circularity.build_context
+    monkeypatch.setattr(circularity, "build_context",
+                        lambda p, d: built.append((p, d)) or real(p, d))
     pairs = 0
     for p in primes_in_range(3, 2000):
         oracle = {}
@@ -74,7 +78,7 @@ def test_tensor_verdict_matches_brute_force(monkeypatch):
                 continue
             ctx = build_context(p, (p - 1) // k)
             sources = [subgroup_classes(p, k), subgroup_classes(p, k, ctx)]
-            assert sources[0].ctx is None
+            assert not built
             checks = [(k, is_circular(p, k))] + [(k, sc.verdict()) for sc in sources]
             if k % 2 and (p - 1) % (2 * k) == 0:
                 checks += [(2 * k, sc.verdict_2k()) for sc in sources]

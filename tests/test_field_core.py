@@ -120,7 +120,6 @@ def test_context_factors_only_p_minus_1(monkeypatch, p, d):
 def test_context_7_3_cosets():
     ctx = build_context(7, 3)
     assert ctx.g == 3
-    assert ctx.heads.tolist() == [1, 3, 2]
     assert ctx.coset_index.tolist() == [3, 0, 2, 1, 1, 2, 0]
     assert set(class_members(ctx, 0)) == {1, 6}
     assert set(class_members(ctx, 1)) == {3, 4}
@@ -130,7 +129,6 @@ def test_context_7_3_cosets():
 
 def test_context_d1_single_coset():
     ctx = build_context(11, 1)
-    assert ctx.heads.tolist() == [1]
     assert set(class_members(ctx, 0)) == set(range(1, 11))
     assert not ctx.coset_index[1:].any()
 
@@ -165,9 +163,8 @@ def test_context_invariants(params):
     for x, e in dlog.items():
         assert ctx.coset_index[x] == e % d
     assert ctx.coset_index[0] == d
-    # heads[i] = g^i opens X_i's power order g^i, g^{i+d}, ..., and each
-    # pow-built row of that order lies in its class
-    assert [dlog[int(x)] for x in ctx.heads] == list(range(d))
+    # each pow-built row of X_i's power order g^i, g^{i+d}, ... lies in its
+    # class
     for i, row in enumerate(coset_rows(ctx)):
         assert (ctx.coset_index[row] == i).all()
     for a in range(1, p):
@@ -186,28 +183,21 @@ def test_context_invariants(params):
 
 @pytest.mark.parametrize("p,d", [(7, 3), (11, 1), (13, 12), (1009, 12),
                                  (10007, 2), (65537, 1)])
-def test_context_holds_two_tables(p, d):
-    # the class index, p entries, and the d int32 coset heads: one table of
-    # O(p) and one of O(d), no view that keeps a larger buffer alive, and no
-    # power table
+def test_context_holds_one_table(p, d):
+    # the class index, p entries: no view that keeps a larger buffer alive,
+    # no coset heads and no power table
     ctx = build_context(p, d)
     assert ctx.coset_index.shape == (p,) and ctx.coset_index.base is None
-    assert ctx.heads.shape == (d,) and ctx.heads.dtype == np.int32
-    assert ctx.heads.base is None
     tables = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
-    assert len(tables) == 2
-    nbytes = sum(t.nbytes for t in tables)
-    assert p * ctx.coset_index.itemsize + 4 * d <= nbytes <= \
-        p * ctx.coset_index.itemsize + 4 * d + 64
+    assert len(tables) == 1
+    assert tables[0].nbytes == p * ctx.coset_index.itemsize
 
 
 def test_context_tables_are_read_only():
     ctx = build_context(13, 4)
     with pytest.raises(ValueError):
-        ctx.heads[0] = 2
-    with pytest.raises(ValueError):
         ctx.coset_index[1] = 0
-    assert ctx.heads[0] == 1 and ctx.coset_index[1] == 0
+    assert ctx.coset_index[1] == 0
 
 
 @pytest.mark.parametrize("p,d,dtype", [(1021, 255, np.uint8),
@@ -224,17 +214,16 @@ def test_coset_index_is_discrete_log_in_narrowest_dtype(p, d, dtype):
 
 
 @pytest.mark.parametrize("p,d,itemsize,bytes_per_element",
-                         [(1000003, 3, 1, 2.0), (1000117, 12, 1, 2.0),
-                          (200017, 50004, 2, 6.38),
-                          (1000033, 250008, 4, 5.70),
-                          (65537, 65536, 4, 14.56)])
+                         [(1000003, 3, 1, 1.76), (1000117, 12, 1, 1.76),
+                          (200017, 50004, 2, 6.04),
+                          (1000033, 250008, 4, 4.83),
+                          (65537, 65536, 4, 10.56)])
 def test_context_peak_memory_per_element(p, d, itemsize, bytes_per_element):
-    # the index, itemsize bytes per element, the 4d bytes of heads, and a
-    # few blocks of scratch: no O(p) temporary, and for d above the block no
-    # O(d) one beyond heads.  The scratch has a fixed size, so it weighs
-    # more per element at the smaller p.  The bounds of the wider indexes
-    # are their peaks rounded up; a context that kept an int32 power table
-    # peaked at 9.38, 8.69 and 14.556 bytes per element
+    # the index, itemsize bytes per element, and a few blocks of scratch: no
+    # O(p) temporary, and for d above the block no O(d) one.  The scratch
+    # has a fixed size, so it weighs more per element at the smaller p.  The
+    # bounds are the peaks rounded up; a context that kept an int32 power
+    # table peaked at 9.38, 8.69 and 14.556 bytes per element
     tracemalloc.start()
     try:
         ctx = build_context(p, d)
@@ -252,16 +241,15 @@ def test_context_peak_memory_per_element(p, d, itemsize, bytes_per_element):
                                       (65539, 65538, 1), (200017, 50004, 1),
                                       (9999991, 3, 99991)])
 def test_cosets_match_modular_powers(p, d, step):
-    # heads[a] = g^a for a < d, and the class of g^e is e mod d.  The powers
-    # of the first half are formed in blocks of POWER_BLOCK exponents, the
-    # first by doubling, the others from an int32 copy of the first;
-    # -1 = g^((p-1)/2) gives the second half, so for d above the half the
-    # heads come from both halves.  The half is below one block for p = 3
-    # and 5; it is exactly one block for 65537 and twelve for 786433; the
-    # last block is partial for 1000003, 1000117 and 200017; d is above the
-    # block with two blocks (65539, the second of one exponent) and four
-    # (200017); and 9999991 is the largest p below MAX_P.  The exponents on
-    # both sides of every block boundary are checked, in both halves
+    # the class of g^e is e mod d.  The powers of the first half are formed
+    # in blocks of POWER_BLOCK exponents, the first by doubling, the others
+    # from an int32 copy of the first; -1 = g^((p-1)/2) gives the second
+    # half.  The half is below one block for p = 3 and 5; it is exactly one
+    # block for 65537 and twelve for 786433; the last block is partial for
+    # 1000003, 1000117 and 200017; d is above the block with two blocks
+    # (65539, the second of one exponent) and four (200017); and 9999991 is
+    # the largest p below MAX_P.  The exponents on both sides of every block
+    # boundary are checked, in both halves
     assert POWER_BLOCK == 1 << 15  # the cases sit on the boundaries of this block
     ctx = build_context(p, d)
     half = (p - 1) // 2
@@ -272,7 +260,6 @@ def test_cosets_match_modular_powers(p, d, step):
     powers = [pow(ctx.g, e, p) for e in exponents]
     assert ctx.coset_index[powers].tolist() == [e % d for e in exponents]
     assert ctx.coset_index[0] == d
-    assert ctx.heads.tolist() == [pow(ctx.g, a, p) for a in range(d)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 100, POWER_BLOCK])

@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from hypothesis import given, settings, strategies as st
 from brute_force import subgroup, tensor_fixed_k_report
 from gpmoments import (DivisorMismatch, PreconditionViolated, build_context,
                        circularity, class_lookup, cli, compute_periods,
-                       coset_heads, find_primitive_root, fixed_k_report,
-                       is_circular, primes_in_range, subgroup_classes,
-                       v4_pair_count)
+                       find_primitive_root, fixed_k_report, is_circular,
+                       primes_in_range, subgroup_classes, v4_pair_count)
 from gpmoments.cli import EXIT_CHECK_FAILED, EXIT_OK, SweepMode, _run_prime
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -73,17 +73,18 @@ def test_lookup_near_1e6_is_the_class(case):
     assert pow(x * pow(g, -c, p), (p - 1) // d, p) == 1
 
 
-def test_coset_heads_give_the_context_period_bits():
-    # the heads alone reproduce every pinned digest of the periods
+def test_periods_read_only_p_g_and_d():
+    # a bare (p, g, d) and the classes of a fixed-k row, whichever their
+    # source, reproduce every pinned digest of the periods
     with open(os.path.join(GOLDEN_DIR, "eta_sha256.txt")) as fh:
         rows = [line.split() for line in fh if not line.startswith("#")]
     assert len(rows) > 5
     for p, d, digest in rows:
         p, d = int(p), int(d)
-        heads = coset_heads(p, find_primitive_root(p), d)
-        assert heads.heads.tolist() == build_context(p, d).heads.tolist()
-        eta = compute_periods(heads)
-        assert hashlib.sha256(eta.tobytes()).hexdigest() == digest, (p, d)
+        bare = types.SimpleNamespace(p=p, g=find_primitive_root(p), d=d)
+        for src in (bare, subgroup_classes(p, (p - 1) // d)):
+            eta = compute_periods(src)
+            assert hashlib.sha256(eta.tobytes()).hexdigest() == digest, (p, d)
 
 
 def _same_report(row, oracle) -> None:
@@ -122,13 +123,18 @@ def test_the_rule_switches_the_class_source_at_d_250(monkeypatch, p, k):
     # d = 249 reads the classes off a context's index and d = 250 looks them
     # up; either source gives the tensor path's report, and the other's
     d = (p - 1) // k
+    built = []
+    real = circularity.build_context
+    monkeypatch.setattr(circularity, "build_context",
+                        lambda p, d: built.append((p, d)) or real(p, d))
     ours = subgroup_classes(p, k)
-    assert (ours.ctx is not None) == (d == 249)
+    assert built == ([(p, d)] if d == 249 else [])
     row = fixed_k_report(p, k)
     _same_report(row, tensor_fixed_k_report(p, k))
     monkeypatch.setattr(circularity, "INDEX_BELOW_D", 10**9 if d == 250 else 0)
+    built.clear()
     other = subgroup_classes(p, k)
-    assert (other.ctx is None) == (d == 249)
+    assert built == ([] if d == 249 else [(p, d)])
     assert other.minus.tolist() == ours.minus.tolist()
     assert fixed_k_report(p, k) == row
 

@@ -106,8 +106,8 @@ def row_period(ctx, a):
 @pytest.mark.parametrize("p,d", BLOCK_CASES)
 def test_periods_are_row_sums_bit_for_bit(p, d):
     # each eta is the pairwise sum of its own row alone, one 1-D array at a
-    # time: forming the rows from heads, the blocks and the strips change no
-    # bit
+    # time: forming the rows from their heads, the blocks and the strips
+    # change no bit
     ctx = build_context(p, d)
     eta = compute_periods(ctx)
     for a in range(d if ctx.k % 2 == 0 else d // 2):
@@ -136,7 +136,7 @@ def test_short_row_sums_are_numpys_bit_for_bit(m, rows, n, spare, data):
 @pytest.mark.parametrize("p,d", [(1013, 4), (9973, 2493), (9973, 3324),
                                  (10007, 1), (1000003, 3), (1000117, 12)])
 def test_periods_do_not_depend_on_table_dtype(monkeypatch, p, d):
-    # the strips compute_periods forms from the int32 heads, in the order it
+    # the strips compute_periods forms from the heads g^a, in the order it
     # forms them, tile the int64 pow-built rows it sums, bit for bit: odd k
     # (1013, 1000117), fixed k = 4 and 3 (9973), d = 1, and even k near 1e6
     ctx = build_context(p, d)
